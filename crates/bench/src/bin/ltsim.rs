@@ -10,14 +10,12 @@
 //! ltsim replay   <file> [predictor]
 //! ltsim plan     [--figures a,b,..] [--quick]
 //! ltsim run      [--figures a,b,..] [--out DIR] [--quick] [--force] [--threads N]
-//!                [--backend threads|sharded|subprocess] [--progress off|plain|live|auto]
+//!                [--backend threads|subprocess] [--progress off|plain|live|auto]
 //!                [--events FILE] [--retries N] [--spec-timeout SECS]
 //! ltsim render   [--figures a,b,..] [--out DIR] [--format table|json|csv]
 //! ltsim stream   <benchmark|all> [--budget BYTES] [--segments N] [--accesses N] [--seed N]
 //!                [--out DIR] [--force] [--threads N] [--backend ...] [--progress ...]
 //!                [--events FILE] [--retries N] [--spec-timeout SECS]
-//! ltsim bench    [--quick] [--accesses N] [--benchmark NAME] [--seed N] [--rounds N]
-//!                [--out FILE] [--compare FILE] [--tolerance PCT]
 //! ltsim events   summarize <file>
 //! ltsim worker
 //! ```
@@ -32,7 +30,8 @@
 //! simulating anything.
 //!
 //! `run --backend` selects the execution backend (see EXPERIMENTS.md
-//! "Choosing a backend"); `subprocess` re-invokes this binary's `worker`
+//! "Choosing a backend"), and `--threads N` its worker count (one per
+//! core by default); `subprocess` re-invokes this binary's `worker`
 //! subcommand, which reads one canonical `RunSpec` JSON line per request
 //! from stdin and answers each with one `RunResult` JSON line on stdout
 //! until stdin closes.
@@ -51,10 +50,10 @@
 //! warnings — as JSON lines (`ltc_telemetry` schema v1), including
 //! events forwarded from subprocess workers. `events summarize` renders
 //! a recorded log as per-phase/per-spec breakdown tables. Progress/ETA
-//! rendering itself rides the same event stream (a
-//! [`ProgressSubscriber`] is installed instead of handing the engine a
-//! sink), and every `run`/`stream` ends with a one-line summary from the
-//! in-memory aggregator even under `--progress off`.
+//! rendering itself rides the same event stream (the engine installs a
+//! `ProgressSubscriber` for `--progress` while it executes), and every
+//! `run`/`stream` ends with a one-line summary from the in-memory
+//! aggregator even under `--progress off`.
 //!
 //! `stream` runs the bounded-memory one-pass miss analysis. Its runs are
 //! ordinary `RunSpec`s (mode `stream`, budget in the key), so they
@@ -71,8 +70,8 @@ use std::time::Instant;
 use ltc_bench::harness::{self, FigureDef};
 use ltc_bench::Scale;
 use ltc_sim::engine::{
-    artifact, BackendKind, EngineOptions, FaultInject, FaultPolicy, ProgressMode,
-    ProgressSubscriber, ResultSet, RunSpec, FAULT_INJECT_ENV,
+    artifact, BackendKind, EngineOptions, FaultInject, FaultPolicy, ProgressMode, ResultSet,
+    RunSpec, FAULT_INJECT_ENV,
 };
 use ltc_sim::experiment::{run_coverage, run_timing, PredictorKind};
 use ltc_sim::report::{pct1, Table};
@@ -107,12 +106,11 @@ fn main() {
         Some("run") => cmd_run(&args[1..]),
         Some("render") => cmd_render(&args[1..]),
         Some("stream") => cmd_stream(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("events") => cmd_events(&args[1..]),
         Some("worker") => cmd_worker(),
         _ => {
             eprintln!(
-                "usage: ltsim <list|coverage|timing|compare|power|record|replay|plan|run|render|stream|bench|events|worker> ..."
+                "usage: ltsim <list|coverage|timing|compare|power|record|replay|plan|run|render|stream|events|worker> ..."
             );
             std::process::exit(2);
         }
@@ -289,10 +287,9 @@ fn parse_engine_flag(
                 .ok_or("--threads needs a positive number")?;
         }
         "--backend" => {
-            let name = it.next().ok_or("--backend needs threads|sharded|subprocess")?;
+            let name = it.next().ok_or("--backend needs threads|subprocess")?;
             opts.backend = match name.as_str() {
                 "threads" => BackendKind::Threads,
-                "sharded" => BackendKind::Sharded,
                 "subprocess" => BackendKind::Subprocess { command: self_worker_command()? },
                 other => return Err(format!("unknown backend: {other}")),
             };
@@ -328,8 +325,6 @@ fn parse_figure_args(args: &[String]) -> Result<FigureArgs, String> {
         scale,
         format: "table".to_string(),
         opts: EngineOptions {
-            threads: scale.threads,
-            backend: BackendKind::Threads,
             progress: ProgressMode::Auto,
             // Pick up LTC_FAULT_INJECT for chaos runs; --retries /
             // --spec-timeout refine the policy below.
@@ -392,10 +387,9 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
 
 /// The telemetry subscribers one `run`/`stream` invocation installs: an
 /// in-memory aggregator (always — it powers the end-of-run summary
-/// line), the JSON-lines event log (with `--events`), and the progress
-/// renderer (progress rides the event stream instead of an engine
-/// [`ltc_sim::engine::ProgressSink`], so the engine itself runs with
-/// progress off).
+/// line) and the JSON-lines event log (with `--events`). The progress
+/// renderer is the engine's own, installed per execution from
+/// [`EngineOptions::progress`].
 struct RunTelemetry {
     aggregator: Arc<ltc_telemetry::Aggregator>,
     writer: Option<(Arc<ltc_telemetry::JsonLinesWriter>, String)>,
@@ -404,9 +398,8 @@ struct RunTelemetry {
 }
 
 impl RunTelemetry {
-    /// Installs the subscribers and strips the progress mode out of
-    /// `opts` (the returned session renders it from events instead).
-    fn install(events: Option<&String>, opts: &mut EngineOptions) -> Result<RunTelemetry, String> {
+    /// Installs the subscribers.
+    fn install(events: Option<&String>) -> Result<RunTelemetry, String> {
         let aggregator = Arc::new(ltc_telemetry::Aggregator::new());
         let mut tokens = vec![ltc_telemetry::install(aggregator.clone())];
         let writer = match events {
@@ -420,8 +413,6 @@ impl RunTelemetry {
             }
             None => None,
         };
-        tokens.push(ltc_telemetry::install(Arc::new(ProgressSubscriber::new(opts.progress))));
-        opts.progress = ProgressMode::Off;
         Ok(RunTelemetry { aggregator, writer, tokens, started: Instant::now() })
     }
 
@@ -450,8 +441,8 @@ impl RunTelemetry {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let mut fa = parse_figure_args(args)?;
-    let telemetry = RunTelemetry::install(fa.events.as_ref(), &mut fa.opts)?;
+    let fa = parse_figure_args(args)?;
+    let telemetry = RunTelemetry::install(fa.events.as_ref())?;
     let mut results = ResultSet::new();
     harness::collect(&fa.figures, fa.scale, &fa.opts, &mut results).map_err(|e| e.to_string())?;
     for def in &fa.figures {
@@ -569,8 +560,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     let mut segments: u32 = 1;
     let mut accesses: u64 = 2_000_000;
     let mut seed: u64 = 1;
-    let mut opts =
-        EngineOptions { threads: 4, fault: FaultPolicy::from_env(), ..EngineOptions::default() };
+    let mut opts = EngineOptions { fault: FaultPolicy::from_env(), ..EngineOptions::default() };
     let mut events: Option<String> = None;
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
@@ -612,7 +602,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             }
         })
         .collect();
-    let telemetry = RunTelemetry::install(events.as_ref(), &mut opts)?;
+    let telemetry = RunTelemetry::install(events.as_ref())?;
     let mut sched = ltc_sim::engine::Scheduler::new();
     sched.request_all(specs.iter().cloned());
     let mut results = ResultSet::new();
@@ -656,113 +646,6 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     }
     println!("engine: {} simulated, {} from cache", results.simulated(), results.cache_hits());
     telemetry.finish();
-    Ok(())
-}
-
-/// `ltsim bench`: time the hot-path kernels and emit (or diff) a
-/// `BENCH_<date>.json` perf-trajectory report — see
-/// `ltc_bench::perf` and EXPERIMENTS.md "Benchmarking & perf
-/// trajectory". With `--compare FILE` the run additionally diffs
-/// against a committed baseline and fails when any kernel's throughput
-/// drops more than `--tolerance` percent (default 10).
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    use ltc_bench::perf;
-
-    let mut opts = perf::BenchOptions::default();
-    let mut out: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut tolerance = perf::DEFAULT_TOLERANCE_PCT;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => opts.accesses = perf::QUICK_ACCESSES,
-            "--accesses" => {
-                opts.accesses = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &u64| n > 0)
-                    .ok_or("--accesses needs a positive number")?;
-            }
-            "--benchmark" => {
-                let name = it.next().ok_or("--benchmark needs a suite benchmark name")?;
-                suite::by_name(name).ok_or_else(|| format!("unknown benchmark: {name}"))?;
-                opts.benchmark = name.clone();
-            }
-            "--seed" => {
-                opts.seed =
-                    it.next().and_then(|v| v.parse().ok()).ok_or("--seed needs a number")?;
-            }
-            "--rounds" => {
-                opts.rounds = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or("--rounds needs a positive number")?;
-            }
-            "--out" => out = Some(it.next().ok_or("--out needs a file path")?.clone()),
-            "--compare" => {
-                baseline = Some(it.next().ok_or("--compare needs a baseline file")?.clone());
-            }
-            "--tolerance" => {
-                tolerance = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&t: &f64| t >= 0.0)
-                    .ok_or("--tolerance needs a non-negative percentage")?;
-            }
-            other => return Err(format!("unknown flag: {other}")),
-        }
-    }
-
-    let report = perf::run_all(&opts);
-    let mut t = Table::new(vec!["kernel", "items", "best ms", "items/sec"]);
-    for r in &report.results {
-        t.row(vec![
-            r.name.clone(),
-            r.items.to_string(),
-            format!("{:.2}", r.nanos as f64 / 1e6),
-            format!("{:.0}", r.per_sec),
-        ]);
-    }
-    print!("{}", t.render());
-    if let Some(tel) = &report.telemetry {
-        println!(
-            "telemetry overhead: {:+.2}% on coverage_baseline ({} events, {} bytes to a sink)",
-            tel.overhead_pct, tel.events, tel.bytes
-        );
-    }
-
-    let path = out.unwrap_or_else(|| format!("BENCH_{}.json", perf::utc_date_string()));
-    std::fs::write(&path, report.to_json() + "\n").map_err(|e| format!("writing {path}: {e}"))?;
-    println!("wrote {path}");
-
-    if let Some(base_path) = baseline {
-        let text = std::fs::read_to_string(&base_path)
-            .map_err(|e| format!("reading baseline {base_path}: {e}"))?;
-        let base = perf::BenchReport::from_json(&text)
-            .map_err(|e| format!("parsing baseline {base_path}: {e}"))?;
-        let deltas = perf::compare(&report, &base, tolerance);
-        let mut dt = Table::new(vec!["kernel", "baseline/sec", "current/sec", "change"]);
-        for d in &deltas {
-            dt.row(vec![
-                d.name.clone(),
-                format!("{:.0}", d.baseline_per_sec),
-                format!("{:.0}", d.current_per_sec),
-                format!("{}{:+.1}%", if d.regressed { "REGRESSED " } else { "" }, d.change_pct),
-            ]);
-        }
-        print!("{}", dt.render());
-        let regressed: Vec<&str> =
-            deltas.iter().filter(|d| d.regressed).map(|d| d.name.as_str()).collect();
-        if !regressed.is_empty() {
-            return Err(format!(
-                "{} kernel(s) regressed more than {tolerance}% vs {base_path}: {}",
-                regressed.len(),
-                regressed.join(", ")
-            ));
-        }
-        println!("no kernel regressed more than {tolerance}% vs {base_path}");
-    }
     Ok(())
 }
 

@@ -208,15 +208,15 @@ pub fn plan(figures: &[&FigureDef], scale: Scale) -> Vec<RunSpec> {
     gather(figures, scale, &ResultSet::new()).unique()
 }
 
-/// Computes a single figure in memory at the given scale (bench/test
-/// convenience; no cache, threads from the scale).
+/// Computes a single figure in memory at the given scale (test
+/// convenience; no cache, one worker per core).
 ///
 /// # Panics
 ///
 /// Panics if the figure's benchmarks are unknown (suite authoring bug).
 pub fn compute(def: &FigureDef, scale: Scale) -> ResultSet {
     let mut results = ResultSet::new();
-    collect(&[def], scale, &EngineOptions::in_memory(scale.threads), &mut results)
+    collect(&[def], scale, &EngineOptions::default(), &mut results)
         .expect("in-memory execution cannot hit I/O errors");
     results
 }
@@ -225,7 +225,8 @@ pub fn compute(def: &FigureDef, scale: Scale) -> ResultSet {
 /// the engine and prints its table.
 ///
 /// Flags: `--quick` (reduced scale), `--out DIR` (artifact cache),
-/// `--force` (ignore cached artifacts), `--threads N`.
+/// `--force` (ignore cached artifacts), `--threads N` (one worker per
+/// core by default).
 ///
 /// # Panics
 ///
@@ -253,7 +254,7 @@ pub fn figure_main(name: &str) {
 /// uncached run).
 fn parse_figure_flags(args: &[String]) -> Result<(Scale, EngineOptions), String> {
     let scale = if args.iter().any(|a| a == "--quick") { Scale::quick() } else { Scale::full() };
-    let mut opts = EngineOptions { threads: scale.threads, ..EngineOptions::default() };
+    let mut opts = EngineOptions::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {

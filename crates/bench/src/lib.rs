@@ -5,9 +5,10 @@
 //! [`ltc_sim::engine::ResultSet`]; [`harness`] registers them all and
 //! drives the deduplicating scheduler across whichever figures are
 //! requested. The binaries in `src/bin/` (including the `ltsim` CLI with
-//! its `plan`/`run`/`render` subcommands) print them; the Criterion
-//! benches in `benches/` run the same kernels at reduced scale so
-//! `cargo bench` regenerates everything.
+//! its `plan`/`run`/`render` subcommands) print them.
+//!
+//! This crate times nothing: the repository's one benchmark harness is
+//! `perfbench/` (see `BENCHMARK.json` and `perfbench/README.md`).
 //!
 //! Absolute numbers differ from the paper (the substrate is a synthetic
 //! trace simulator, not SimpleScalar/Alpha on SPEC2000 — see DESIGN.md §1);
@@ -17,7 +18,6 @@
 pub mod events;
 pub mod figures;
 pub mod harness;
-pub mod perf;
 pub mod scale;
 
 pub use harness::FigureDef;

@@ -5,40 +5,31 @@
 /// The paper traces each benchmark in its entirety (billions of
 /// instructions); the full scale here is sized so the complete harness runs
 /// in minutes while giving large-footprint workloads several recurrences to
-/// train on. Quick scale is for smoke runs and `cargo bench`.
+/// train on. Quick scale is for smoke runs (`ltsim run --quick`). A scale
+/// fixes *what* is simulated, never how many workers run it: the worker
+/// count is an [`ltc_sim::engine::EngineOptions`] setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
     /// Accesses per benchmark for trace-driven (coverage/analysis) kernels.
     pub coverage_accesses: u64,
     /// Accesses per benchmark for timing kernels.
     pub timing_accesses: u64,
-    /// Worker threads for parallel sweeps.
-    pub threads: usize,
 }
 
 impl Scale {
     /// Full-scale runs (the EXPERIMENTS.md numbers).
     pub fn full() -> Self {
-        Scale { coverage_accesses: 12_000_000, timing_accesses: 6_000_000, threads: 12 }
+        Scale { coverage_accesses: 12_000_000, timing_accesses: 6_000_000 }
     }
 
     /// Quick smoke-scale runs.
     pub fn quick() -> Self {
-        Scale { coverage_accesses: 2_000_000, timing_accesses: 800_000, threads: 12 }
+        Scale { coverage_accesses: 2_000_000, timing_accesses: 800_000 }
     }
 
-    /// Tiny scale for Criterion iterations.
+    /// Tiny scale for the figure modules' unit tests.
     pub fn bench() -> Self {
-        Scale { coverage_accesses: 150_000, timing_accesses: 60_000, threads: 4 }
-    }
-
-    /// Parses `--quick` from command-line arguments (full otherwise).
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--quick") {
-            Scale::quick()
-        } else {
-            Scale::full()
-        }
+        Scale { coverage_accesses: 150_000, timing_accesses: 60_000 }
     }
 }
 

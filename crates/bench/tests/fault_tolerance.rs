@@ -170,7 +170,8 @@ fn hung_worker_times_out_with_a_typed_error() {
 /// before a spec's last permitted attempt the supervisor recycles to a
 /// fresh child (final-attempt isolation), and a fresh `exit-after:1`
 /// child always answers once before dying — so serial worker deaths
-/// between every pair of specs cannot exhaust the budget.
+/// between every pair of specs cannot exhaust the budget. The engine's
+/// `--progress plain` renderer counts each completion once.
 #[test]
 fn final_attempt_isolation_converges_with_zero_retries() {
     let out_dir = tmp_dir("budget");
@@ -187,7 +188,7 @@ fn final_attempt_isolation_converges_with_zero_retries() {
             "--backend",
             "subprocess",
             "--progress",
-            "off",
+            "plain",
             "--retries",
             "0",
             "--out",
@@ -201,6 +202,7 @@ fn final_attempt_isolation_converges_with_zero_retries() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(output.status.success(), "isolation must carry the batch: {stderr}");
     assert!(!stderr.contains("panicked"), "no panics on the fault path: {stderr}");
+    assert_eq!(stderr.matches("/3] stream[").count(), 3, "one progress line per spec: {stderr}");
     assert!(!artifacts(&out_dir).is_empty(), "the run must store artifacts");
     let _ = fs::remove_dir_all(&out_dir);
 }

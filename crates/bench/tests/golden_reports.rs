@@ -133,16 +133,14 @@ fn stream_report_matches_golden() {
 }
 
 /// Every golden spec set serializes byte-identically whichever backend
-/// executed it — threads, sharded, or subprocess workers over the JSON
+/// executed it — the thread pool or subprocess workers over the JSON
 /// protocol. Combined with the snapshot asserts above, this pins the
-/// whole matrix: optimized kernels × three backends × committed bytes.
+/// whole matrix: optimized kernels × both backends × committed bytes.
 #[test]
 fn golden_reports_identical_across_all_backends() {
     let sets: Vec<Vec<RunSpec>> = vec![fig08_specs(), table2_specs(), stream_specs()];
     for specs in &sets {
         let reference = canonical(specs, &execute(specs, BackendKind::Threads));
-        let sharded = canonical(specs, &execute(specs, BackendKind::Sharded));
-        assert_eq!(reference, sharded, "threads vs sharded bytes differ for {specs:?}");
         let subprocess = canonical(
             specs,
             &execute(specs, BackendKind::Subprocess { command: worker_command() }),

@@ -1,6 +1,6 @@
-//! End-to-end checks of the `ltsim worker` protocol and of three-way
-//! backend parity (threads vs sharded vs subprocess), using the real
-//! built binary via `CARGO_BIN_EXE_ltsim`.
+//! End-to-end checks of the `ltsim worker` protocol and of backend
+//! parity (threads vs subprocess), using the real built binary via
+//! `CARGO_BIN_EXE_ltsim`.
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
@@ -94,22 +94,26 @@ fn worker_rejects_model_version_mismatch() {
     assert!(stderr.contains("model_version"), "diagnostic should name the field: {stderr}");
 }
 
-/// The same plan through all three backends yields identical `ResultSet`s
-/// and, therefore, byte-identical rendered tables.
+/// The same plan through all three execution configurations — a
+/// one-thread pool, a three-thread pool and three subprocess workers —
+/// yields identical `ResultSet`s and, therefore, byte-identical rendered
+/// tables.
 #[test]
 fn all_three_backends_render_identical_tables() {
-    let scale = Scale { coverage_accesses: 20_000, timing_accesses: 10_000, threads: 3 };
+    let scale = Scale { coverage_accesses: 20_000, timing_accesses: 10_000 };
     let figures = [harness::by_name("fig08").unwrap(), harness::by_name("table2").unwrap()];
-    let backends = [
-        BackendKind::Threads,
-        BackendKind::Sharded,
-        BackendKind::Subprocess { command: worker_command() },
+    // A one-thread pool runs strictly longest-first; the three-thread
+    // pool and the subprocess workers interleave.
+    let configs = [
+        (1, BackendKind::Threads),
+        (3, BackendKind::Threads),
+        (3, BackendKind::Subprocess { command: worker_command() }),
     ];
 
     let mut rendered: Vec<Vec<String>> = Vec::new();
     let mut simulated = Vec::new();
-    for backend in backends {
-        let opts = EngineOptions::in_memory(scale.threads).with_backend(backend);
+    for (threads, backend) in configs {
+        let opts = EngineOptions::in_memory(threads).with_backend(backend);
         let mut results = ResultSet::new();
         harness::collect(&figures, scale, &opts, &mut results).expect("backend execution");
         simulated.push(results.simulated());
@@ -117,11 +121,11 @@ fn all_three_backends_render_identical_tables() {
     }
     assert_eq!(simulated[0], simulated[1]);
     assert_eq!(simulated[1], simulated[2]);
-    assert_eq!(rendered[0], rendered[1], "threads vs sharded tables differ");
-    assert_eq!(rendered[1], rendered[2], "sharded vs subprocess tables differ");
+    assert_eq!(rendered[0], rendered[1], "one vs three threads tables differ");
+    assert_eq!(rendered[1], rendered[2], "threads vs subprocess tables differ");
 }
 
-/// Segmented streaming across all three backends: the per-segment
+/// Segmented streaming across both backends: the per-segment
 /// partial summaries — serialized sketch state — round-trip over the
 /// worker protocol, and the merged reports are byte-for-byte identical
 /// canonical JSON whichever backend ran the segments (completing the
@@ -132,11 +136,7 @@ fn segmented_stream_reports_identical_across_all_backends() {
         RunSpec::stream_segmented("mcf", 64 << 10, 4, 8_000, 1),
         RunSpec::stream_segmented("swim", 64 << 10, 3, 8_000, 1),
     ];
-    let backends = [
-        BackendKind::Threads,
-        BackendKind::Sharded,
-        BackendKind::Subprocess { command: worker_command() },
-    ];
+    let backends = [BackendKind::Threads, BackendKind::Subprocess { command: worker_command() }];
     let mut rendered: Vec<Vec<String>> = Vec::new();
     for backend in backends {
         let mut sched = Scheduler::new();
@@ -150,8 +150,7 @@ fn segmented_stream_reports_identical_across_all_backends() {
                 .collect(),
         );
     }
-    assert_eq!(rendered[0], rendered[1], "threads vs sharded merged reports differ");
-    assert_eq!(rendered[1], rendered[2], "sharded vs subprocess merged reports differ");
+    assert_eq!(rendered[0], rendered[1], "threads vs subprocess merged reports differ");
 }
 
 /// Shape checking survives the worker protocol: partial summaries that

@@ -4,12 +4,9 @@
 //! them, probes the artifact cache — and hands whatever must actually be
 //! simulated to an [`ExecutionBackend`]:
 //!
-//! * [`ThreadPoolBackend`] — scoped threads claiming specs from a shared
-//!   queue in input order. Simple and fair when spec costs are
-//!   homogeneous.
-//! * [`ShardedBackend`] — work stealing over per-worker deques, with the
-//!   estimated-longest specs (timing runs) dealt out first so a straggler
-//!   claimed late cannot serialize the tail of the run.
+//! * [`ThreadPoolBackend`] — scoped threads claiming specs from one shared
+//!   queue, seeded with the estimated-longest specs (timing runs) first so
+//!   a straggler claimed late cannot serialize the tail of the run.
 //! * [`SubprocessBackend`] — a pool of `ltsim worker` child processes
 //!   speaking newline-delimited JSON ([`RunSpec`] in on stdin,
 //!   [`RunResult`] out on stdout). This proves the spec wire format end
@@ -76,9 +73,9 @@ pub struct FaultPolicy {
     /// before it retires. `0` fails fast on the first fault.
     pub retries: u32,
     /// Wall-clock budget per spec attempt. Enforced by the subprocess
-    /// backend, whose children can be killed; the in-process backends
-    /// run trusted library code on threads that cannot be safely
-    /// interrupted, so they ignore it. `None` (the default) never times
+    /// backend, whose children can be killed; the in-process backend
+    /// runs trusted library code on threads that cannot be safely
+    /// interrupted, so it ignores it. `None` (the default) never times
     /// a spec out.
     pub spec_timeout: Option<Duration>,
     /// Base delay before respawning after a worker failure; doubles per
@@ -121,7 +118,7 @@ impl FaultPolicy {
 /// A deliberately injected fault, for exercising the supervision paths.
 #[derive(Debug, Clone)]
 pub enum FaultInject {
-    /// In-process backends: panic inside the first executed spec whose
+    /// In-process backend: panic inside the first executed spec whose
     /// label contains the substring — exactly once per policy, so the
     /// retry must succeed.
     PanicOnce {
@@ -240,27 +237,21 @@ impl From<BackendError> for io::Error {
     }
 }
 
-/// Observes per-spec lifecycle events from inside backend workers.
-/// Implementations must be `Sync`: events arrive concurrently.
+/// Observes per-spec completions from inside backend workers.
+/// Implementations must be `Sync`: completions arrive concurrently.
 pub trait RunObserver: Sync {
-    /// A worker began executing `spec`. A retried spec starts again.
-    fn started(&self, spec: &RunSpec) {
-        let _ = spec;
-    }
-
-    /// A worker finished `spec` with `result` after `elapsed` wall time.
-    /// Fires exactly once per completed spec, however many attempts it
-    /// took.
-    fn finished(&self, spec: &RunSpec, result: &RunResult, elapsed: Duration) {
-        let _ = (spec, result, elapsed);
-    }
+    /// A worker finished `spec` with `result`. Fires exactly once per
+    /// completed spec, however many attempts it took.
+    fn finished(&self, spec: &RunSpec, result: &RunResult);
 }
 
-/// The no-op observer (tests, library callers without progress).
+/// The no-op observer (tests, library callers without a cache).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullObserver;
 
-impl RunObserver for NullObserver {}
+impl RunObserver for NullObserver {
+    fn finished(&self, _: &RunSpec, _: &RunResult) {}
+}
 
 /// Executes a planned set of specs.
 ///
@@ -295,8 +286,6 @@ pub enum BackendKind {
     /// [`ThreadPoolBackend`].
     #[default]
     Threads,
-    /// [`ShardedBackend`].
-    Sharded,
     /// [`SubprocessBackend`] spawning `command` (argv) per worker.
     Subprocess {
         /// Worker argv, e.g. `["/path/to/ltsim", "worker"]`.
@@ -310,9 +299,6 @@ impl BackendKind {
     pub fn build(&self, threads: usize, fault: &FaultPolicy) -> Box<dyn ExecutionBackend> {
         match self {
             BackendKind::Threads => Box::new(ThreadPoolBackend { threads, fault: fault.clone() }),
-            BackendKind::Sharded => {
-                Box::new(ShardedBackend { workers: threads, fault: fault.clone() })
-            }
             BackendKind::Subprocess { command } => Box::new(SubprocessBackend {
                 command: command.clone(),
                 workers: threads,
@@ -366,7 +352,7 @@ fn end_spec_span(
 
 /// Supervision state shared by one `execute` call's workers: result
 /// slots, per-spec attempt counts, and the first fatal error. The
-/// requeue policy lives here so the three backends cannot drift.
+/// requeue policy lives here so the two backends cannot drift.
 struct Supervisor<'a> {
     specs: &'a [RunSpec],
     policy: &'a FaultPolicy,
@@ -522,7 +508,6 @@ fn attempt_in_process(
     queued: Instant,
 ) -> bool {
     let spec = &sup.specs[idx];
-    observer.started(spec);
     let queue_wait = queued.elapsed();
     let span = spec_span(spec);
     let start = Instant::now();
@@ -534,7 +519,7 @@ fn attempt_in_process(
     match outcome {
         Ok(result) => {
             end_spec_span(span, spec, queue_wait, elapsed, None);
-            observer.finished(spec, &result, elapsed);
+            observer.finished(spec, &result);
             sup.complete(idx, result);
             false
         }
@@ -545,8 +530,13 @@ fn attempt_in_process(
     }
 }
 
-/// The scoped-thread pool: workers claim specs from a shared queue in
-/// input order; a failed attempt requeues at the back.
+/// The scoped-thread pool: workers claim specs from one shared queue,
+/// seeded longest-first by estimated cost (access budget weighted by
+/// mode; timing runs weigh most) so every worker starts on a long run
+/// and the cheap tail fills the gaps — the classic fix for a pool where
+/// one late-claimed timing run serializes the finish. The sort is
+/// stable, so equal-cost specs keep request order. A failed attempt
+/// requeues at the back.
 #[derive(Debug, Clone)]
 pub struct ThreadPoolBackend {
     /// Worker thread count (clamped to at least 1).
@@ -570,7 +560,9 @@ impl ExecutionBackend for ThreadPoolBackend {
             return Ok(Vec::new());
         }
         let sup = Supervisor::new(specs, &self.fault);
-        let queue: Mutex<VecDeque<usize>> = Mutex::new((0..n).collect());
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(cost_estimate(&specs[i])));
+        let queue = Mutex::new(VecDeque::from(order));
         let workers = self.threads.max(1).min(n);
         let queued = Instant::now();
         std::thread::scope(|scope| {
@@ -593,7 +585,7 @@ impl ExecutionBackend for ThreadPoolBackend {
     }
 }
 
-/// Relative cost estimate used to seed [`ShardedBackend`] deques
+/// Relative cost estimate used to seed the [`ThreadPoolBackend`] queue
 /// longest-first. Timing runs simulate a full out-of-order machine per
 /// access and dominate real sweeps; a multi-programmed run with a partner
 /// doubles its access budget and runs two hierarchies.
@@ -618,91 +610,6 @@ fn cost_estimate(spec: &RunSpec) -> u64 {
         }
     };
     spec.accesses.saturating_mul(weight).max(1)
-}
-
-/// Work stealing over per-worker deques.
-///
-/// Specs are sorted by `cost_estimate` descending and dealt round-robin
-/// across the shards, so every worker starts on a long run and the cheap
-/// tail gets stolen by whoever drains first — the classic fix for a pool
-/// where one late-claimed timing run serializes the finish. A failed
-/// attempt requeues at the back of the failing worker's own shard.
-#[derive(Debug, Clone)]
-pub struct ShardedBackend {
-    /// Worker (and shard) count, clamped to at least 1.
-    pub workers: usize,
-    /// Supervision policy for panicking workers.
-    pub fault: FaultPolicy,
-}
-
-impl ShardedBackend {
-    /// Deals spec indices into per-worker deques, longest first.
-    fn seed_shards(&self, specs: &[RunSpec], shards: usize) -> Vec<Mutex<VecDeque<usize>>> {
-        let mut order: Vec<usize> = (0..specs.len()).collect();
-        // Stable sort: equal-cost specs keep input order, so runs are
-        // reproducible given a worker count.
-        order.sort_by_key(|&i| std::cmp::Reverse(cost_estimate(&specs[i])));
-        let deques: Vec<Mutex<VecDeque<usize>>> =
-            (0..shards).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (round, idx) in order.into_iter().enumerate() {
-            lock_recover(&deques[round % shards]).push_back(idx);
-        }
-        deques
-    }
-}
-
-/// Claims the next spec for worker `me`: own deque front first (its
-/// longest remaining work), then victims' backs (their cheapest), which
-/// keeps stolen work small and contention low.
-fn steal(shards: &[Mutex<VecDeque<usize>>], me: usize) -> Option<usize> {
-    if let Some(idx) = lock_recover(&shards[me]).pop_front() {
-        return Some(idx);
-    }
-    for offset in 1..shards.len() {
-        let victim = (me + offset) % shards.len();
-        if let Some(idx) = lock_recover(&shards[victim]).pop_back() {
-            return Some(idx);
-        }
-    }
-    None
-}
-
-impl ExecutionBackend for ShardedBackend {
-    fn name(&self) -> &'static str {
-        "sharded"
-    }
-
-    fn execute(
-        &self,
-        specs: &[RunSpec],
-        observer: &dyn RunObserver,
-    ) -> Result<Vec<RunResult>, BackendError> {
-        let n = specs.len();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let workers = self.workers.max(1).min(n);
-        let shards = self.seed_shards(specs, workers);
-        let sup = Supervisor::new(specs, &self.fault);
-        let queued = Instant::now();
-        std::thread::scope(|scope| {
-            for me in 0..workers {
-                let (sup, shards) = (&sup, &shards);
-                scope.spawn(move || {
-                    if ltc_telemetry::enabled() {
-                        ltc_telemetry::set_worker(me as u64 + 1);
-                    }
-                    while !sup.aborted() {
-                        let Some(idx) = steal(shards, me) else { break };
-                        if attempt_in_process(sup, idx, observer, queued) {
-                            lock_recover(&shards[me]).push_back(idx);
-                        }
-                    }
-                });
-            }
-        });
-        sup.into_outcome()
-    }
 }
 
 /// A pool of worker child processes speaking the newline-delimited JSON
@@ -907,7 +814,6 @@ fn drive_worker_loop(
             }
         }
         let child = worker.as_mut().expect("spawned above");
-        observer.started(spec);
         let queue_wait = queued.elapsed();
         let span = spec_span(spec);
         let ticket = sup
@@ -921,7 +827,7 @@ fn drive_worker_loop(
         match answer {
             Ok(result) if !timed_out => {
                 end_spec_span(span, spec, queue_wait, elapsed, None);
-                observer.finished(spec, &result, elapsed);
+                observer.finished(spec, &result);
                 sup.complete(idx, result);
                 consecutive = 0;
             }
@@ -1164,39 +1070,45 @@ mod tests {
     }
 
     #[test]
-    fn sharded_seeds_longest_first_round_robin() {
-        let backend = ShardedBackend { workers: 2, fault: FaultPolicy::default() };
+    fn one_thread_runs_specs_longest_first() {
+        #[derive(Default)]
+        struct Order(Mutex<Vec<String>>);
+        impl RunObserver for Order {
+            fn finished(&self, spec: &RunSpec, _: &RunResult) {
+                self.0.lock().unwrap().push(spec.key());
+            }
+        }
         let specs = vec![
             tiny("gzip", 1_000),
             RunSpec::timing("mcf", PredictorKind::Baseline, 1_000, 1),
-            tiny("art", 2_000),
+            tiny("art", 1_000),
             RunSpec::timing("mesa", PredictorKind::Baseline, 2_000, 1),
         ];
-        let shards = backend.seed_shards(&specs, 2);
-        let front_costs: Vec<u64> = shards
-            .iter()
-            .map(|s| cost_estimate(&specs[*s.lock().unwrap().front().unwrap()]))
-            .collect();
-        // Every worker starts on a timing run, not a cheap coverage run.
-        assert!(front_costs.iter().all(|&c| c >= 10_000), "fronts: {front_costs:?}");
+        let order = Order::default();
+        let backend = ThreadPoolBackend { threads: 1, fault: FaultPolicy::default() };
+        backend.execute(&specs, &order).unwrap();
+        // The timing runs go first, the longer one leading; the
+        // equal-cost coverage runs keep their request order.
+        let expected: Vec<String> = [3, 1, 0, 2].iter().map(|&i| specs[i].key()).collect();
+        assert_eq!(order.0.into_inner().unwrap(), expected);
     }
 
     #[test]
     fn backends_preserve_input_order() {
-        let specs = vec![tiny("gzip", 2_000), tiny("mesa", 2_000), tiny("art", 2_000)];
+        // Different budgets, so the longest-first queue runs them in
+        // reverse; results still come back in input order.
+        let specs = vec![tiny("gzip", 2_000), tiny("mesa", 3_000), tiny("art", 4_000)];
         let fault = FaultPolicy::default();
-        for backend in
-            [BackendKind::Threads.build(2, &fault), BackendKind::Sharded.build(2, &fault)]
-        {
+        for threads in [1, 2] {
+            let backend = BackendKind::Threads.build(threads, &fault);
             let results = backend.execute(&specs, &NullObserver).unwrap();
-            assert_eq!(results.len(), specs.len(), "{}", backend.name());
+            assert_eq!(results.len(), specs.len(), "{threads} threads");
             for (spec, result) in specs.iter().zip(&results) {
                 // run_coverage reserves a quarter of the budget as warmup.
                 assert_eq!(
                     result.as_coverage().expect("coverage result").accesses,
                     spec.accesses - spec.accesses / 4,
-                    "{}: result out of order for {}",
-                    backend.name(),
+                    "{threads} threads: result out of order for {}",
                     spec.key()
                 );
             }
@@ -1206,27 +1118,17 @@ mod tests {
     #[test]
     fn observer_sees_every_spec_once() {
         #[derive(Default)]
-        struct Counter {
-            started: AtomicUsize,
-            finished: AtomicUsize,
-        }
+        struct Counter(AtomicUsize);
         impl RunObserver for Counter {
-            fn started(&self, _: &RunSpec) {
-                self.started.fetch_add(1, Ordering::Relaxed);
-            }
-            fn finished(&self, _: &RunSpec, _: &RunResult, _: Duration) {
-                self.finished.fetch_add(1, Ordering::Relaxed);
+            fn finished(&self, _: &RunSpec, _: &RunResult) {
+                self.0.fetch_add(1, Ordering::Relaxed);
             }
         }
         let specs: Vec<RunSpec> =
             ["gzip", "mesa", "art", "mcf", "swim"].iter().map(|b| tiny(b, 2_000)).collect();
-        let fault = FaultPolicy::default();
-        for kind in [BackendKind::Threads, BackendKind::Sharded] {
-            let counter = Counter::default();
-            kind.build(3, &fault).execute(&specs, &counter).unwrap();
-            assert_eq!(counter.started.load(Ordering::Relaxed), specs.len());
-            assert_eq!(counter.finished.load(Ordering::Relaxed), specs.len());
-        }
+        let counter = Counter::default();
+        BackendKind::Threads.build(3, &FaultPolicy::default()).execute(&specs, &counter).unwrap();
+        assert_eq!(counter.0.load(Ordering::Relaxed), specs.len());
     }
 
     #[test]
@@ -1262,13 +1164,14 @@ mod tests {
             .build(2, &FaultPolicy::default())
             .execute(&specs, &NullObserver)
             .unwrap();
-        for kind in [BackendKind::Threads, BackendKind::Sharded] {
+        for threads in [1, 2] {
             let fault =
                 FaultPolicy { inject: FaultInject::parse("panic-once:mesa"), ..fast_policy(1) };
-            let results = kind.build(2, &fault).execute(&specs, &NullObserver).unwrap();
+            let results =
+                BackendKind::Threads.build(threads, &fault).execute(&specs, &NullObserver).unwrap();
             // The retried run completes and the results are identical to
             // a fault-free pass (simulation is deterministic per spec).
-            assert_eq!(results, clean, "{kind:?}");
+            assert_eq!(results, clean, "{threads} threads");
         }
     }
 

@@ -29,8 +29,8 @@
 //! ([`ltc_analysis::StreamConfig::warmup`], which changes the window and
 //! therefore the state). Both live in two tiers:
 //!
-//! 1. a process-global registry, which in-process backends (`threads`,
-//!    `sharded`) hit directly, and
+//! 1. a process-global registry, which the in-process `threads` backend
+//!    hits directly, and
 //! 2. an optional on-disk store under the directory named by the
 //!    `LTC_CHECKPOINT_DIR` environment variable, which `subprocess`
 //!    workers (separate processes that inherit the variable) read.
@@ -64,8 +64,9 @@ pub const CHECKPOINT_DIR_ENV: &str = "LTC_CHECKPOINT_DIR";
 
 /// Environment variable disabling warm hierarchy images (any non-empty
 /// value). Workers then warm up by replay, the behaviour the images
-/// must reproduce byte-identically — the nightly CI job runs every
-/// backend both ways and diffs the reports.
+/// must reproduce byte-identically — the nightly CI job runs a
+/// segmented stream on subprocess workers both ways and diffs the
+/// reports.
 pub const NO_WARM_IMAGES_ENV: &str = "LTC_NO_WARM_IMAGES";
 
 /// Whether warm hierarchy images are disabled via [`NO_WARM_IMAGES_ENV`].
@@ -76,7 +77,7 @@ pub fn warm_images_disabled() -> bool {
 /// Walks `source` from the beginning and snapshots it at each of
 /// `targets` (positions in accesses produced), returning the recorded
 /// store. This is the pure core of the subsystem: no registry, no
-/// filesystem — benches and tests drive it directly.
+/// filesystem — `perfbench` and tests drive it directly.
 ///
 /// Targets are visited in ascending order (duplicates collapse); a
 /// position of zero is recorded without advancing. Recording stops

@@ -17,11 +17,12 @@
 //! 2. [`scheduler`] — [`Scheduler`]: spec collection, dedup (first-seen
 //!    order), and artifact-cache consultation — the *plan*.
 //! 3. [`backend`] — [`ExecutionBackend`]: the *execution*, pluggable
-//!    behind the scheduler seam: a scoped-thread pool, a work-stealing
-//!    sharded pool, or a pool of `ltsim worker` subprocesses speaking
-//!    JSON lines.
-//! 4. [`progress`] — [`ProgressSink`]: live completed/total, per-spec
-//!    timing and ETA reporting threaded through every backend.
+//!    behind the scheduler seam: a scoped-thread pool that runs the
+//!    longest specs first, or a pool of `ltsim worker` subprocesses
+//!    speaking JSON lines.
+//! 4. [`progress`] — [`ProgressSubscriber`]: live completed/total,
+//!    per-spec timing and ETA, rendered from the telemetry stream every
+//!    backend emits.
 //! 5. [`result`] — [`RunResult`]/[`ResultSet`]: typed results keyed by
 //!    spec, with provenance counters (simulated vs served from cache).
 //! 6. [`artifact`] — the `results/` cache: one JSON line per run, named
@@ -30,10 +31,11 @@
 //!    `stream-segmented` spec expands to per-segment child specs before
 //!    backend dispatch and its report is merged from their partial
 //!    summaries.
-//! 8. [`checkpoints`] — shared generator checkpoints: the scheduler
-//!    records each segment worker's pre-warm-up position once per
-//!    `(benchmark, seed)` so workers restore a snapshot instead of
-//!    regenerating an O(start) prefix (on-disk hand-off to subprocess
+//! 8. [`checkpoints`] — shared segment starts: the scheduler records
+//!    generator checkpoints once per `(benchmark, seed)` and warm
+//!    hierarchy images once per `(benchmark, seed, warm-up)`, so segment
+//!    workers restore a snapshot instead of regenerating an O(start)
+//!    prefix and replaying the warm-up (on-disk hand-off to subprocess
 //!    workers via `LTC_CHECKPOINT_DIR`).
 //! 9. [`fsutil`] — crash-safe persistence shared by the stores above:
 //!    every on-disk write stages into a pid-suffixed tmp file, fsyncs,
@@ -58,8 +60,9 @@
 //! subprocess children forward their own events over the worker protocol
 //! as `{"event":…}` frames interleaved with result lines. With no
 //! subscriber installed the instrumentation is inert (one atomic load on
-//! the warm paths). [`ProgressSubscriber`] rebuilds every
-//! [`ProgressMode`] from that event stream.
+//! the warm paths). [`ProgressSubscriber`] renders every
+//! [`ProgressMode`] from that event stream; [`Scheduler::execute_into`]
+//! installs one for [`EngineOptions::progress`] while it executes.
 //!
 //! # Example
 //!
@@ -89,9 +92,9 @@ pub mod spec;
 
 pub use backend::{
     BackendError, BackendKind, ExecutionBackend, FaultInject, FaultPolicy, NullObserver,
-    RunObserver, ShardedBackend, SubprocessBackend, ThreadPoolBackend, FAULT_INJECT_ENV,
+    RunObserver, SubprocessBackend, ThreadPoolBackend, FAULT_INJECT_ENV,
 };
-pub use progress::{NullProgress, ProgressMode, ProgressSink, ProgressSubscriber, TextProgress};
+pub use progress::{ProgressMode, ProgressSubscriber, TextProgress};
 pub use result::{ResultSet, RunResult};
 pub use scheduler::{EngineOptions, Scheduler};
 pub use spec::{Mode, RunSpec, MODEL_VERSION};

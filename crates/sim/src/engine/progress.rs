@@ -1,23 +1,17 @@
 //! Live progress and ETA reporting for backend execution.
 //!
-//! Backends call into a [`ProgressSink`] as they start and finish specs;
-//! the engine wires the sink through its [`crate::engine::backend::RunObserver`]
-//! so artifact persistence and progress share one event stream. Sinks are
-//! called from worker threads concurrently and must be `Sync`.
-//!
-//! The same rendering is also available as a telemetry subscriber:
-//! [`ProgressSubscriber`] re-implements every [`ProgressMode`] on top of
-//! the structured event stream (`run_begin` points, `spec` spans,
-//! `run_end` points), so a CLI that installs telemetry subscribers gets
-//! progress/ETA from the same events its JSON log records.
+//! Progress is a telemetry subscriber: [`ProgressSubscriber`] renders
+//! every [`ProgressMode`] from the structured event stream (`run_begin`
+//! points, `spec` spans, `run_end` points), so progress/ETA comes from the
+//! same events a JSON log records. [`crate::engine::Scheduler::execute_into`]
+//! installs one for [`crate::engine::EngineOptions::progress`] while it
+//! executes.
 
 use std::io::{IsTerminal, Write};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use ltc_telemetry::{Event, EventKind};
-
-use crate::engine::spec::RunSpec;
 
 /// How an engine invocation reports execution progress (`ltsim run
 /// --progress`). Progress goes to stderr, so tables on stdout stay clean
@@ -47,46 +41,7 @@ impl ProgressMode {
             _ => None,
         }
     }
-
-    /// Builds the sink implementing this mode.
-    pub fn sink(self) -> Box<dyn ProgressSink> {
-        match self {
-            ProgressMode::Off => Box::new(NullProgress),
-            ProgressMode::Plain => Box::new(TextProgress::new(false)),
-            ProgressMode::Live => Box::new(TextProgress::new(true)),
-            ProgressMode::Auto => Box::new(TextProgress::new(std::io::stderr().is_terminal())),
-        }
-    }
 }
-
-/// Receives execution progress events from whatever backend runs the
-/// specs. All methods have no-op defaults so custom sinks implement only
-/// what they report.
-pub trait ProgressSink: Sync + Send {
-    /// Execution is about to start on `total` specs.
-    fn begin(&self, total: usize) {
-        let _ = total;
-    }
-
-    /// A worker picked up `spec`.
-    fn spec_started(&self, spec: &RunSpec) {
-        let _ = spec;
-    }
-
-    /// A worker finished `spec` after `elapsed` of wall time.
-    fn spec_finished(&self, spec: &RunSpec, elapsed: Duration) {
-        let _ = (spec, elapsed);
-    }
-
-    /// Every spec has finished (or execution failed).
-    fn end(&self) {}
-}
-
-/// The silent sink behind [`ProgressMode::Off`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullProgress;
-
-impl ProgressSink for NullProgress {}
 
 /// Plain-text (or live, in-place) progress lines on stderr:
 ///
@@ -112,8 +67,8 @@ struct State {
 }
 
 impl TextProgress {
-    /// A sink printing one line per spec (`live: false`) or rewriting a
-    /// single status line in place (`live: true`).
+    /// A renderer printing one line per spec (`live: false`) or
+    /// rewriting a single status line in place (`live: true`).
     pub fn new(live: bool) -> Self {
         TextProgress {
             live,
@@ -179,28 +134,13 @@ impl TextProgress {
     }
 }
 
-impl ProgressSink for TextProgress {
-    fn begin(&self, total: usize) {
-        self.begin_total(total);
-    }
-
-    fn spec_finished(&self, spec: &RunSpec, elapsed: Duration) {
-        self.finish_line(&spec.label(), elapsed);
-    }
-
-    fn end(&self) {
-        self.finish_run();
-    }
-}
-
-/// Re-implements a [`ProgressMode`] as a telemetry subscriber: the
+/// Implements a [`ProgressMode`] as a telemetry subscriber: the
 /// scheduler's `run_begin`/`run_end` points and the backends' `spec`
-/// spans drive the same [`TextProgress`] rendering the sink path uses,
-/// so a run recording an event log needs no second progress channel.
+/// spans drive a [`TextProgress`], so a run recording an event log needs
+/// no second progress channel.
 ///
-/// The `spec` span-end's `run_us` field (pure execution time) feeds the
-/// per-spec column, matching what [`ProgressSink::spec_finished`]
-/// reports.
+/// The `spec` span-end's `run_us` field (pure execution time, without
+/// queue wait) feeds the per-spec column.
 pub struct ProgressSubscriber {
     text: Option<TextProgress>,
 }
@@ -294,7 +234,6 @@ fn fmt_duration(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::PredictorKind;
 
     #[test]
     fn status_lines_show_counter_timing_and_eta() {
@@ -457,14 +396,18 @@ mod tests {
 
     #[test]
     fn sinks_build_for_every_mode() {
-        for mode in [ProgressMode::Off, ProgressMode::Plain, ProgressMode::Live, ProgressMode::Auto]
-        {
-            let sink = mode.sink();
-            sink.begin(0);
-            sink.spec_started(&RunSpec::coverage("gzip", PredictorKind::Baseline, 10, 1));
-            sink.end();
+        for (name, mode) in [
+            ("off", ProgressMode::Off),
+            ("plain", ProgressMode::Plain),
+            ("live", ProgressMode::Live),
+            ("auto", ProgressMode::Auto),
+        ] {
+            assert_eq!(ProgressMode::parse(name), Some(mode));
+            // An empty run: begin and end, no spec lines.
+            let sub = ProgressSubscriber::new(mode);
+            ltc_telemetry::Subscriber::event(&sub, &run_begin(0));
+            ltc_telemetry::Subscriber::event(&sub, &Event::now(EventKind::Point, "run_end"));
         }
-        assert_eq!(ProgressMode::parse("plain"), Some(ProgressMode::Plain));
         assert_eq!(ProgressMode::parse("bogus"), None);
     }
 }

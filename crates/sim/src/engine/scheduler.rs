@@ -2,15 +2,15 @@
 //!
 //! The [`Scheduler`] owns the *plan* — what must run — and delegates the
 //! *execution* to whichever [`crate::engine::backend::ExecutionBackend`]
-//! the [`EngineOptions`] select. Artifact persistence and progress
-//! reporting hook into execution through a [`RunObserver`] implemented
-//! here, so they behave identically across backends.
+//! the [`EngineOptions`] select. Artifact persistence hooks into
+//! execution through a [`RunObserver`] implemented here, and progress is
+//! rendered from the telemetry stream every backend emits, so both behave
+//! identically across backends.
 
 use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
 
 use std::collections::HashMap;
 
@@ -18,7 +18,7 @@ use crate::engine::artifact;
 use crate::engine::backend::{BackendKind, FaultPolicy, RunObserver};
 use crate::engine::checkpoints;
 use crate::engine::fsutil;
-use crate::engine::progress::{ProgressMode, ProgressSink};
+use crate::engine::progress::{ProgressMode, ProgressSubscriber};
 use crate::engine::result::{ResultSet, RunResult};
 use crate::engine::segmented;
 use crate::engine::spec::{Mode, RunSpec};
@@ -35,7 +35,8 @@ pub struct EngineOptions {
     pub force: bool,
     /// Which execution backend runs the cache-missing specs.
     pub backend: BackendKind,
-    /// How execution progress is reported (stderr).
+    /// How execution progress is reported (stderr): `execute_into`
+    /// installs a [`ProgressSubscriber`] in this mode while it runs.
     pub progress: ProgressMode,
     /// How worker faults are handled: retry budget, per-spec timeout,
     /// respawn backoff (see [`FaultPolicy`]).
@@ -138,6 +139,9 @@ impl Scheduler {
     /// [`EngineOptions::backend`], then are written back to the cache.
     /// Figures with result-dependent spec sets call this in rounds.
     ///
+    /// Progress renders in [`EngineOptions::progress`] for the duration
+    /// of the call (nothing is installed for [`ProgressMode::Off`]).
+    ///
     /// Segmented streaming parents ([`crate::engine::Mode::StreamSegmented`])
     /// never reach the backend themselves: a cache-missing parent expands
     /// into its per-segment child specs (which probe the cache
@@ -151,6 +155,7 @@ impl Scheduler {
     /// Returns any artifact-cache I/O error, backend transport error, or
     /// segment-reduce error (shape-mismatched partials).
     pub fn execute_into(&self, results: &mut ResultSet, opts: &EngineOptions) -> io::Result<()> {
+        let _progress = ProgressScope::install(opts.progress);
         let unique = self.unique();
         let plan_span = ltc_telemetry::span("scheduler.plan", Vec::new());
         ltc_telemetry::counter("scheduler.requested", self.requests.len() as u64);
@@ -224,7 +229,7 @@ impl Scheduler {
         // trace before the backend fans segment workers out: one O(trace)
         // recording pass replaces every worker's O(start) skip loop, and
         // one warm-up replay per slice start replaces every worker's
-        // O(warm-up) cache rebuild. In-process backends find the stores
+        // O(warm-up) cache rebuild. The in-process backend finds the stores
         // in the process registry; subprocess workers read them from
         // `LTC_CHECKPOINT_DIR` when set. With warm images enabled the
         // generator checkpoints land at the slice starts themselves (the
@@ -293,16 +298,10 @@ impl Scheduler {
             ],
         );
         let execute_span = ltc_telemetry::span("scheduler.execute", Vec::new());
-        let sink = opts.progress.sink();
-        sink.begin(to_run.len());
         let store_error: Mutex<Option<io::Error>> = Mutex::new(None);
-        let observer = PersistingObserver {
-            cache_dir: opts.cache_dir.as_deref(),
-            store_error: &store_error,
-            sink: sink.as_ref(),
-        };
+        let observer =
+            PersistingObserver { cache_dir: opts.cache_dir.as_deref(), store_error: &store_error };
         let outcomes = backend.execute(&to_run, &observer);
-        sink.end();
         execute_span.end_with(vec![("specs".to_string(), (to_run.len() as u64).into())]);
         let outcomes = outcomes.map_err(io::Error::from)?;
         ltc_telemetry::point(
@@ -374,27 +373,42 @@ fn cache_probe(spec: &RunSpec, hit: bool) {
     }
 }
 
+/// The [`ProgressSubscriber`] one `execute_into` call renders through.
+/// Dropping it uninstalls the subscriber, so every return path — errors
+/// and panics included — leaves the telemetry hub as it found it.
+struct ProgressScope(Option<ltc_telemetry::SubscriberToken>);
+
+impl ProgressScope {
+    fn install(mode: ProgressMode) -> ProgressScope {
+        ProgressScope(
+            (mode != ProgressMode::Off)
+                .then(|| ltc_telemetry::install(Arc::new(ProgressSubscriber::new(mode)))),
+        )
+    }
+}
+
+impl Drop for ProgressScope {
+    fn drop(&mut self) {
+        if let Some(token) = self.0.take() {
+            ltc_telemetry::uninstall(token);
+        }
+    }
+}
+
 /// The scheduler's [`RunObserver`]: persists each finished run to the
-/// artifact cache from the worker that produced it, and forwards events
-/// to the progress sink.
+/// artifact cache from the worker that produced it.
 struct PersistingObserver<'a> {
     cache_dir: Option<&'a Path>,
     store_error: &'a Mutex<Option<io::Error>>,
-    sink: &'a dyn ProgressSink,
 }
 
 impl RunObserver for PersistingObserver<'_> {
-    fn started(&self, spec: &RunSpec) {
-        self.sink.spec_started(spec);
-    }
-
-    fn finished(&self, spec: &RunSpec, result: &RunResult, elapsed: Duration) {
+    fn finished(&self, spec: &RunSpec, result: &RunResult) {
         if let Some(dir) = self.cache_dir {
             if let Err(e) = artifact::store(dir, spec, result) {
                 self.store_error.lock().expect("store-error lock").get_or_insert(e);
             }
         }
-        self.sink.spec_finished(spec, elapsed);
     }
 }
 
@@ -447,8 +461,14 @@ mod tests {
         let mut s = Scheduler::new();
         s.request(tiny("gzip", 1));
         s.request(tiny("mesa", 1));
-        let opts = EngineOptions::in_memory(2).with_backend(BackendKind::Sharded);
-        let results = s.execute(&opts).unwrap();
+        // A subprocess pool whose worker cannot spawn fails the run: the
+        // scheduler really dispatched to the selected backend.
+        let broken =
+            BackendKind::Subprocess { command: vec!["/nonexistent/ltc-worker-binary".to_string()] };
+        let fault = FaultPolicy { retries: 0, ..FaultPolicy::default() };
+        let opts = EngineOptions::in_memory(1).with_backend(broken).with_fault(fault);
+        assert!(s.execute(&opts).is_err());
+        let results = s.execute(&EngineOptions::in_memory(2)).unwrap();
         assert_eq!(results.simulated(), 2);
         assert!(results.coverage(&tiny("gzip", 1)).base_l1_misses > 0);
     }

@@ -226,51 +226,6 @@ pub fn run_multiprog(
     report
 }
 
-/// Runs `job` for every input in parallel (bounded by the available
-/// parallelism), preserving input order in the output.
-pub fn sweep<I, O, F>(inputs: Vec<I>, job: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    sweep_bounded(inputs, threads, job)
-}
-
-/// Like [`sweep`] but with an explicit thread cap (memory-heavy experiments
-/// such as the Figure 4 DBCP table sweep bound their working set this way).
-pub fn sweep_bounded<I, O, F>(inputs: Vec<I>, threads: usize, job: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    let threads = threads.max(1);
-    let n = inputs.len();
-    let mut out: Vec<Option<O>> = (0..n).map(|_| None).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<&mut Option<O>>> =
-        out.iter_mut().map(std::sync::Mutex::new).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n.max(1)) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let result = job(&inputs[i]);
-                // Poisoning is impossible: the lock is held only for this
-                // infallible assignment (a panic in `job` happens unlocked
-                // and propagates via the scope's implicit join).
-                **slots[i].lock().expect("sweep worker panicked") = Some(result);
-            });
-        }
-    });
-    drop(slots);
-    out.into_iter().map(|o| o.expect("every slot filled")).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,12 +270,6 @@ mod tests {
         let base = run_timing("mcf", PredictorKind::Baseline, 30_000, 1);
         let ideal = run_timing("mcf", PredictorKind::PerfectL1, 30_000, 1);
         assert!(ideal.ipc() > base.ipc());
-    }
-
-    #[test]
-    fn sweep_preserves_order() {
-        let outputs = sweep(vec![1u64, 2, 3, 4, 5], |&x| x * 10);
-        assert_eq!(outputs, vec![10, 20, 30, 40, 50]);
     }
 
     #[test]

@@ -4,14 +4,13 @@
 //! the experiment harness used by the examples, integration tests, CLI and
 //! figure/table benches:
 //!
-//! * [`experiment`] — named predictor configurations ([`PredictorKind`]),
-//!   coverage, timing and multi-programmed experiment drivers, and a
-//!   parallel sweep helper.
+//! * [`experiment`] — named predictor configurations ([`PredictorKind`])
+//!   and the coverage, timing and multi-programmed experiment drivers.
 //! * [`engine`] — the unified experiment engine: declarative [`RunSpec`]
 //!   keys, a deduplicating [`engine::Scheduler`] planning over pluggable
-//!   [`engine::ExecutionBackend`]s (thread pool, work-stealing shards,
-//!   subprocess workers), spec-keyed [`engine::ResultSet`]s and the
-//!   serialized `results/` artifact cache.
+//!   [`engine::ExecutionBackend`]s (thread pool, subprocess workers),
+//!   spec-keyed [`engine::ResultSet`]s and the serialized `results/`
+//!   artifact cache.
 //! * [`report`] — fixed-width table formatting for paper-style output.
 //!
 //! # Example
@@ -28,12 +27,12 @@ pub mod experiment;
 pub mod report;
 
 pub use engine::{
-    BackendKind, EngineOptions, ExecutionBackend, Mode, ProgressMode, ProgressSink, ResultSet,
-    RunResult, RunSpec, Scheduler,
+    BackendKind, EngineOptions, ExecutionBackend, Mode, ProgressMode, ResultSet, RunResult,
+    RunSpec, Scheduler,
 };
 pub use experiment::{
-    run_coverage, run_multiprog, run_timing, sweep, MultiProgReport, PredictorKind,
-    COVERAGE_ACCESSES, TIMING_ACCESSES,
+    run_coverage, run_multiprog, run_timing, MultiProgReport, PredictorKind, COVERAGE_ACCESSES,
+    TIMING_ACCESSES,
 };
 pub use report::Table;
 

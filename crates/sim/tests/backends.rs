@@ -1,7 +1,7 @@
-//! Backend parity and robustness: every execution backend must produce
-//! the same `ResultSet` for the same plan, and the work-stealing sharded
-//! backend must complete every spec no matter how adversarially the spec
-//! list is ordered.
+//! Backend parity and robustness: the thread pool must produce the same
+//! `ResultSet` for the same plan whatever its worker count, a warm
+//! artifact cache must serve every backend, and the pool must complete
+//! every spec no matter how adversarially the spec list is ordered.
 //!
 //! (The subprocess backend joins the parity matrix in
 //! `crates/bench/tests/worker_protocol.rs`, which can locate the built
@@ -27,36 +27,22 @@ fn mixed_specs() -> Vec<RunSpec> {
     ]
 }
 
-fn run_with(backend: BackendKind, specs: &[RunSpec], threads: usize) -> ResultSet {
+fn run_with(specs: &[RunSpec], threads: usize) -> ResultSet {
     let mut sched = Scheduler::new();
     sched.request_all(specs.iter().cloned());
     sched
-        .execute(&EngineOptions::in_memory(threads).with_backend(backend))
-        .expect("in-process backends cannot hit I/O errors")
+        .execute(&EngineOptions::in_memory(threads))
+        .expect("in-process execution cannot hit I/O errors")
 }
 
-/// The thread-pool and sharded backends agree result-for-result on the
-/// same plan (the deterministic-simulation contract behind `--backend`
-/// being a pure performance choice).
-#[test]
-fn threads_and_sharded_backends_agree() {
-    let specs = mixed_specs();
-    let baseline = run_with(BackendKind::Threads, &specs, 3);
-    let sharded = run_with(BackendKind::Sharded, &specs, 3);
-    assert_eq!(baseline.simulated(), specs.len() as u64);
-    assert_eq!(sharded.simulated(), specs.len() as u64);
-    for spec in &specs {
-        assert_eq!(
-            baseline.get(spec).expect("baseline result"),
-            sharded.get(spec).expect("sharded result"),
-            "backends disagree on {}",
-            spec.key()
-        );
-    }
+/// A subprocess pool whose worker can never spawn: a plan it completes
+/// was served entirely from the artifact cache.
+fn unspawnable() -> BackendKind {
+    BackendKind::Subprocess { command: vec!["/nonexistent/ltc-worker-binary".to_string()] }
 }
 
-/// Parity holds when the plan mixes cache hits and fresh work: a cache
-/// warmed by one backend serves another byte-for-byte.
+/// A cache warmed by one backend serves another byte-for-byte, without
+/// the second ever starting a worker.
 #[test]
 fn backends_share_one_artifact_cache() {
     let dir = std::env::temp_dir().join(format!("ltc-backend-cache-test-{}", std::process::id()));
@@ -69,7 +55,7 @@ fn backends_share_one_artifact_cache() {
     let warm = sched.execute(&opts).unwrap();
     assert_eq!(warm.simulated(), specs.len() as u64);
 
-    let served = sched.execute(&opts.clone().with_backend(BackendKind::Sharded)).unwrap();
+    let served = sched.execute(&opts.clone().with_backend(unspawnable())).unwrap();
     assert_eq!(served.simulated(), 0, "a warm cache must satisfy every backend");
     assert_eq!(served.cache_hits(), specs.len() as u64);
     for spec in &specs {
@@ -78,10 +64,10 @@ fn backends_share_one_artifact_cache() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Segmented streaming parity: the in-process backends produce the same
-/// merged report — byte-for-byte as canonical JSON — for the same
-/// segmented plan, and it matches executing the parent spec sequentially.
-/// (The subprocess backend joins this matrix in
+/// Segmented streaming parity: one worker and a three-thread pool
+/// produce the same merged report — byte-for-byte as canonical JSON —
+/// for the same segmented plan, and it matches executing the parent spec
+/// sequentially. (The subprocess backend joins this matrix in
 /// `crates/bench/tests/worker_protocol.rs`.)
 #[test]
 fn segmented_streaming_is_backend_invariant() {
@@ -89,18 +75,18 @@ fn segmented_streaming_is_backend_invariant() {
         RunSpec::stream_segmented("mcf", 64 << 10, 4, 6_000, 1),
         RunSpec::stream_segmented("swim", 64 << 10, 3, 6_000, 1),
     ];
-    let threads = run_with(BackendKind::Threads, &specs, 3);
-    let sharded = run_with(BackendKind::Sharded, &specs, 3);
+    let one = run_with(&specs, 1);
+    let pool = run_with(&specs, 3);
     // 4 + 3 segment children simulate; the parents are reduced, not run.
-    assert_eq!(threads.simulated(), 7);
-    assert_eq!(sharded.simulated(), 7);
+    assert_eq!(one.simulated(), 7);
+    assert_eq!(pool.simulated(), 7);
     for spec in &specs {
-        let a = threads.get(spec).expect("threads merged report");
-        let b = sharded.get(spec).expect("sharded merged report");
+        let a = one.get(spec).expect("one-worker merged report");
+        let b = pool.get(spec).expect("pooled merged report");
         assert_eq!(
             ltc_sim::serde_json::to_string(a),
             ltc_sim::serde_json::to_string(b),
-            "canonical JSON differs across backends for {}",
+            "canonical JSON differs across worker counts for {}",
             spec.key()
         );
         assert_eq!(a, b);
@@ -127,7 +113,7 @@ fn segmented_runs_cache_parent_and_children() {
     assert_eq!(warm.simulated(), 4, "each segment simulates once");
 
     // Second pass: the parent artifact alone satisfies the plan.
-    let served = sched.execute(&opts.clone().with_backend(BackendKind::Sharded)).unwrap();
+    let served = sched.execute(&opts.clone().with_backend(unspawnable())).unwrap();
     assert_eq!(served.simulated(), 0, "warm cache must satisfy the parent");
     assert_eq!(served.cache_hits(), 1);
     assert_eq!(warm.get(&parent), served.get(&parent));
@@ -215,7 +201,7 @@ fn adversarial_specs(raw: &[(usize, usize, u64)]) -> Vec<RunSpec> {
         .map(|&(bench, mode, seed)| {
             let name = benches[bench % benches.len()];
             match mode % 4 {
-                // Timing is the expensive straggler the sharded backend
+                // Timing is the expensive straggler the thread pool
                 // schedules first; everything else is cheap filler.
                 0 => RunSpec::timing(name, PredictorKind::Baseline, 2_000, seed),
                 1 => RunSpec::coverage(name, PredictorKind::Baseline, 1_500, seed),
@@ -229,11 +215,11 @@ fn adversarial_specs(raw: &[(usize, usize, u64)]) -> Vec<RunSpec> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The sharded backend completes every spec — results for the whole
-    /// plan, in request order, none lost to a straggling or starved
-    /// shard — under adversarial orderings and worker counts.
+    /// The thread pool completes every spec — results for the whole
+    /// plan, in request order, none lost to a straggling run or a
+    /// starved worker — under adversarial orderings and worker counts.
     #[test]
-    fn sharded_backend_completes_adversarial_orderings(
+    fn threads_backend_completes_adversarial_orderings(
         raw in prop::collection::vec((0usize..6, 0usize..4, 1u64..4), 1..14),
         threads in 1usize..5,
     ) {
@@ -242,7 +228,7 @@ proptest! {
         sched.request_all(specs.iter().cloned());
         let unique = sched.unique();
         let results = sched
-            .execute(&EngineOptions::in_memory(threads).with_backend(BackendKind::Sharded))
+            .execute(&EngineOptions::in_memory(threads).with_backend(BackendKind::Threads))
             .expect("in-memory execution cannot fail");
         prop_assert_eq!(results.simulated(), unique.len() as u64);
         prop_assert_eq!(results.len(), unique.len());

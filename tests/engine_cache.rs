@@ -17,7 +17,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 /// A test-sized scale: big enough for every figure to have misses to
 /// classify, small enough to keep the suite fast.
 fn tiny_scale() -> Scale {
-    Scale { coverage_accesses: 60_000, timing_accesses: 30_000, threads: 4 }
+    Scale { coverage_accesses: 60_000, timing_accesses: 30_000 }
 }
 
 #[test]
