@@ -373,8 +373,11 @@ impl StreamAnalysis {
         if ltc_telemetry::enabled() {
             // The restore-outcome histogram: which setup path this
             // worker actually took (offers that were ignored — wrong
-            // position, failed restore — do not count).
-            let outcome = if used_warm_image {
+            // position, failed restore — do not count). A slice at the
+            // trace start has nothing to restore or replay.
+            let outcome = if segment.start == 0 {
+                "cold_start"
+            } else if used_warm_image {
                 "warm_image"
             } else if used_checkpoint {
                 "checkpoint"
@@ -819,6 +822,14 @@ mod tests {
             )
         });
         assert_eq!(outcome_of(&capture), "warm_image");
+
+        // A slice at the trace start restores and replays nothing.
+        let first = TraceSegment { index: 0, segments: 2, start: 0, len: 500 };
+        let capture = Arc::new(Capture::new());
+        ltc_telemetry::with_subscriber(capture.clone(), || {
+            StreamAnalysis::run_segment(&mut conflict_loop(4, passes), first, cfg)
+        });
+        assert_eq!(outcome_of(&capture), "cold_start");
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! parity (threads vs subprocess), using the real built binary via
 //! `CARGO_BIN_EXE_ltsim`.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
+use std::path::Path;
 use std::process::{Command, Stdio};
 
 use ltc_bench::harness;
@@ -54,20 +56,46 @@ fn worker_round_trips_spec_lines() {
 }
 
 /// A malformed spec line is a protocol error: the worker reports it on
-/// stderr and exits non-zero instead of guessing.
+/// stderr and exits 1 instead of guessing. A line nested far past the
+/// JSON parser's depth limit is the same error, not a stack overflow.
 #[test]
 fn worker_rejects_garbage_lines() {
     let cmd = worker_command();
-    let mut child = Command::new(&cmd[0])
-        .args(&cmd[1..])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn ltsim worker");
-    child.stdin.take().unwrap().write_all(b"this is not a spec\n").unwrap();
-    let status = child.wait().unwrap();
-    assert!(!status.success(), "garbage must not be answered");
+    for line in ["this is not a spec".to_string(), "[".repeat(200_000)] {
+        let mut child = Command::new(&cmd[0])
+            .args(&cmd[1..])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn ltsim worker");
+        writeln!(child.stdin.take().unwrap(), "{line}").unwrap();
+        let output = child.wait_with_output().unwrap();
+        assert_eq!(output.status.code(), Some(1), "garbage must not be answered");
+        assert!(output.stdout.is_empty(), "no result line may be emitted");
+        assert!(String::from_utf8_lossy(&output.stderr).contains("bad RunSpec line"));
+    }
+}
+
+/// Every strict prefix of a real spec line and of a real result line —
+/// what a reader sees when the other end dies mid-write — fails to parse
+/// as its type; it never panics or yields a value.
+#[test]
+fn truncated_protocol_lines_are_errors() {
+    let spec = RunSpec::coverage("gzip", PredictorKind::Baseline, 4_000, 1);
+    let spec_line = spec.key();
+    let result_line = serde_json::to_string(&spec.execute());
+    assert_eq!(serde_json::from_str::<RunSpec>(&spec_line).unwrap(), spec);
+    assert_eq!(serde_json::from_str::<RunResult>(&result_line).unwrap(), spec.execute());
+    for (cut, _) in spec_line.char_indices() {
+        assert!(serde_json::from_str::<RunSpec>(&spec_line[..cut]).is_err(), "spec cut at {cut}");
+    }
+    for (cut, _) in result_line.char_indices() {
+        assert!(
+            serde_json::from_str::<RunResult>(&result_line[..cut]).is_err(),
+            "result cut at {cut}"
+        );
+    }
 }
 
 /// A spec from a different model version is refused, not simulated: a
@@ -176,6 +204,53 @@ fn worker_partials_keep_their_shape_across_the_protocol() {
         "expected a typed shape error, got {err}"
     );
     assert!(err.to_string().contains("cannot merge"), "{err}");
+}
+
+/// Every file under `dir`, keyed by its path relative to `root`.
+fn tree(root: &Path, dir: &Path, files: &mut BTreeMap<String, Vec<u8>>) {
+    for entry in std::fs::read_dir(dir).expect("readable output dir") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            tree(root, &path, files);
+        } else {
+            let name = path.strip_prefix(root).unwrap().display().to_string();
+            files.insert(name, std::fs::read(&path).unwrap());
+        }
+    }
+}
+
+/// The checkpoint/warm-image pre-pass records traces in parallel on
+/// `--threads` workers, yet one and three threads leave byte-identical
+/// output trees, the stores under `checkpoints/` included. Each run's
+/// event log goes into a directory that does not exist yet.
+#[test]
+fn segmented_runs_write_identical_trees_at_any_thread_count() {
+    let root = std::env::temp_dir().join(format!("ltc-prepass-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let run = |threads: &str| {
+        let out = root.join(format!("out-{threads}"));
+        let events = root.join(format!("new-{threads}")).join("dir").join("ev.jsonl");
+        let status = Command::new(env!("CARGO_BIN_EXE_ltsim"))
+            .args(["stream", "all", "--accesses", "8000", "--segments", "4"])
+            .args(["--threads", threads, "--progress", "off", "--out"])
+            .arg(&out)
+            .arg("--events")
+            .arg(&events)
+            .env_remove("LTC_CHECKPOINT_DIR")
+            .env_remove("LTC_NO_WARM_IMAGES")
+            .stdout(Stdio::null())
+            .status()
+            .expect("run ltsim stream");
+        assert!(status.success(), "ltsim stream --threads {threads} failed: {status}");
+        assert!(events.is_file(), "--events creates the missing directories");
+        let mut files = BTreeMap::new();
+        tree(&out, &out, &mut files);
+        files
+    };
+    let one = run("1");
+    assert!(one.keys().any(|name| name.starts_with("checkpoints")), "the pre-pass wrote stores");
+    assert!(one == run("3"), "output trees differ between 1 and 3 threads");
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// The subprocess transport honours the scheduler contract end to end:

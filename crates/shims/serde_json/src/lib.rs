@@ -6,6 +6,11 @@
 //! line (JSON-lines friendly — the experiment engine's `results/`
 //! artifacts are one object per line).
 //!
+//! The parser runs in time linear in its input: each escape-free run
+//! of a string is copied in one piece. Like the real crate, it refuses
+//! input nested deeper than 128 arrays/objects with an [`Error`]
+//! rather than recursing until the stack overflows.
+//!
 //! Deviations from the real crate, all irrelevant to the workspace's
 //! artifacts: no pretty printer, non-finite floats serialize as `null`
 //! (real serde_json errors), and numbers only distinguish
@@ -34,8 +39,13 @@ pub fn from_str<T: for<'de> Deserialize<'de>>(s: &str) -> Result<T, Error> {
 }
 
 /// Parses a JSON string into a raw [`Value`] tree.
+///
+/// # Errors
+///
+/// Returns an [`Error`] for malformed input, trailing input, or arrays
+/// and objects nested more than 128 levels deep.
 pub fn parse(s: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { src: s, bytes: s.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -44,6 +54,11 @@ pub fn parse(s: &str) -> Result<Value, Error> {
     }
     Ok(v)
 }
+
+/// The deepest nesting of arrays and objects [`parse`] accepts (the real
+/// crate's default recursion limit). Deeper input is an [`Error`], so a
+/// hostile line cannot overflow the parser's stack.
+const MAX_DEPTH: usize = 128;
 
 fn write_value(out: &mut String, v: &Value) {
     match v {
@@ -108,9 +123,14 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Recursive-descent parser. `pos` only ever rests on a char boundary
+/// of `src`: it advances over ASCII bytes, or past a whole escape-free
+/// run that ends at an ASCII `"` or `\`.
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -148,11 +168,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.seq(),
-            Some(b'{') => self.map(),
+            Some(b'[') => self.nested(Self::seq),
+            Some(b'{') => self.nested(Self::map),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(Error(format!("unexpected input at byte {}", self.pos))),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn seq(&mut self) -> Result<Value, Error> {
@@ -209,53 +244,43 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(Error("unterminated string".into())),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error("truncated \\u escape".into()))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error("invalid \\u escape".into()))?,
-                                16,
-                            )
-                            .map_err(|_| Error("invalid \\u escape".into()))?;
-                            // Surrogate pairs are not produced by the writer;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(Error("invalid escape".into())),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // on char boundaries is safe via char_indices).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error("invalid utf-8".into()))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the escape-free run up to the next `"` or `\` in one
+            // piece; both are ASCII, so the run ends on a char boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| Error("unterminated string".into()))?;
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(out);
             }
+            self.pos += 1;
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let hex = self
+                        .src
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or_else(|| Error("truncated \\u escape".into()))?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| Error("invalid \\u escape".into()))?;
+                    // Surrogate pairs are not produced by the writer;
+                    // map lone surrogates to the replacement char.
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                    self.pos += 4;
+                }
+                _ => return Err(Error("invalid escape".into())),
+            }
+            self.pos += 1;
         }
     }
 
@@ -275,8 +300,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error("invalid number".into()))?;
+        let text = &self.src[start..self.pos];
         if !float {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Value::U64(u));
@@ -292,11 +316,16 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn values_round_trip_through_text() {
+        // Every control character, both escaped delimiters and `/`.
+        let controls: String =
+            (0u32..0x20).filter_map(char::from_u32).chain(['"', '\\', '/']).collect();
         let v = Value::Map(vec![
             ("name".into(), Value::Str("lt-cords \"A\"\n".into())),
+            (controls.clone(), Value::Str(controls)),
             ("count".into(), Value::U64(18446744073709551615)),
             ("delta".into(), Value::I64(-42)),
             ("ratio".into(), Value::F64(0.6875)),
@@ -319,10 +348,10 @@ mod tests {
 
     #[test]
     fn parses_whitespace_and_escapes() {
-        let v = parse(" { \"k\" : [ 1 , -2 , 3.5 , \"a\\u0041\\n\" ] } ").unwrap();
+        let v = parse(" { \"k\" : [ 1 , -2 , 3.5 , \"a\\u0041\\n\\/\\b\\f\" ] } ").unwrap();
         assert_eq!(
             v.get("k").unwrap().as_seq().unwrap(),
-            &[Value::U64(1), Value::I64(-2), Value::F64(3.5), Value::Str("aA\n".into()),]
+            &[Value::U64(1), Value::I64(-2), Value::F64(3.5), Value::Str("aA\n/\u{8}\u{c}".into()),]
         );
     }
 
@@ -341,5 +370,73 @@ mod tests {
         assert_eq!(v, vec![1, 2, 3]);
         let f: f64 = from_str("2.5e3").unwrap();
         assert!((f - 2500.0).abs() < 1e-9);
+    }
+
+    fn nested_seqs(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_capped_at_128_levels() {
+        let mut v = parse(&nested_seqs(128)).expect("128 levels parse");
+        for _ in 1..128 {
+            v = v.as_seq().unwrap()[0].clone();
+        }
+        assert_eq!(v, Value::Seq(vec![]));
+        assert!(parse(&nested_seqs(129)).is_err());
+        let objects = "{\"k\":".repeat(129) + "1" + &"}".repeat(129);
+        assert!(parse(&objects).is_err());
+        // Far past the limit: an error, not a stack overflow.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&nested_seqs(200_000)).is_err());
+    }
+
+    #[test]
+    fn long_escape_free_runs_parse_whole() {
+        let run = "ab\u{e9}\u{4e2d}\u{1f600}".repeat(100_000);
+        let line = format!("[\"{run}\",\"{run}\\n{run}\"]");
+        let v = parse(&line).unwrap();
+        let items = v.as_seq().unwrap();
+        assert_eq!(items[0], Value::Str(run.clone()));
+        assert_eq!(items[1], Value::Str(format!("{run}\n{run}")));
+        assert!(parse(&line[..line.len() - 2]).is_err(), "unterminated after a long run");
+    }
+
+    /// One char from every class the writer treats differently: control
+    /// characters, the escaped delimiters, `/`, printable ASCII, and
+    /// two-, three- and four-byte UTF-8.
+    fn any_char() -> impl Strategy<Value = char> {
+        let ch = |c: u32| char::from_u32(c).expect("a Unicode scalar value");
+        prop_oneof![
+            (0u32..0x20).prop_map(ch),
+            prop_oneof![Just('"'), Just('\\'), Just('/')],
+            (0x20u32..0x7f).prop_map(ch),
+            (0x7fu32..0x800).prop_map(ch),
+            (0x800u32..0xd800).prop_map(ch),
+            (0xe000u32..0x1_0000).prop_map(ch),
+            (0x1_0000u32..0x11_0000).prop_map(ch),
+        ]
+    }
+
+    fn any_string() -> impl Strategy<Value = String> {
+        prop::collection::vec(any_char(), 0..48).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_strings_round_trip_as_keys_and_values(
+            key in any_string(),
+            value in any_string(),
+        ) {
+            let v = Value::Map(vec![
+                (key.clone(), Value::Str(value.clone())),
+                (value, Value::Seq(vec![Value::Str(key)])),
+            ]);
+            let text = to_string(&v);
+            prop_assert!(!text.contains('\n'), "one line: {text:?}");
+            prop_assert_eq!(parse(&text).unwrap(), v);
+        }
     }
 }

@@ -35,6 +35,15 @@
 //!    `LTC_CHECKPOINT_DIR` environment variable, which `subprocess`
 //!    workers (separate processes that inherit the variable) read.
 //!
+//! The scheduler's pre-pass fills both tiers before any segment worker
+//! starts: one job per `(benchmark, seed)` records that trace's warm
+//! images and then its checkpoints ([`ensure_warm`], [`ensure`]), and
+//! the jobs run on [`EngineOptions::threads`](crate::engine::EngineOptions::threads)
+//! scoped threads. Concurrent jobs are safe: each writes only its own
+//! trace's store files (atomically), both registries are mutex-guarded,
+//! and so is the staging-file sweep, so the stores are byte-identical
+//! at any thread count.
+//!
 //! Restoring a checkpoint reproduces the generator state exactly, so
 //! the access stream a worker sees — and every report built from it —
 //! is byte-identical to the skip-loop path ([`ltc_analysis::StreamAnalysis::
@@ -303,7 +312,7 @@ pub fn segment_starts(accesses: u64, segments: u32) -> Vec<u64> {
 /// checkpoints that let an image-restoring worker seek straight to its
 /// slice. Used by the sequential [`crate::engine::Mode::StreamSegmented`]
 /// execution path; the scheduler performs the same preparation batched
-/// across specs.
+/// across specs, with traces in parallel.
 pub fn prepare_segments(benchmark: &str, seed: u64, accesses: u64, segments: u32, warmup: u64) {
     let mut targets = segment_targets(accesses, segments, warmup);
     if !warm_images_disabled() {

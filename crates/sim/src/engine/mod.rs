@@ -33,10 +33,11 @@
 //!    summaries.
 //! 8. [`checkpoints`] — shared segment starts: the scheduler records
 //!    generator checkpoints once per `(benchmark, seed)` and warm
-//!    hierarchy images once per `(benchmark, seed, warm-up)`, so segment
-//!    workers restore a snapshot instead of regenerating an O(start)
-//!    prefix and replaying the warm-up (on-disk hand-off to subprocess
-//!    workers via `LTC_CHECKPOINT_DIR`).
+//!    hierarchy images once per `(benchmark, seed, warm-up)`, traces in
+//!    parallel on the pool's thread count, so segment workers restore a
+//!    snapshot instead of regenerating an O(start) prefix and replaying
+//!    the warm-up (on-disk hand-off to subprocess workers via
+//!    `LTC_CHECKPOINT_DIR`).
 //! 9. [`fsutil`] — crash-safe persistence shared by the stores above:
 //!    every on-disk write stages into a pid-suffixed tmp file, fsyncs,
 //!    and renames; startup sweeps staging files leaked by dead

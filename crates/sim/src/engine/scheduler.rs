@@ -7,12 +7,11 @@
 //! rendered from the telemetry stream every backend emits, so both behave
 //! identically across backends.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-
-use std::collections::HashMap;
 
 use crate::engine::artifact;
 use crate::engine::backend::{BackendKind, FaultPolicy, RunObserver};
@@ -234,32 +233,31 @@ impl Scheduler {
         // `LTC_CHECKPOINT_DIR` when set. With warm images enabled the
         // generator checkpoints land at the slice starts themselves (the
         // image covers the window before); with `LTC_NO_WARM_IMAGES` set
-        // they land at the pre-warm-up points and workers replay.
+        // they land at the pre-warm-up points and workers replay. Traces
+        // record in parallel, one per job on `opts.threads` workers, in
+        // `(benchmark, seed)` order.
         let warm_enabled = !checkpoints::warm_images_disabled();
-        let mut seek_targets: HashMap<(&str, u64), Vec<u64>> = HashMap::new();
-        let mut warm_starts: HashMap<(&str, u64, u64), Vec<u64>> = HashMap::new();
+        let mut prepass: BTreeMap<(&str, u64), TracePrepass> = BTreeMap::new();
         for spec in &to_run {
             if let Mode::StreamSegment { segments, segment, warmup, .. } = spec.mode {
                 let start = ltc_trace::TraceSegment::nth(spec.accesses, segments, segment).start;
                 if start == 0 {
                     continue;
                 }
-                let group = seek_targets.entry((&spec.benchmark, spec.seed)).or_default();
+                let job = prepass.entry((&spec.benchmark, spec.seed)).or_default();
                 let target = start - start.min(warmup);
                 if target > 0 {
-                    group.push(target);
+                    job.targets.push(target);
                 }
                 if warm_enabled {
-                    group.push(start);
-                    warm_starts
-                        .entry((&spec.benchmark, spec.seed, warmup))
-                        .or_default()
-                        .push(start);
+                    job.targets.push(start);
+                    job.warm_starts.entry(warmup).or_default().push(start);
                 }
             }
         }
         let seek_span = ltc_telemetry::span("scheduler.checkpoints", Vec::new());
-        if !seek_targets.is_empty() {
+        let traces = prepass.len() as u64;
+        if !prepass.is_empty() {
             // Default the on-disk hand-off next to the artifact cache so
             // subprocess workers inherit populated stores without the
             // caller exporting LTC_CHECKPOINT_DIR themselves.
@@ -268,14 +266,9 @@ impl Scheduler {
                     std::env::set_var(checkpoints::CHECKPOINT_DIR_ENV, dir.join("checkpoints"));
                 }
             }
-            for ((benchmark, seed, warmup), starts) in &warm_starts {
-                checkpoints::ensure_warm(benchmark, *seed, *warmup, starts);
-            }
-            for ((benchmark, seed), targets) in &seek_targets {
-                checkpoints::ensure(benchmark, *seed, targets);
-            }
+            run_prepass(prepass.into_iter().collect(), opts.threads);
         }
-        seek_span.end_with(vec![("traces".to_string(), (seek_targets.len() as u64).into())]);
+        seek_span.end_with(vec![("traces".to_string(), traces.into())]);
 
         // Each artifact persists from the worker that produced it (via
         // the observer), not after the backend returns: an interrupted
@@ -358,6 +351,40 @@ impl Scheduler {
         }
         Ok(missing)
     }
+}
+
+/// The pre-pass work for one `(benchmark, seed)` trace: the generator
+/// checkpoint positions its segment workers seek to, and the slice starts
+/// to snapshot warm images at, per warm-up length.
+#[derive(Debug, Default)]
+struct TracePrepass {
+    targets: Vec<u64>,
+    warm_starts: BTreeMap<u64, Vec<u64>>,
+}
+
+/// Records each trace's warm images and then its checkpoints, one trace
+/// per job, on up to `threads` scoped workers pulling from `jobs` in
+/// order. Jobs share only the mutex-guarded registries and the
+/// checkpoint directory, and each writes only its own store files
+/// (atomically), so the stores are byte-identical at any thread count.
+fn run_prepass(jobs: Vec<((&str, u64), TracePrepass)>, threads: usize) {
+    // Relaxed suffices: the counter only hands out indices into `jobs`,
+    // which no thread mutates.
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..threads.max(1).min(jobs.len()) {
+            scope.spawn(|| {
+                while let Some(((benchmark, seed), job)) =
+                    jobs.get(next.fetch_add(1, Ordering::Relaxed))
+                {
+                    for (warmup, starts) in &job.warm_starts {
+                        checkpoints::ensure_warm(benchmark, *seed, *warmup, starts);
+                    }
+                    checkpoints::ensure(benchmark, *seed, &job.targets);
+                }
+            });
+        }
+    });
 }
 
 /// Emits one `cache_probe` telemetry point per planned spec, recording

@@ -658,12 +658,16 @@ pub struct JsonLinesWriter {
 }
 
 impl JsonLinesWriter {
-    /// Creates (truncating) `path` and writes events to it, buffered.
+    /// Creates (truncating) `path`, and any missing parent directories,
+    /// and writes events to it, buffered.
     ///
     /// # Errors
     ///
-    /// Propagates file-creation errors.
+    /// Propagates directory- and file-creation errors.
     pub fn create(path: &Path) -> io::Result<JsonLinesWriter> {
+        if let Some(parent) = path.parent() {
+            std::fs::create_dir_all(parent)?;
+        }
         let file = File::create(path)?;
         Ok(JsonLinesWriter::new(Box::new(BufWriter::new(file))))
     }
@@ -1024,8 +1028,9 @@ mod tests {
     #[test]
     fn json_writer_creates_parseable_lines_on_disk() {
         let dir = std::env::temp_dir().join(format!("ltc_telemetry_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("events.jsonl");
+        let _ = std::fs::remove_dir_all(&dir);
+        // `create` makes the missing directories itself.
+        let path = dir.join("new").join("events.jsonl");
         let writer = Arc::new(JsonLinesWriter::create(&path).unwrap());
         with_subscriber(writer.clone(), || {
             counter("hits", 3);
