@@ -324,29 +324,22 @@ impl StreamAnalysis {
         Self::run_segment_with(source, segment, cfg, None, None)
     }
 
-    /// [`run_segment`](Self::run_segment) with an optional generator
-    /// checkpoint covering the skipped prefix and an optional warm
-    /// hierarchy image replacing the warm-up replay.
+    /// [`run_segment`](Self::run_segment) starting from a recorded
+    /// segment start: a generator [`Checkpoint`] and a [`WarmImage`] of
+    /// the hierarchy, both taken at exactly `segment.start`.
     ///
-    /// When `checkpoint` holds a [`Checkpoint`] recorded from an
-    /// identically configured source at a position at or before the
-    /// first access the worker must feed its hierarchy, the worker
-    /// restores it and generates only the residual instead of the whole
-    /// prefix, cutting setup from O(start) to O(residual + warm-up).
+    /// When both are offered at that position and both restore, the
+    /// worker resumes the source at its slice and the hierarchy in the
+    /// state the warm-up replay would have built, so its setup costs one
+    /// restore instead of O(start) generated and O(warm-up) simulated
+    /// accesses. The image was snapshotted from a hierarchy that
+    /// replayed the same window, so the partial — and every report built
+    /// from it — is byte-identical to the replay path.
     ///
-    /// When `warm_image` holds a [`WarmImage`] recorded at exactly
-    /// `segment.start`, the worker restores the hierarchy from the
-    /// image instead of replaying the warm-up window at all — combined
-    /// with a checkpoint at `segment.start` the whole setup collapses
-    /// to O(residual). The image was snapshotted from a hierarchy that
-    /// replayed the same window, so the restored state — and with it
-    /// the partial and every report built from it — is byte-identical
-    /// to the replay path.
-    ///
-    /// Either input degrades safely: a checkpoint past the first needed
-    /// access, a warm image at the wrong position or for a mismatched
-    /// hierarchy shape, or invalid state in either is ignored and the
-    /// worker falls back to the plain skip-and-replay loop.
+    /// Anything else replays from access 0 on the untouched source: a
+    /// missing half, a position other than `segment.start`, an image for
+    /// a mismatched hierarchy shape, or a state the source refuses
+    /// ([`TraceSource::restore`] leaves the source unchanged on error).
     pub fn run_segment_with<S: TraceSource + ?Sized>(
         source: &mut S,
         segment: TraceSegment,
@@ -354,56 +347,42 @@ impl StreamAnalysis {
         checkpoint: Option<&Checkpoint>,
         warm_image: Option<&WarmImage>,
     ) -> StreamPartial {
-        let restored = warm_image
-            .filter(|w| w.pos == segment.start)
-            .and_then(|w| Hierarchy::from_image(HierarchyConfig::paper(), &w.image).ok());
-        let used_warm_image = restored.is_some();
-        let warm = match restored {
-            Some(_) => 0,
-            None => segment.start.min(cfg.warmup),
+        let (restored, outcome, reason) = match (checkpoint, warm_image) {
+            _ if segment.start == 0 => (None, "cold_start", None),
+            (Some(c), Some(w)) => match restore_start(source, segment.start, c, w) {
+                Some(hierarchy) => (Some(hierarchy), "warm_image", None),
+                None => (None, "replay", Some("restore_failed")),
+            },
+            _ => (None, "replay", Some("missing")),
         };
-        let mut skip = segment.start - warm;
-        let mut used_checkpoint = false;
-        if let Some(c) = checkpoint {
-            if c.pos <= skip && source.restore(&c.state).is_ok() {
-                skip -= c.pos;
-                used_checkpoint = true;
+        let (skip, warm) = match restored {
+            Some(_) => (0, 0),
+            None => {
+                let warm = segment.start.min(cfg.warmup);
+                (segment.start - warm, warm)
             }
-        }
+        };
         if ltc_telemetry::enabled() {
             // The restore-outcome histogram: which setup path this
-            // worker actually took (offers that were ignored — wrong
-            // position, failed restore — do not count). A slice at the
+            // worker took, and why a replay happened. A slice at the
             // trace start has nothing to restore or replay.
-            let outcome = if segment.start == 0 {
-                "cold_start"
-            } else if used_warm_image {
-                "warm_image"
-            } else if used_checkpoint {
-                "checkpoint"
-            } else {
-                "replay"
-            };
-            ltc_telemetry::point(
-                "segment_restore",
-                vec![
-                    ("outcome".to_string(), outcome.into()),
-                    ("checkpoint".to_string(), used_checkpoint.into()),
-                    ("index".to_string(), u64::from(segment.index).into()),
-                    ("start".to_string(), segment.start.into()),
-                    ("warm".to_string(), warm.into()),
-                ],
-            );
+            let mut fields = vec![("outcome".to_string(), outcome.into())];
+            if let Some(reason) = reason {
+                fields.push(("reason".to_string(), reason.into()));
+            }
+            fields.extend([
+                ("index".to_string(), u64::from(segment.index).into()),
+                ("start".to_string(), segment.start.into()),
+                ("warm".to_string(), warm.into()),
+            ]);
+            ltc_telemetry::point("segment_restore", fields);
         }
         for _ in 0..skip {
             if source.next_access().is_none() {
                 break;
             }
         }
-        let mut hierarchy = match restored {
-            Some(h) => h,
-            None => Hierarchy::new(HierarchyConfig::paper()),
-        };
+        let mut hierarchy = restored.unwrap_or_else(|| Hierarchy::new(HierarchyConfig::paper()));
         for _ in 0..warm {
             let Some(a) = source.next_access() else { break };
             hierarchy.access(a.addr, a.kind);
@@ -457,6 +436,24 @@ impl StreamAnalysis {
     }
 }
 
+/// Restores `source` and a hierarchy from a checkpoint and warm image
+/// recorded at exactly `start`, or returns `None` with `source` left
+/// untouched. The image is rebuilt first, so a rejected image never
+/// reaches the source.
+fn restore_start<S: TraceSource + ?Sized>(
+    source: &mut S,
+    start: u64,
+    checkpoint: &Checkpoint,
+    warm_image: &WarmImage,
+) -> Option<Hierarchy> {
+    if checkpoint.pos != start || warm_image.pos != start {
+        return None;
+    }
+    let hierarchy = Hierarchy::from_image(HierarchyConfig::paper(), &warm_image.image).ok()?;
+    source.restore(&checkpoint.state).ok()?;
+    Some(hierarchy)
+}
+
 /// Emits one sketch-occupancy telemetry sample: resident bytes, the
 /// Space-Saving and CHH fill levels, the nested Count-Min's non-zero
 /// counters, and the eviction count accumulated since the last sample
@@ -495,7 +492,7 @@ fn sample_sketches(heavy: &SpaceSaving<u64>, pairs: &ChhSummary, sampled_evictio
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ltc_trace::{Addr, MemoryAccess, Pc, Replay};
+    use ltc_trace::{Addr, MemoryAccess, Pc, Replay, SourceState};
 
     /// A recurring conflict loop whose misses alternate over a fixed line
     /// cycle, so the transition structure is fully predictable.
@@ -620,43 +617,12 @@ mod tests {
         assert!(merge_partials(&[]).is_err(), "empty partials are an error");
     }
 
-    #[test]
-    fn checkpointed_segment_matches_plain_skip_exactly() {
-        let cfg = StreamConfig::with_budget(32 << 10);
-        let seg = TraceSegment { index: 1, segments: 2, start: SEGMENT_WARMUP + 10_000, len: 500 };
-        let passes = ((seg.start + seg.len) / 4 + 1) as usize;
-        let expected = StreamAnalysis::run_segment(&mut conflict_loop(4, passes), seg, cfg);
-
-        // A checkpoint recorded partway through the skipped prefix must
-        // produce the byte-identical partial while skipping less.
-        let mut recorder = conflict_loop(4, passes);
-        for _ in 0..8_000 {
-            recorder.next_access();
+    /// Records a generator checkpoint `pos` accesses into `source`.
+    fn record_checkpoint(mut source: Replay, pos: u64) -> Checkpoint {
+        for _ in 0..pos {
+            source.next_access();
         }
-        let c = Checkpoint { pos: 8_000, state: recorder.checkpoint().unwrap() };
-        let via = StreamAnalysis::run_segment_with(
-            &mut conflict_loop(4, passes),
-            seg,
-            cfg,
-            Some(&c),
-            None,
-        );
-        assert_eq!(via, expected);
-
-        // A checkpoint past the pre-warm-up point is ignored, not misused.
-        let mut deep = conflict_loop(4, passes);
-        for _ in 0..seg.start {
-            deep.next_access();
-        }
-        let late = Checkpoint { pos: seg.start, state: deep.checkpoint().unwrap() };
-        let fallback = StreamAnalysis::run_segment_with(
-            &mut conflict_loop(4, passes),
-            seg,
-            cfg,
-            Some(&late),
-            None,
-        );
-        assert_eq!(fallback, expected);
+        Checkpoint { pos, state: source.checkpoint().unwrap() }
     }
 
     /// Records a warm image the way the engine's pre-pass does: replay
@@ -681,14 +647,10 @@ mod tests {
         let passes = ((seg.start + seg.len) / 4 + 1) as usize;
         let expected = StreamAnalysis::run_segment(&mut conflict_loop(4, passes), seg, cfg);
 
+        // A checkpoint and an image at the slice start: zero generated
+        // prefix, zero warm-up replay, and still the identical partial.
+        let c = record_checkpoint(conflict_loop(4, passes), seg.start);
         let warm = record_warm_image(conflict_loop(4, passes), seg.start, cfg.warmup);
-        // With a checkpoint at the slice start, the image path does zero
-        // warm-up replay — and still produces the identical partial.
-        let mut recorder = conflict_loop(4, passes);
-        for _ in 0..seg.start {
-            recorder.next_access();
-        }
-        let c = Checkpoint { pos: seg.start, state: recorder.checkpoint().unwrap() };
         let via = StreamAnalysis::run_segment_with(
             &mut conflict_loop(4, passes),
             seg,
@@ -697,27 +659,41 @@ mod tests {
             Some(&warm),
         );
         assert_eq!(via, expected);
+    }
 
-        // The image also works alone (prefix generated, warm-up skipped).
-        let alone = StreamAnalysis::run_segment_with(
-            &mut conflict_loop(4, passes),
-            seg,
-            cfg,
-            None,
-            Some(&warm),
-        );
-        assert_eq!(alone, expected);
-
-        // An image at the wrong position falls back to the replay path.
-        let wrong = WarmImage { pos: seg.start - 1, image: warm.image.clone() };
-        let fallback = StreamAnalysis::run_segment_with(
-            &mut conflict_loop(4, passes),
-            seg,
-            cfg,
-            None,
-            Some(&wrong),
-        );
-        assert_eq!(fallback, expected);
+    #[test]
+    fn checkpointed_segment_matches_plain_skip_exactly() {
+        // Every offer short of a matching pair replays from access 0 on
+        // an untouched source, so the partial is the plain skip's.
+        let cfg = StreamConfig::with_budget(32 << 10);
+        let seg = TraceSegment { index: 1, segments: 2, start: SEGMENT_WARMUP + 10_000, len: 500 };
+        let passes = ((seg.start + seg.len) / 4 + 1) as usize;
+        let expected = StreamAnalysis::run_segment(&mut conflict_loop(4, passes), seg, cfg);
+        let at_start = record_checkpoint(conflict_loop(4, passes), seg.start);
+        let before_warmup = record_checkpoint(conflict_loop(4, passes), 8_000);
+        let refused = Checkpoint { pos: seg.start, state: SourceState::Replay { pos: u64::MAX } };
+        let warm = record_warm_image(conflict_loop(4, passes), seg.start, cfg.warmup);
+        let misplaced = WarmImage { pos: seg.start - 1, image: warm.image.clone() };
+        let big_l2 = Hierarchy::new(HierarchyConfig::paper_4mb_l2()).to_image();
+        let misshapen = WarmImage { pos: seg.start, image: big_l2 };
+        let offers = [
+            (Some(&at_start), None),
+            (None, Some(&warm)),
+            (Some(&before_warmup), Some(&warm)),
+            (Some(&at_start), Some(&misplaced)),
+            (Some(&at_start), Some(&misshapen)),
+            (Some(&refused), Some(&warm)),
+        ];
+        for (i, (checkpoint, image)) in offers.into_iter().enumerate() {
+            let partial = StreamAnalysis::run_segment_with(
+                &mut conflict_loop(4, passes),
+                seg,
+                cfg,
+                checkpoint,
+                image,
+            );
+            assert_eq!(partial, expected, "offer {i}");
+        }
     }
 
     #[test]
@@ -767,21 +743,38 @@ mod tests {
         let seg = TraceSegment { index: 1, segments: 2, start: SEGMENT_WARMUP + 10_000, len: 500 };
         let passes = ((seg.start + seg.len) / 4 + 1) as usize;
 
+        // (outcome, reason) of the one restore point a segment run emits.
         let outcome_of = |capture: &Capture| {
             let points = capture.named("segment_restore");
             assert_eq!(points.len(), 1, "exactly one restore outcome per segment run");
-            match points[0].field("outcome") {
-                Some(FieldValue::Str(s)) => s.clone(),
-                other => panic!("outcome field missing: {other:?}"),
-            }
+            let text = |name: &str| match points[0].field(name) {
+                Some(FieldValue::Str(s)) => Some(s.clone()),
+                None => None,
+                other => panic!("{name} field is not a string: {other:?}"),
+            };
+            (text("outcome").expect("outcome field"), text("reason"))
         };
 
-        // Replay fallback: no checkpoint, no image.
-        let capture = Arc::new(Capture::new());
-        ltc_telemetry::with_subscriber(capture.clone(), || {
-            StreamAnalysis::run_segment(&mut conflict_loop(4, passes), seg, cfg)
-        });
-        assert_eq!(outcome_of(&capture), "replay");
+        let run = |checkpoint: Option<&Checkpoint>, image: Option<&WarmImage>| {
+            let capture = Arc::new(Capture::new());
+            ltc_telemetry::with_subscriber(capture.clone(), || {
+                StreamAnalysis::run_segment_with(
+                    &mut conflict_loop(4, passes),
+                    seg,
+                    cfg,
+                    checkpoint,
+                    image,
+                )
+            });
+            capture
+        };
+
+        // Replay fallback: no pair offered.
+        let capture = run(None, None);
+        assert_eq!(outcome_of(&capture), ("replay".to_string(), Some("missing".to_string())));
+        let points = capture.named("segment_restore");
+        assert_eq!(points[0].field("warm"), Some(&FieldValue::U64(SEGMENT_WARMUP)));
+        assert!(points[0].field("checkpoint").is_none(), "no checkpoint-only outcome remains");
         // The final sketch sample always lands, even for short segments.
         assert!(!capture.named("sketch.memory_bytes").is_empty());
         assert!(!capture.named("sketch.cm_occupancy").is_empty());
@@ -791,37 +784,25 @@ mod tests {
             .filter(|e| e.kind == EventKind::Gauge)
             .all(|e| e.value().is_some()));
 
-        // Checkpoint outcome.
-        let mut recorder = conflict_loop(4, passes);
-        for _ in 0..8_000 {
-            recorder.next_access();
-        }
-        let c = Checkpoint { pos: 8_000, state: recorder.checkpoint().unwrap() };
-        let capture = Arc::new(Capture::new());
-        ltc_telemetry::with_subscriber(capture.clone(), || {
-            StreamAnalysis::run_segment_with(
-                &mut conflict_loop(4, passes),
-                seg,
-                cfg,
-                Some(&c),
-                None,
-            )
-        });
-        assert_eq!(outcome_of(&capture), "checkpoint");
+        // Half a pair is still missing.
+        let c = record_checkpoint(conflict_loop(4, passes), seg.start);
+        let capture = run(Some(&c), None);
+        assert_eq!(outcome_of(&capture), ("replay".to_string(), Some("missing".to_string())));
 
-        // Warm-image outcome.
+        // A pair the worker rejects: the checkpoint sits before the start.
         let warm = record_warm_image(conflict_loop(4, passes), seg.start, cfg.warmup);
-        let capture = Arc::new(Capture::new());
-        ltc_telemetry::with_subscriber(capture.clone(), || {
-            StreamAnalysis::run_segment_with(
-                &mut conflict_loop(4, passes),
-                seg,
-                cfg,
-                None,
-                Some(&warm),
-            )
-        });
-        assert_eq!(outcome_of(&capture), "warm_image");
+        let early = record_checkpoint(conflict_loop(4, passes), 8_000);
+        let capture = run(Some(&early), Some(&warm));
+        assert_eq!(
+            outcome_of(&capture),
+            ("replay".to_string(), Some("restore_failed".to_string()))
+        );
+
+        // Warm-image outcome: the pair restores, nothing is replayed.
+        let capture = run(Some(&c), Some(&warm));
+        assert_eq!(outcome_of(&capture), ("warm_image".to_string(), None));
+        let points = capture.named("segment_restore");
+        assert_eq!(points[0].field("warm"), Some(&FieldValue::U64(0)));
 
         // A slice at the trace start restores and replays nothing.
         let first = TraceSegment { index: 0, segments: 2, start: 0, len: 500 };
@@ -829,7 +810,7 @@ mod tests {
         ltc_telemetry::with_subscriber(capture.clone(), || {
             StreamAnalysis::run_segment(&mut conflict_loop(4, passes), first, cfg)
         });
-        assert_eq!(outcome_of(&capture), "cold_start");
+        assert_eq!(outcome_of(&capture), ("cold_start".to_string(), None));
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! structured warnings — including events forwarded from subprocess
 //! workers. [`summarize`] digests such a log into the operator-facing
 //! breakdown tables: per-phase span totals, the slowest specs, the
-//! artifact-cache hit ratio, the restore-outcome histogram, the fault
-//! histogram (`spec.retry` / `spec.timeout` / `worker.respawn` points
-//! emitted by the supervised backends), and peak gauge levels (e.g.
-//! peak worker summary memory).
+//! artifact-cache hit ratio, the restore-outcome histogram (a replay is
+//! listed with its reason), the fault histogram (`spec.retry` /
+//! `spec.timeout` / `worker.respawn` points emitted by the supervised
+//! backends), and peak gauge levels (e.g. peak worker summary memory).
 //!
 //! Failed execution attempts close their `spec` spans with an `outcome`
 //! field (`"panic"`, `"retry"`, `"timeout"`); those ends count toward
@@ -199,7 +199,11 @@ impl EventLog {
                 }
                 "segment_restore" => {
                     let outcome = field_str(event, "outcome").unwrap_or("unknown");
-                    bump(&mut self.restores, outcome, 1);
+                    let label = match field_str(event, "reason") {
+                        Some(reason) => format!("{outcome} ({reason})"),
+                        None => outcome.to_string(),
+                    };
+                    bump(&mut self.restores, &label, 1);
                 }
                 "spec.retry" | "spec.timeout" | "worker.respawn" => {
                     bump(&mut self.faults, name, 1);
@@ -334,7 +338,7 @@ mod tests {
     use super::*;
 
     /// A small but representative log: a plan span, two spec spans on
-    /// two workers, cache probes, a segment restore, gauges, counters,
+    /// two workers, cache probes, two segment restores, gauges, counters,
     /// and a warning.
     fn sample_log() -> String {
         [
@@ -347,7 +351,8 @@ mod tests {
             r#"{"v":1,"t":100,"kind":"point","name":"run_begin","fields":{"total":2,"backend":"threads"}}"#,
             r#"{"v":1,"t":101,"kind":"span_begin","name":"spec","span":2,"worker":1,"fields":{"label":"b"}}"#,
             r#"{"v":1,"t":102,"kind":"span_begin","name":"spec","span":3,"worker":2,"fields":{"label":"c"}}"#,
-            r#"{"v":1,"t":150,"kind":"point","name":"segment_restore","worker":1,"fields":{"outcome":"warm_image","checkpoint":true,"index":1,"start":500,"warm":true}}"#,
+            r#"{"v":1,"t":150,"kind":"point","name":"segment_restore","worker":1,"fields":{"outcome":"warm_image","index":1,"start":500,"warm":0}}"#,
+            r#"{"v":1,"t":151,"kind":"point","name":"segment_restore","worker":2,"fields":{"outcome":"replay","reason":"missing","index":2,"start":1000,"warm":1000}}"#,
             r#"{"v":1,"t":180,"kind":"gauge","name":"sketch.memory_bytes","worker":1,"fields":{"value":4096}}"#,
             r#"{"v":1,"t":181,"kind":"gauge","name":"sketch.memory_bytes","worker":2,"fields":{"value":8192}}"#,
             r#"{"v":1,"t":190,"kind":"counter","name":"sketch.evictions","worker":2,"fields":{"value":7}}"#,
@@ -362,7 +367,7 @@ mod tests {
     #[test]
     fn summarize_renders_every_section() {
         let out = summarize(&sample_log()).unwrap();
-        assert!(out.contains("event log: 17 events"), "{out}");
+        assert!(out.contains("event log: 18 events"), "{out}");
         assert!(out.contains("span balance: 3 begun, 3 ended, 0 unbalanced"), "{out}");
         // Phase totals: scheduler.plan and the two spec spans.
         assert!(out.contains("scheduler.plan"), "{out}");
@@ -373,6 +378,7 @@ mod tests {
         assert!(c_pos < b_pos, "slowest spec listed first:\n{out}");
         assert!(out.contains("artifact cache: 1 hits / 3 probes (33%)"), "{out}");
         assert!(out.contains("warm_image"), "{out}");
+        assert!(out.contains("replay (missing)"), "replays show their reason: {out}");
         assert!(out.contains("sketch.memory_bytes"), "{out}");
         assert!(out.contains("8192"), "peak gauge keeps the max: {out}");
         assert!(out.contains("sketch.evictions"), "{out}");

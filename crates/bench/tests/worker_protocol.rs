@@ -237,7 +237,6 @@ fn segmented_runs_write_identical_trees_at_any_thread_count() {
             .arg("--events")
             .arg(&events)
             .env_remove("LTC_CHECKPOINT_DIR")
-            .env_remove("LTC_NO_WARM_IMAGES")
             .stdout(Stdio::null())
             .status()
             .expect("run ltsim stream");
@@ -250,6 +249,48 @@ fn segmented_runs_write_identical_trees_at_any_thread_count() {
     let one = run("1");
     assert!(one.keys().any(|name| name.starts_with("checkpoints")), "the pre-pass wrote stores");
     assert!(one == run("3"), "output trees differ between 1 and 3 threads");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Subprocess workers restore every non-zero segment from the slice-start
+/// pair the pre-pass recorded. Byte identity alone cannot tell a fast
+/// path that has silently stopped firing from the replay it replaces.
+#[test]
+fn subprocess_segments_restore_their_slice_starts() {
+    let root = std::env::temp_dir().join(format!("ltc-restore-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let events = root.join("events.jsonl");
+    let status = Command::new(env!("CARGO_BIN_EXE_ltsim"))
+        .args(["stream", "all", "--accesses", "8000", "--segments", "4"])
+        .args(["--backend", "subprocess", "--threads", "2", "--progress", "off", "--out"])
+        .arg(root.join("out"))
+        .arg("--events")
+        .arg(&events)
+        .env_remove("LTC_CHECKPOINT_DIR")
+        .stdout(Stdio::null())
+        .status()
+        .expect("run ltsim stream");
+    assert!(status.success(), "ltsim stream failed: {status}");
+    let text = std::fs::read_to_string(&events).expect("event log written");
+    let mut restores = 0;
+    for line in text.lines() {
+        let event = serde_json::parse(line).expect("event line parses");
+        if event.get("name").and_then(serde::Value::as_str) != Some("segment_restore") {
+            continue;
+        }
+        let field = |name: &str| event.get("fields").and_then(|f| f.get(name)).cloned();
+        let expected = match field("index").and_then(|i| i.as_u64()) {
+            Some(0) => "cold_start",
+            _ => "warm_image",
+        };
+        assert_eq!(
+            field("outcome").as_ref().and_then(serde::Value::as_str),
+            Some(expected),
+            "{line}"
+        );
+        restores += 1;
+    }
+    assert_eq!(restores, 28 * 4, "one restore outcome per segment worker");
     let _ = std::fs::remove_dir_all(&root);
 }
 

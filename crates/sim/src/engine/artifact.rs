@@ -49,9 +49,9 @@ pub fn store(dir: &Path, spec: &RunSpec, result: &RunResult) -> io::Result<()> {
 
 /// Loads the artifact for `spec`, verifying the stored spec matches.
 ///
-/// Returns `Ok(None)` when the file is absent, unparsable, or belongs to
-/// a different spec — all degrade to a cache miss so the engine
-/// re-simulates and overwrites.
+/// Returns `Ok(None)` when the file is absent, unparsable (malformed
+/// JSON or not UTF-8), or belongs to a different spec — all degrade to a
+/// cache miss so the engine re-simulates and overwrites.
 ///
 /// # Errors
 ///
@@ -59,7 +59,10 @@ pub fn store(dir: &Path, spec: &RunSpec, result: &RunResult) -> io::Result<()> {
 pub fn load(dir: &Path, spec: &RunSpec) -> io::Result<Option<RunResult>> {
     let text = match fs::read_to_string(path_for(dir, spec)) {
         Ok(text) => text,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        // `read_to_string` reports non-UTF-8 content as `InvalidData`.
+        Err(e) if matches!(e.kind(), io::ErrorKind::NotFound | io::ErrorKind::InvalidData) => {
+            return Ok(None)
+        }
         Err(e) => return Err(e),
     };
     let Ok(value) = serde_json::parse(text.trim()) else { return Ok(None) };
@@ -177,6 +180,24 @@ mod tests {
         store(&dir, &spec, &result).unwrap();
         fs::write(path_for(&dir, &spec), "not json").unwrap();
         assert_eq!(load(&dir, &spec).unwrap(), None);
+        fs::write(path_for(&dir, &spec), b"\xff\xfe\x00garbage").unwrap();
+        assert_eq!(load(&dir, &spec).unwrap(), None);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_truncation_of_a_real_partial_artifact_is_a_miss() {
+        let dir = tmp_dir("truncated");
+        let spec = RunSpec::stream_segment("gzip", 4 << 10, 2, 1, 2_000, 1);
+        let result = spec.execute();
+        assert_eq!(result.kind(), "stream-partial");
+        let line = json_line(&spec, &result);
+        store(&dir, &spec, &result).unwrap();
+        assert_eq!(load(&dir, &spec).unwrap(), Some(result));
+        for end in (0..line.len()).filter(|&end| line.is_char_boundary(end)) {
+            fs::write(path_for(&dir, &spec), &line[..end]).unwrap();
+            assert_eq!(load(&dir, &spec).unwrap(), None, "prefix of {end} bytes");
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,56 +1,37 @@
-//! Shared generator checkpoints and warm hierarchy images for segmented
-//! streaming runs.
+//! Shared segment starts for segmented streaming runs.
 //!
-//! A segmented worker used to pay O(start) generator work just to reach
-//! its slice: segment `i` of `N` skips `i·S/N` accesses before the
-//! warm-up window, so the *total* setup across a run grew quadratically
-//! with the trace (≈ N·S/2 skipped accesses at N segments). The suite's
-//! generators are now checkpointable ([`ltc_trace::SourceState`]), which
-//! turns that into a one-time *recording* pass: walk one source to each
-//! segment's pre-warm-up position, snapshot it there, and let every
-//! worker restore its snapshot instead of regenerating the prefix —
-//! O(S) total recording plus O(warm-up) per worker.
+//! A segment worker must begin its slice with the generator state and
+//! the warm cache a single pass would have had there. Replaying to them
+//! costs every worker O(start) generated accesses plus an O(warm-up)
+//! cache rebuild, so a run's total setup grows quadratically with the
+//! trace. Instead, one recording pass per `(benchmark, seed, warm-up)`
+//! snapshots a generator [`Checkpoint`] and a [`WarmImage`] of the
+//! hierarchy at every slice start ([`ensure`]), and each worker restores
+//! the pair at its own start ([`ltc_analysis::StreamAnalysis::
+//! run_segment_with`]). A worker without a usable pair replays from
+//! access 0. Both paths produce byte-identical partials: a restored
+//! source resumes its stream element-identically, and the image was
+//! snapshotted from a hierarchy that replayed the same window.
 //!
-//! The remaining per-worker cost — replaying the warm-up window through
-//! a cold hierarchy — is removed the same way: the recording pass also
-//! replays each window once and snapshots the *simulated hierarchy* at
-//! the slice start (a [`WarmImage`]). A worker that finds an image for
-//! its exact start restores the cache state directly and skips the
-//! replay entirely; paired with a checkpoint at the start itself, its
-//! setup collapses to O(1). The image holds the state the replay would
-//! have produced, so results stay byte-identical either way (asserted
-//! by the cross-backend equality tests and the nightly A/B diff).
-//! Setting the `LTC_NO_WARM_IMAGES` environment variable (non-empty)
-//! disables recording and lookup, forcing the replay path.
+//! The pairs live in two tiers:
 //!
-//! Checkpoints are keyed by `(benchmark, seed)` — together with the
-//! model version these fully determine the access stream — and warm
-//! images additionally by the configured warm-up length
-//! ([`ltc_analysis::StreamConfig::warmup`], which changes the window and
-//! therefore the state). Both live in two tiers:
-//!
-//! 1. a process-global registry, which the in-process `threads` backend
-//!    hits directly, and
-//! 2. an optional on-disk store under the directory named by the
+//! 1. a process-global registry keyed `(benchmark, seed, warm-up)`,
+//!    which the in-process `threads` backend hits directly, and
+//! 2. an optional on-disk hand-off under the directory named by the
 //!    `LTC_CHECKPOINT_DIR` environment variable, which `subprocess`
-//!    workers (separate processes that inherit the variable) read.
+//!    workers (separate processes that inherit the variable) read: one
+//!    checkpoint store per `(benchmark, seed)` ([`store_path`]) and one
+//!    [`WarmStore`] per `(benchmark, seed, warm-up)`
+//!    ([`warm_store_path`]).
 //!
 //! The scheduler's pre-pass fills both tiers before any segment worker
-//! starts: one job per `(benchmark, seed)` records that trace's warm
-//! images and then its checkpoints ([`ensure_warm`], [`ensure`]), and
-//! the jobs run on [`EngineOptions::threads`](crate::engine::EngineOptions::threads)
+//! starts, one trace per job on
+//! [`EngineOptions::threads`](crate::engine::EngineOptions::threads)
 //! scoped threads. Concurrent jobs are safe: each writes only its own
-//! trace's store files (atomically), both registries are mutex-guarded,
-//! and so is the staging-file sweep, so the stores are byte-identical
-//! at any thread count.
-//!
-//! Restoring a checkpoint reproduces the generator state exactly, so
-//! the access stream a worker sees — and every report built from it —
-//! is byte-identical to the skip-loop path ([`ltc_analysis::StreamAnalysis::
-//! run_segment_with`] falls back to plain skipping whenever no usable
-//! checkpoint exists, e.g. for non-checkpointable external sources). A
-//! corrupt or truncated on-disk store is ignored with a warning — the
-//! worker falls back rather than failing the run.
+//! trace's store files (atomically), the registry is mutex-guarded, and
+//! so is the staging-file sweep, so the stores are byte-identical at any
+//! thread count. A corrupt or truncated on-disk store is ignored with a
+//! warning; its workers replay instead of failing the run.
 
 use std::collections::HashMap;
 use std::fs;
@@ -60,7 +41,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use ltc_analysis::WarmImage;
 use ltc_cache::{Hierarchy, HierarchyConfig};
 use ltc_trace::{suite, Checkpoint, CheckpointStore, TraceSource};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::engine::spec::{fnv1a64, MODEL_VERSION};
 
@@ -70,18 +51,6 @@ use crate::engine::spec::{fnv1a64, MODEL_VERSION};
 /// falls back to it, so `ltsim worker` subprocesses (which inherit the
 /// variable) reuse the parent's recording pass.
 pub const CHECKPOINT_DIR_ENV: &str = "LTC_CHECKPOINT_DIR";
-
-/// Environment variable disabling warm hierarchy images (any non-empty
-/// value). Workers then warm up by replay, the behaviour the images
-/// must reproduce byte-identically — the nightly CI job runs a
-/// segmented stream on subprocess workers both ways and diffs the
-/// reports.
-pub const NO_WARM_IMAGES_ENV: &str = "LTC_NO_WARM_IMAGES";
-
-/// Whether warm hierarchy images are disabled via [`NO_WARM_IMAGES_ENV`].
-pub fn warm_images_disabled() -> bool {
-    std::env::var_os(NO_WARM_IMAGES_ENV).is_some_and(|v| !v.is_empty())
-}
 
 /// Walks `source` from the beginning and snapshots it at each of
 /// `targets` (positions in accesses produced), returning the recorded
@@ -196,96 +165,73 @@ pub fn record_warm_images<S: TraceSource + ?Sized>(
     store
 }
 
-/// Makes checkpoints for `(benchmark, seed)` at every position in
-/// `targets` available to [`lookup`], recording them if needed.
-///
-/// Positions already covered by the registry or the on-disk store are
-/// not re-recorded; a partially-covering store is extended by one
-/// recording pass over the union of its positions and the missing
-/// targets. The result lands in the process registry and — when
-/// [`CHECKPOINT_DIR_ENV`] is set — on disk for subprocess workers.
-/// Returns `None` for an unknown benchmark; zero targets are skipped
-/// (a fresh source already *is* position zero).
-pub fn ensure(benchmark: &str, seed: u64, targets: &[u64]) -> Option<Arc<CheckpointStore>> {
-    let wanted: Vec<u64> = {
-        let mut t: Vec<u64> = targets.iter().copied().filter(|&t| t > 0).collect();
-        t.sort_unstable();
-        t.dedup();
-        t
-    };
-    let existing = lookup(benchmark, seed);
-    if let Some(store) = &existing {
-        if wanted.iter().all(|&t| store.at(t).is_some()) {
-            return existing;
-        }
-    }
-    let entry = suite::by_name(benchmark)?;
-    let mut union = wanted;
-    if let Some(store) = &existing {
-        union.extend(store.iter().map(|c| c.pos));
-    }
-    let store = Arc::new(record_targets(&mut entry.build(seed), &union));
-    registry()
-        .lock()
-        .expect("checkpoint registry lock")
-        .insert(key(benchmark, seed), store.clone());
-    if let Some(dir) = dir_from_env() {
-        // Best-effort persistence: a worker that cannot read the store
-        // falls back to the skip loop, so disk errors are not fatal.
-        let _ = persist(&dir, benchmark, seed, &store);
-    }
-    Some(store)
+/// The generator checkpoints and warm hierarchy images recorded at the
+/// slice starts of one `(benchmark, seed, warm-up)`.
+#[derive(Debug, Default)]
+pub struct SegmentStores {
+    /// Generator checkpoints, by position.
+    pub checkpoints: CheckpointStore,
+    /// Warm hierarchy images, by position.
+    pub images: WarmStore,
 }
 
-/// Makes warm images for `(benchmark, seed, warmup)` at every slice
-/// start in `starts` available to [`lookup_warm`], recording them if
-/// needed — the warm-image counterpart of [`ensure`].
+impl SegmentStores {
+    /// The checkpoint and the image recorded at exactly `start`, if both
+    /// were.
+    pub fn at(&self, start: u64) -> Option<(&Checkpoint, &WarmImage)> {
+        Some((self.checkpoints.at(start)?, self.images.at(start)?))
+    }
+}
+
+/// Makes a checkpoint and a warm image at every slice start in `starts`
+/// available to [`lookup`] for `(benchmark, seed, warmup)`, recording
+/// them if needed.
 ///
-/// Returns `None` for an unknown benchmark or when warm images are
-/// disabled ([`NO_WARM_IMAGES_ENV`]). Start zero is skipped (no warm-up
-/// window to capture).
-pub fn ensure_warm(
+/// Starts the registry or the on-disk stores already cover are not
+/// re-recorded; partially covering stores are extended by one recording
+/// pass over the union of their positions and the missing starts. The
+/// result lands in the process registry and — when [`CHECKPOINT_DIR_ENV`]
+/// is set — on disk for subprocess workers. Returns `None` for an
+/// unknown benchmark; start zero is skipped (a fresh source and a cold
+/// hierarchy already *are* position zero).
+pub fn ensure(
     benchmark: &str,
     seed: u64,
     warmup: u64,
     starts: &[u64],
-) -> Option<Arc<WarmStore>> {
-    if warm_images_disabled() {
-        return None;
-    }
-    let wanted: Vec<u64> = {
-        let mut s: Vec<u64> = starts.iter().copied().filter(|&s| s > 0).collect();
-        s.sort_unstable();
-        s.dedup();
-        s
-    };
-    let existing = lookup_warm(benchmark, seed, warmup);
-    if let Some(store) = &existing {
-        if wanted.iter().all(|&s| store.at(s).is_some()) {
+) -> Option<Arc<SegmentStores>> {
+    let mut wanted: Vec<u64> = starts.iter().copied().filter(|&s| s > 0).collect();
+    let existing = lookup(benchmark, seed, warmup);
+    if let Some(stores) = &existing {
+        if wanted.iter().all(|&s| stores.at(s).is_some()) {
             return existing;
         }
+        wanted.extend(stores.images.iter().map(|w| w.pos));
     }
     let entry = suite::by_name(benchmark)?;
-    let mut union = wanted;
-    if let Some(store) = &existing {
-        union.extend(store.iter().map(|w| w.pos));
-    }
-    let store = Arc::new(record_warm_images(&mut entry.build(seed), warmup, &union));
-    warm_registry()
+    let stores = Arc::new(SegmentStores {
+        checkpoints: record_targets(&mut entry.build(seed), &wanted),
+        images: record_warm_images(&mut entry.build(seed), warmup, &wanted),
+    });
+    registry()
         .lock()
-        .expect("warm-image registry lock")
-        .insert(warm_key(benchmark, seed, warmup), store.clone());
+        .expect("segment-store registry lock")
+        .insert(key(benchmark, seed, warmup), stores.clone());
     if let Some(dir) = dir_from_env() {
-        let _ = persist_warm(&dir, benchmark, seed, warmup, &store);
+        // Best-effort persistence: a worker that cannot read the stores
+        // replays, so disk errors are not fatal.
+        let _ = persist(&dir, &store_path(&dir, benchmark, seed), &stores.checkpoints);
+        let _ = persist(&dir, &warm_store_path(&dir, benchmark, seed, warmup), &stores.images);
     }
-    Some(store)
+    Some(stores)
 }
 
-/// The pre-warm-up checkpoint positions of a segmented streaming run:
-/// for each of `segments` even slices of `accesses`, the point a worker
-/// must reach before its `warmup`-access warm replay begins. Zero
-/// positions (segments whose whole prefix is warm-up) are omitted —
-/// those workers generate everything anyway.
+/// The pre-warm-up positions of a segmented streaming run: for each of
+/// `segments` even slices of `accesses`, the point where a replaying
+/// worker starts feeding its `warmup`-access window to the hierarchy.
+/// Zero positions (segments whose whole prefix is warm-up) are omitted.
+/// The engine records nothing here; `perfbench` times a checkpoint
+/// recording at these positions.
 pub fn segment_targets(accesses: u64, segments: u32, warmup: u64) -> Vec<u64> {
     (0..segments)
         .map(|segment| {
@@ -297,8 +243,7 @@ pub fn segment_targets(accesses: u64, segments: u32, warmup: u64) -> Vec<u64> {
 }
 
 /// The slice-start positions of a segmented streaming run (zero
-/// omitted): where warm images are snapshotted, and where the fast-path
-/// generator checkpoints land when images are enabled.
+/// omitted): where [`ensure`] records checkpoints and warm images.
 pub fn segment_starts(accesses: u64, segments: u32) -> Vec<u64> {
     (0..segments)
         .map(|segment| ltc_trace::TraceSegment::nth(accesses, segments, segment).start)
@@ -307,68 +252,35 @@ pub fn segment_starts(accesses: u64, segments: u32) -> Vec<u64> {
 }
 
 /// One-stop preparation for a segmented run over `(benchmark, seed)`:
-/// records the pre-warm-up generator checkpoints, and — unless disabled
-/// — the warm images at each slice start plus the slice-start
-/// checkpoints that let an image-restoring worker seek straight to its
-/// slice. Used by the sequential [`crate::engine::Mode::StreamSegmented`]
-/// execution path; the scheduler performs the same preparation batched
-/// across specs, with traces in parallel.
+/// records the checkpoints and warm images at each slice start. Used by
+/// the sequential [`crate::engine::Mode::StreamSegmented`] execution
+/// path; the scheduler performs the same preparation batched across
+/// specs, with traces in parallel.
 pub fn prepare_segments(benchmark: &str, seed: u64, accesses: u64, segments: u32, warmup: u64) {
-    let mut targets = segment_targets(accesses, segments, warmup);
-    if !warm_images_disabled() {
-        let starts = segment_starts(accesses, segments);
-        ensure_warm(benchmark, seed, warmup, &starts);
-        targets.extend(starts);
-    }
-    ensure(benchmark, seed, &targets);
+    ensure(benchmark, seed, warmup, &segment_starts(accesses, segments));
 }
 
-/// The checkpoint store for `(benchmark, seed)`, if one has been
-/// recorded: the process registry first, then the on-disk store named
-/// by [`CHECKPOINT_DIR_ENV`] (cached into the registry on hit).
-pub fn lookup(benchmark: &str, seed: u64) -> Option<Arc<CheckpointStore>> {
-    if let Some(store) =
-        registry().lock().expect("checkpoint registry lock").get(&key(benchmark, seed))
-    {
-        return Some(store.clone());
+/// The stores for `(benchmark, seed, warmup)`, if both have been
+/// recorded: the process registry first, then the on-disk stores under
+/// [`CHECKPOINT_DIR_ENV`] (cached into the registry on hit). `None` when
+/// either store is absent or corrupt.
+pub fn lookup(benchmark: &str, seed: u64, warmup: u64) -> Option<Arc<SegmentStores>> {
+    let key = key(benchmark, seed, warmup);
+    if let Some(stores) = registry().lock().expect("segment-store registry lock").get(&key) {
+        return Some(stores.clone());
     }
     let dir = dir_from_env()?;
-    let store: CheckpointStore = load_disk_store(&store_path(&dir, benchmark, seed), "checkpoint")?;
-    let store = Arc::new(store);
-    registry()
-        .lock()
-        .expect("checkpoint registry lock")
-        .insert(key(benchmark, seed), store.clone());
-    Some(store)
+    let stores = Arc::new(SegmentStores {
+        checkpoints: load_disk_store(&store_path(&dir, benchmark, seed), "checkpoint")?,
+        images: load_disk_store(&warm_store_path(&dir, benchmark, seed, warmup), "warm-image")?,
+    });
+    registry().lock().expect("segment-store registry lock").insert(key, stores.clone());
+    Some(stores)
 }
 
-/// The warm-image store for `(benchmark, seed, warmup)`, if one has
-/// been recorded: process registry first, then the on-disk store under
-/// [`CHECKPOINT_DIR_ENV`]. Always `None` when images are disabled via
-/// [`NO_WARM_IMAGES_ENV`].
-pub fn lookup_warm(benchmark: &str, seed: u64, warmup: u64) -> Option<Arc<WarmStore>> {
-    if warm_images_disabled() {
-        return None;
-    }
-    if let Some(store) = warm_registry()
-        .lock()
-        .expect("warm-image registry lock")
-        .get(&warm_key(benchmark, seed, warmup))
-    {
-        return Some(store.clone());
-    }
-    let dir = dir_from_env()?;
-    let store: WarmStore =
-        load_disk_store(&warm_store_path(&dir, benchmark, seed, warmup), "warm-image")?;
-    let store = Arc::new(store);
-    warm_registry()
-        .lock()
-        .expect("warm-image registry lock")
-        .insert(warm_key(benchmark, seed, warmup), store.clone());
-    Some(store)
-}
-
-/// The on-disk path of the store for `(benchmark, seed)` under `dir`.
+/// The on-disk path of the checkpoint store for `(benchmark, seed)`
+/// under `dir`. Generator state does not depend on the warm-up, so
+/// every warm-up of a trace shares this file.
 ///
 /// The stem hashes benchmark, seed **and** model version, so stores
 /// recorded under older generator behaviour can never be restored into
@@ -388,17 +300,18 @@ pub fn warm_store_path(dir: &Path, benchmark: &str, seed: u64, warmup: u64) -> P
 }
 
 /// Reads and parses a JSON store file, tolerating damage: a missing
-/// file is a silent miss (the normal cold-cache case), while unparsable
-/// or shape-mismatched content — a torn write from a crashed recorder,
-/// manual truncation — emits one structured `corrupt_store` warning
-/// event (which falls back to stderr when no telemetry subscriber is
-/// installed) and degrades to a miss so the worker falls back to the
-/// replay path instead of failing the run.
+/// file is a silent miss (the normal cold-cache case), while unparsable,
+/// non-UTF-8 or shape-mismatched content — a torn write from a crashed
+/// recorder, manual truncation — emits one structured `corrupt_store`
+/// warning event (which falls back to stderr when no telemetry
+/// subscriber is installed) and degrades to a miss so the worker
+/// replays instead of failing the run.
 fn load_disk_store<T: for<'de> Deserialize<'de>>(path: &Path, what: &str) -> Option<T> {
-    let text = fs::read_to_string(path).ok()?;
-    let parsed = serde_json::parse(text.trim())
+    let bytes = fs::read(path).ok()?;
+    let parsed = std::str::from_utf8(&bytes)
         .ok()
-        .and_then(|value: Value| T::from_value(&value).map_err(|_: DeError| ()).ok());
+        .and_then(|text| serde_json::parse(text.trim()).ok())
+        .and_then(|value: Value| T::from_value(&value).ok());
     if parsed.is_none() {
         ltc_telemetry::warning(
             "corrupt_store",
@@ -415,36 +328,17 @@ fn load_disk_store<T: for<'de> Deserialize<'de>>(path: &Path, what: &str) -> Opt
     parsed
 }
 
-fn persist(dir: &Path, benchmark: &str, seed: u64, store: &CheckpointStore) -> std::io::Result<()> {
-    let path = store_path(dir, benchmark, seed);
-    persist_at(dir, &path, serde_json::to_string(store))
-}
-
-fn persist_warm(
-    dir: &Path,
-    benchmark: &str,
-    seed: u64,
-    warmup: u64,
-    store: &WarmStore,
-) -> std::io::Result<()> {
-    let path = warm_store_path(dir, benchmark, seed, warmup);
-    persist_at(dir, &path, serde_json::to_string(store))
-}
-
-fn persist_at(dir: &Path, path: &Path, json: String) -> std::io::Result<()> {
+/// Writes one store file under `dir`, creating the directory.
+fn persist<T: Serialize>(dir: &Path, path: &Path, store: &T) -> std::io::Result<()> {
     fs::create_dir_all(dir)?;
     // Atomic, fsynced replace: concurrent ensure passes (several
     // schedulers, or a scheduler racing its own workers) must never
     // expose a half-written file to a reader, and a crash must not be
     // able to tear one.
-    crate::engine::fsutil::write_atomic(path, json.as_bytes())
+    crate::engine::fsutil::write_atomic(path, serde_json::to_string(store).as_bytes())
 }
 
-fn key(benchmark: &str, seed: u64) -> (String, u64) {
-    (benchmark.to_string(), seed)
-}
-
-fn warm_key(benchmark: &str, seed: u64, warmup: u64) -> (String, u64, u64) {
+fn key(benchmark: &str, seed: u64, warmup: u64) -> (String, u64, u64) {
     (benchmark.to_string(), seed, warmup)
 }
 
@@ -460,17 +354,10 @@ fn dir_from_env() -> Option<PathBuf> {
     Some(dir)
 }
 
-type Registry = Mutex<HashMap<(String, u64), Arc<CheckpointStore>>>;
+type Registry = Mutex<HashMap<(String, u64, u64), Arc<SegmentStores>>>;
 
 fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(Mutex::default)
-}
-
-type WarmRegistry = Mutex<HashMap<(String, u64, u64), Arc<WarmStore>>>;
-
-fn warm_registry() -> &'static WarmRegistry {
-    static REGISTRY: OnceLock<WarmRegistry> = OnceLock::new();
     REGISTRY.get_or_init(Mutex::default)
 }
 
@@ -513,20 +400,36 @@ mod tests {
         // Distinct seed so other tests sharing the process registry
         // cannot interfere.
         let seed = 0xc0fe;
-        assert!(lookup("mcf", seed).is_none());
-        let store = ensure("mcf", seed, &[0, 2_000]).expect("known benchmark");
-        assert!(store.at(2_000).is_some(), "non-zero target recorded");
-        assert!(store.at(0).is_none(), "zero targets are skipped");
-        let again = lookup("mcf", seed).expect("registry hit");
-        assert!(Arc::ptr_eq(&store, &again));
-        // Covered targets do not trigger a new recording pass.
-        let served = ensure("mcf", seed, &[2_000]).unwrap();
-        assert!(Arc::ptr_eq(&store, &served));
-        // A new target extends the store, keeping the old positions.
-        let extended = ensure("mcf", seed, &[4_000]).unwrap();
-        assert!(extended.at(2_000).is_some());
-        assert!(extended.at(4_000).is_some());
-        assert!(ensure("no-such-benchmark", seed, &[1]).is_none());
+        let warmup = 500;
+        assert!(lookup("mcf", seed, warmup).is_none());
+        let stores = ensure("mcf", seed, warmup, &[0, 2_000]).expect("known benchmark");
+        assert!(stores.at(2_000).is_some(), "both halves recorded at a non-zero start");
+        assert!(stores.checkpoints.at(0).is_none(), "zero starts are skipped");
+        assert!(stores.images.at(0).is_none(), "zero starts are skipped");
+        let again = lookup("mcf", seed, warmup).expect("registry hit");
+        assert!(Arc::ptr_eq(&stores, &again));
+        // Covered starts do not trigger a new recording pass.
+        let served = ensure("mcf", seed, warmup, &[2_000]).unwrap();
+        assert!(Arc::ptr_eq(&stores, &served));
+        assert!(ensure("no-such-benchmark", seed, warmup, &[1]).is_none());
+    }
+
+    #[test]
+    fn ensure_warm_registers_and_extends() {
+        let seed = 0xbeef;
+        let warmup = SEGMENT_WARMUP;
+        assert!(lookup("swim", seed, warmup).is_none());
+        let stores = ensure("swim", seed, warmup, &[1_000]).expect("known benchmark");
+        assert!(stores.images.at(1_000).is_some());
+        let served = ensure("swim", seed, warmup, &[1_000]).unwrap();
+        assert!(Arc::ptr_eq(&stores, &served), "covered starts are not re-recorded");
+        // A new start extends both stores by one pass over the union.
+        let extended = ensure("swim", seed, warmup, &[2_500]).unwrap();
+        assert!(extended.at(1_000).is_some());
+        assert!(extended.at(2_500).is_some());
+        assert_eq!(extended.images.len(), 2);
+        // A different warm-up length is a different entry.
+        assert!(lookup("swim", seed, warmup + 1).is_none());
     }
 
     #[test]
@@ -568,23 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn ensure_warm_registers_and_extends() {
-        let seed = 0xbeef;
-        let warmup = SEGMENT_WARMUP;
-        assert!(lookup_warm("swim", seed, warmup).is_none());
-        let store = ensure_warm("swim", seed, warmup, &[1_000]).expect("known benchmark");
-        assert!(store.at(1_000).is_some());
-        let served = ensure_warm("swim", seed, warmup, &[1_000]).unwrap();
-        assert!(Arc::ptr_eq(&store, &served), "covered starts are not re-recorded");
-        let extended = ensure_warm("swim", seed, warmup, &[2_500]).unwrap();
-        assert!(extended.at(1_000).is_some());
-        assert!(extended.at(2_500).is_some());
-        // A different warm-up length is a different store.
-        assert!(lookup_warm("swim", seed, warmup + 1).is_none());
-        assert!(ensure_warm("no-such-benchmark", seed, warmup, &[1]).is_none());
-    }
-
-    #[test]
     fn corrupt_disk_store_degrades_to_a_miss() {
         // Satellite regression: a half-written (torn) store file must be
         // ignored with a fallback, never a panic or a parse abort.
@@ -607,6 +493,16 @@ mod tests {
         // Valid JSON of the wrong shape is also a miss, not a panic.
         fs::write(&warm_path, "{\"images\": 7}").unwrap();
         assert!(load_disk_store::<WarmStore>(&warm_path, "warm-image").is_none());
+
+        // Bytes that are not UTF-8 are damage like any other: a miss and
+        // a `corrupt_store` warning.
+        fs::write(&ckpt_path, b"\xff\xfe\x00garbage").unwrap();
+        let capture = Arc::new(ltc_telemetry::Capture::new());
+        let loaded = ltc_telemetry::with_subscriber(capture.clone(), || {
+            load_disk_store::<CheckpointStore>(&ckpt_path, "checkpoint")
+        });
+        assert!(loaded.is_none());
+        assert_eq!(capture.named("corrupt_store").len(), 1);
 
         // An intact file still loads.
         fs::write(&warm_path, &full).unwrap();
@@ -648,14 +544,58 @@ mod tests {
         }
 
         // The miss degrades to the replay path, which still produces the
-        // byte-identical partial the intact image would have.
+        // byte-identical partial the intact pair would have.
         let cfg = StreamConfig::with_budget(32 << 10).with_warmup(warmup);
         let seg = TraceSegment { index: 1, segments: 2, start, len: 400 };
-        let via_image =
-            StreamAnalysis::run_segment_with(&mut entry.build(1), seg, cfg, None, store.at(start));
+        let checkpoints = record_targets(&mut entry.build(1), &[start]);
+        let via_image = StreamAnalysis::run_segment_with(
+            &mut entry.build(1),
+            seg,
+            cfg,
+            checkpoints.at(start),
+            store.at(start),
+        );
         let fallback = StreamAnalysis::run_segment_with(&mut entry.build(1), seg, cfg, None, None);
         assert_eq!(fallback, via_image, "replay fallback diverged from the warm image");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_refused_checkpoint_replays_on_an_untouched_source() {
+        use ltc_analysis::{StreamAnalysis, StreamConfig};
+        use ltc_telemetry::{Capture, FieldValue};
+        use ltc_trace::{SourceState, TraceSegment};
+
+        // gcc's state at 12 000 nests sweep, chase and sweep states. With
+        // the third swapped for the chase's, the restore fails after two
+        // phases; the worker must still replay an untouched source.
+        let entry = suite::by_name("gcc").unwrap();
+        let start = 12_000;
+        let cfg = StreamConfig::with_budget(32 << 10);
+        let seg = TraceSegment { index: 1, segments: 2, start, len: 4_000 };
+        let mut checkpoint =
+            record_targets(&mut entry.build(1), &[start]).at(start).unwrap().clone();
+        let SourceState::Phase { phases, .. } = &mut checkpoint.state else {
+            panic!("gcc is a phase mix")
+        };
+        let kinds: Vec<&str> = phases.iter().map(SourceState::kind).collect();
+        assert_eq!(kinds, ["sweep", "chase", "sweep"]);
+        phases[2] = phases[1].clone();
+        let images = record_warm_images(&mut entry.build(1), cfg.warmup, &[start]);
+
+        let capture = Arc::new(Capture::new());
+        let partial = ltc_telemetry::with_subscriber(capture.clone(), || {
+            StreamAnalysis::run_segment_with(
+                &mut entry.build(1),
+                seg,
+                cfg,
+                Some(&checkpoint),
+                images.at(start),
+            )
+        });
+        assert_eq!(partial, StreamAnalysis::run_segment(&mut entry.build(1), seg, cfg));
+        let points = capture.named("segment_restore");
+        assert_eq!(points[0].field("reason"), Some(&FieldValue::Str("restore_failed".into())));
     }
 
     #[test]

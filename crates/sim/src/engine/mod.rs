@@ -31,13 +31,13 @@
 //!    `stream-segmented` spec expands to per-segment child specs before
 //!    backend dispatch and its report is merged from their partial
 //!    summaries.
-//! 8. [`checkpoints`] — shared segment starts: the scheduler records
-//!    generator checkpoints once per `(benchmark, seed)` and warm
-//!    hierarchy images once per `(benchmark, seed, warm-up)`, traces in
-//!    parallel on the pool's thread count, so segment workers restore a
-//!    snapshot instead of regenerating an O(start) prefix and replaying
-//!    the warm-up (on-disk hand-off to subprocess workers via
-//!    `LTC_CHECKPOINT_DIR`).
+//! 8. [`checkpoints`] — shared segment starts: the scheduler records a
+//!    generator checkpoint and a warm hierarchy image at every slice
+//!    start once per `(benchmark, seed, warm-up)`, traces in parallel on
+//!    the pool's thread count. Each segment worker restores its pair
+//!    instead of regenerating an O(start) prefix and replaying the
+//!    warm-up, or replays from access 0 without one (on-disk hand-off to
+//!    subprocess workers via `LTC_CHECKPOINT_DIR`).
 //! 9. [`fsutil`] — crash-safe persistence shared by the stores above:
 //!    every on-disk write stages into a pid-suffixed tmp file, fsyncs,
 //!    and renames; startup sweeps staging files leaked by dead

@@ -224,34 +224,22 @@ impl Scheduler {
             ("to_run".to_string(), (to_run.len() as u64).into()),
         ]);
 
-        // Record generator checkpoints and warm hierarchy images once per
-        // trace before the backend fans segment workers out: one O(trace)
-        // recording pass replaces every worker's O(start) skip loop, and
-        // one warm-up replay per slice start replaces every worker's
-        // O(warm-up) cache rebuild. The in-process backend finds the stores
-        // in the process registry; subprocess workers read them from
-        // `LTC_CHECKPOINT_DIR` when set. With warm images enabled the
-        // generator checkpoints land at the slice starts themselves (the
-        // image covers the window before); with `LTC_NO_WARM_IMAGES` set
-        // they land at the pre-warm-up points and workers replay. Traces
+        // Record a generator checkpoint and a warm hierarchy image at
+        // every slice start once per trace before the backend fans
+        // segment workers out: one recording pass replaces every worker's
+        // O(start) skip loop and O(warm-up) cache rebuild. The in-process
+        // backend finds the stores in the process registry; subprocess
+        // workers read them from `LTC_CHECKPOINT_DIR` when set. Traces
         // record in parallel, one per job on `opts.threads` workers, in
-        // `(benchmark, seed)` order.
-        let warm_enabled = !checkpoints::warm_images_disabled();
+        // `(benchmark, seed)` order; a job covers each warm-up length its
+        // segments use.
         let mut prepass: BTreeMap<(&str, u64), TracePrepass> = BTreeMap::new();
         for spec in &to_run {
             if let Mode::StreamSegment { segments, segment, warmup, .. } = spec.mode {
                 let start = ltc_trace::TraceSegment::nth(spec.accesses, segments, segment).start;
-                if start == 0 {
-                    continue;
-                }
-                let job = prepass.entry((&spec.benchmark, spec.seed)).or_default();
-                let target = start - start.min(warmup);
-                if target > 0 {
-                    job.targets.push(target);
-                }
-                if warm_enabled {
-                    job.targets.push(start);
-                    job.warm_starts.entry(warmup).or_default().push(start);
+                if start > 0 {
+                    let job = prepass.entry((&spec.benchmark, spec.seed)).or_default();
+                    job.entry(warmup).or_default().push(start);
                 }
             }
         }
@@ -353,20 +341,16 @@ impl Scheduler {
     }
 }
 
-/// The pre-pass work for one `(benchmark, seed)` trace: the generator
-/// checkpoint positions its segment workers seek to, and the slice starts
-/// to snapshot warm images at, per warm-up length.
-#[derive(Debug, Default)]
-struct TracePrepass {
-    targets: Vec<u64>,
-    warm_starts: BTreeMap<u64, Vec<u64>>,
-}
+/// The pre-pass work for one `(benchmark, seed)` trace: the slice starts
+/// of its segments, per warm-up length.
+type TracePrepass = BTreeMap<u64, Vec<u64>>;
 
-/// Records each trace's warm images and then its checkpoints, one trace
-/// per job, on up to `threads` scoped workers pulling from `jobs` in
-/// order. Jobs share only the mutex-guarded registries and the
-/// checkpoint directory, and each writes only its own store files
-/// (atomically), so the stores are byte-identical at any thread count.
+/// Records each trace's segment starts ([`checkpoints::ensure`]), one
+/// trace per job, on up to `threads` scoped workers pulling from `jobs`
+/// in order. Jobs share only the mutex-guarded registry and the
+/// checkpoint directory, and each writes only its own trace's store
+/// files (atomically), so the stores are byte-identical at any thread
+/// count.
 fn run_prepass(jobs: Vec<((&str, u64), TracePrepass)>, threads: usize) {
     // Relaxed suffices: the counter only hands out indices into `jobs`,
     // which no thread mutates.
@@ -377,10 +361,9 @@ fn run_prepass(jobs: Vec<((&str, u64), TracePrepass)>, threads: usize) {
                 while let Some(((benchmark, seed), job)) =
                     jobs.get(next.fetch_add(1, Ordering::Relaxed))
                 {
-                    for (warmup, starts) in &job.warm_starts {
-                        checkpoints::ensure_warm(benchmark, *seed, *warmup, starts);
+                    for (warmup, starts) in job {
+                        checkpoints::ensure(benchmark, *seed, *warmup, starts);
                     }
-                    checkpoints::ensure(benchmark, *seed, &job.targets);
                 }
             });
         }

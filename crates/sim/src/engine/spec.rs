@@ -514,37 +514,23 @@ impl RunSpec {
             Mode::StreamSegment { budget_bytes, segments, segment, warmup } => {
                 let mut src = self.build_source();
                 let slice = ltc_trace::TraceSegment::nth(self.accesses, *segments, *segment);
-                // A recorded warm image at the slice start (the
-                // scheduler's ensure pass, or the parent spec in this
-                // process) replaces the warm-up replay outright; the
-                // generator checkpoint then seeks to the slice start
-                // itself instead of the pre-warm-up point. Without either
-                // the worker degrades gracefully: checkpoint-seek plus
-                // replay, or the plain skip loop.
-                let warm_image = match slice.start {
+                // The checkpoint and warm image recorded at the slice
+                // start (the scheduler's pre-pass, or the parent spec in
+                // this process) replace the prefix and the warm-up
+                // replay; without that pair the worker replays from 0.
+                let stores = match slice.start {
                     0 => None,
-                    _ => {
-                        crate::engine::checkpoints::lookup_warm(&self.benchmark, self.seed, *warmup)
-                            .and_then(|store| store.at(slice.start).cloned())
-                    }
+                    _ => crate::engine::checkpoints::lookup(&self.benchmark, self.seed, *warmup),
                 };
-                let target = match &warm_image {
-                    Some(_) => slice.start,
-                    None => slice.start - slice.start.min(*warmup),
-                };
-                let checkpoint = match target {
-                    0 => None,
-                    _ => crate::engine::checkpoints::lookup(&self.benchmark, self.seed)
-                        .and_then(|store| store.nearest_at_or_before(target).cloned()),
-                };
+                let pair = stores.as_deref().and_then(|stores| stores.at(slice.start));
                 RunResult::StreamPartial(Box::new(StreamAnalysis::run_segment_with(
                     &mut src,
                     slice,
                     StreamConfig::with_budget(*budget_bytes)
                         .with_seed(self.seed)
                         .with_warmup(*warmup),
-                    checkpoint.as_ref(),
-                    warm_image.as_ref(),
+                    pair.map(|(checkpoint, _)| checkpoint),
+                    pair.map(|(_, image)| image),
                 )))
             }
             Mode::StreamSegmented { segments, warmup, .. } => {

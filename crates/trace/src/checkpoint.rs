@@ -1,4 +1,4 @@
-//! Snapshot/restore checkpointing and O(K) seeking for trace sources.
+//! Snapshot/restore checkpointing for trace sources.
 //!
 //! A generator's state at access `s` used to be reachable only by
 //! producing the first `s` accesses. [`SourceState`] captures the
@@ -9,12 +9,10 @@
 //! serializable (like the sketch `*State` types), so checkpoints cross
 //! process boundaries on the worker protocol or a shared directory.
 //!
-//! [`SeekableSource`] layers positioning on top: it records a snapshot
-//! into a [`CheckpointStore`] every `interval` accesses and answers
-//! [`SeekableSource::seek`] by restoring the nearest checkpoint at or
-//! before the target and generating only the residual — O(K) instead of
-//! O(start). Sources that cannot checkpoint (external recordings wrapped
-//! in ad-hoc adapters) degrade to the old forward-generation behaviour.
+//! A [`CheckpointStore`] holds positioned snapshots of one stream. The
+//! engine records one per trace at the slice starts of a segmented run
+//! (`ltc_sim::engine::checkpoints`), and each segment worker restores
+//! the snapshot at its own start instead of regenerating the prefix.
 //!
 //! Checkpoints are an accelerator, never a semantic change: a restored
 //! stream is byte-identical to an uninterrupted one (property-tested per
@@ -25,23 +23,16 @@ use std::fmt;
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
-use crate::record::MemoryAccess;
-use crate::source::TraceSource;
-
-/// Default snapshot interval `K` for [`SeekableSource`]: seeks cost at
-/// most this many generated accesses once a prefix has been covered.
-pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 1 << 16;
-
 /// The serializable mid-stream state of a trace source.
 ///
 /// Each variant holds only what the matching generator mutates while
 /// streaming; construction-time derived data (placements, visit orders,
 /// static index tables) is rebuilt by constructing a fresh generator
 /// from the same configuration before calling
-/// [`TraceSource::restore`]. Mutable derived data (a chase order under
-/// mutation, an indirect index array under churn) is carried only when
-/// the configuration can actually have perturbed it, keeping common
-/// checkpoints a few dozen bytes.
+/// [`TraceSource::restore`](crate::TraceSource::restore). Mutable
+/// derived data (a chase order under mutation, an indirect index array
+/// under churn) is carried only when the configuration can actually
+/// have perturbed it, keeping common checkpoints a few dozen bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SourceState {
     /// [`crate::gen::SweepGen`] state.
@@ -171,7 +162,7 @@ impl SourceState {
     }
 }
 
-/// Why a [`TraceSource::restore`] call was refused.
+/// Why a [`TraceSource::restore`](crate::TraceSource::restore) call was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RestoreError {
     /// The source does not implement checkpointing at all.
@@ -405,8 +396,9 @@ pub struct Checkpoint {
 
 /// An ordered collection of [`Checkpoint`]s for one logical stream.
 ///
-/// Kept sorted by position; [`CheckpointStore::nearest_at_or_before`]
-/// answers the seek query. Serializable, so a store can be computed once
+/// Kept sorted by position; [`CheckpointStore::at`] and
+/// [`CheckpointStore::nearest_at_or_before`] answer position queries.
+/// Serializable, so a store can be computed once
 /// and shared across worker processes.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CheckpointStore {
@@ -414,11 +406,6 @@ pub struct CheckpointStore {
 }
 
 impl CheckpointStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        CheckpointStore::default()
-    }
-
     /// Number of checkpoints held.
     pub fn len(&self) -> usize {
         self.checkpoints.len()
@@ -443,7 +430,7 @@ impl CheckpointStore {
         self.checkpoints.binary_search_by_key(&pos, |c| c.pos).ok().map(|i| &self.checkpoints[i])
     }
 
-    /// The latest checkpoint at or before `pos` — the seek entry point.
+    /// The latest checkpoint at or before `pos`.
     pub fn nearest_at_or_before(&self, pos: u64) -> Option<&Checkpoint> {
         match self.checkpoints.binary_search_by_key(&pos, |c| c.pos) {
             Ok(i) => Some(&self.checkpoints[i]),
@@ -458,216 +445,30 @@ impl CheckpointStore {
     }
 }
 
-/// A [`TraceSource`] wrapper that can [`seek`](SeekableSource::seek) in
-/// O(K) by checkpointing every `interval` accesses.
-///
-/// While streaming, a snapshot is recorded whenever the position crosses
-/// an interval boundary (including position 0 at construction), so any
-/// already-covered prefix can be re-entered at interval granularity. A
-/// seek restores the nearest checkpoint at or before the target and
-/// generates the residual. Sources whose [`TraceSource::checkpoint`]
-/// returns `None` degrade gracefully: forward seeks generate the whole
-/// distance (the old O(start) behaviour) and backward seeks fail.
-#[derive(Debug)]
-pub struct SeekableSource<S> {
-    inner: S,
-    pos: u64,
-    interval: u64,
-    store: CheckpointStore,
-    checkpointable: bool,
-}
-
-impl<S: TraceSource> SeekableSource<S> {
-    /// Wraps `inner` with the [`DEFAULT_CHECKPOINT_INTERVAL`].
-    pub fn new(inner: S) -> Self {
-        Self::with_interval(inner, DEFAULT_CHECKPOINT_INTERVAL)
-    }
-
-    /// Wraps `inner`, snapshotting every `interval` accesses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    pub fn with_interval(inner: S, interval: u64) -> Self {
-        Self::with_store(inner, interval, CheckpointStore::new())
-    }
-
-    /// Wraps a **freshly constructed** `inner` (at stream position 0)
-    /// with a pre-populated store — e.g. checkpoints computed by another
-    /// worker and shipped over the worker protocol. The store's
-    /// checkpoints must have been taken from an identically configured
-    /// source; [`TraceSource::restore`] rejects shape mismatches, but
-    /// cannot detect a wrong seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    pub fn with_store(inner: S, interval: u64, store: CheckpointStore) -> Self {
-        assert!(interval > 0, "checkpoint interval must be non-zero");
-        let mut s = SeekableSource {
-            checkpointable: inner.checkpoint().is_some(),
-            inner,
-            pos: 0,
-            interval,
-            store,
-        };
-        s.record();
-        s
-    }
-
-    /// Accesses produced so far (the index of the next access).
-    pub fn position(&self) -> u64 {
-        self.pos
-    }
-
-    /// The accumulated checkpoints.
-    pub fn store(&self) -> &CheckpointStore {
-        &self.store
-    }
-
-    /// Consumes the wrapper, returning the accumulated checkpoints.
-    pub fn into_store(self) -> CheckpointStore {
-        self.store
-    }
-
-    /// Records a snapshot at the current position if none exists yet.
-    fn record(&mut self) {
-        if !self.checkpointable || self.store.at(self.pos).is_some() {
-            return;
-        }
-        if let Some(state) = self.inner.checkpoint() {
-            self.store.insert(Checkpoint { pos: self.pos, state });
-        }
-    }
-
-    /// Positions the stream so the next access produced is the
-    /// `target`-th (0-based), restoring the nearest checkpoint at or
-    /// before the target and generating only the residual. Returns the
-    /// number of residual accesses generated.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the target lies behind the current position
-    /// and no usable checkpoint exists (non-checkpointable source), or
-    /// when restoring a checkpoint fails; the source should be discarded
-    /// after an error.
-    pub fn seek(&mut self, target: u64) -> Result<u64, RestoreError> {
-        if target != self.pos {
-            let restore_from = self
-                .store
-                .nearest_at_or_before(target)
-                .filter(|c| target < self.pos || c.pos > self.pos)
-                .cloned();
-            if let Some(c) = restore_from {
-                self.inner.restore(&c.state)?;
-                self.pos = c.pos;
-            } else if target < self.pos {
-                return Err(RestoreError::Unsupported);
-            }
-        }
-        let mut generated = 0;
-        while self.pos < target {
-            if self.next_access().is_none() {
-                break;
-            }
-            generated += 1;
-        }
-        Ok(generated)
-    }
-}
-
-impl<S: TraceSource> TraceSource for SeekableSource<S> {
-    fn next_access(&mut self) -> Option<MemoryAccess> {
-        if self.pos % self.interval == 0 {
-            self.record();
-        }
-        let a = self.inner.next_access();
-        if a.is_some() {
-            self.pos += 1;
-        }
-        a
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{Addr, Pc};
-    use crate::source::Replay;
-
-    fn numbered(n: u64) -> Replay {
-        Replay::once((0..n).map(|i| MemoryAccess::load(Pc(i), Addr(i * 64))).collect())
-    }
-
-    #[test]
-    fn seek_forward_and_backward_lands_exactly() {
-        let mut s = SeekableSource::with_interval(numbered(100), 10);
-        assert_eq!(s.seek(37).unwrap(), 37);
-        assert_eq!(s.next_access().unwrap().pc, Pc(37));
-        // Backward: restores the checkpoint at 30 and generates 2.
-        assert_eq!(s.seek(32).unwrap(), 2);
-        assert_eq!(s.next_access().unwrap().pc, Pc(32));
-        // Forward over covered ground uses the nearest later checkpoint.
-        assert!(s.seek(95).unwrap() <= 95);
-        assert_eq!(s.next_access().unwrap().pc, Pc(95));
-    }
-
-    #[test]
-    fn checkpoints_accumulate_at_interval_boundaries() {
-        let mut s = SeekableSource::with_interval(numbered(50), 8);
-        while s.next_access().is_some() {}
-        // Positions 0, 8, 16, 24, 32, 40, 48.
-        assert_eq!(s.store().len(), 7);
-        assert_eq!(s.store().nearest_at_or_before(23).unwrap().pos, 16);
-        assert_eq!(s.store().nearest_at_or_before(7).unwrap().pos, 0);
-        assert!(s.store().at(9).is_none());
-    }
-
-    #[test]
-    fn seek_past_end_stops_at_exhaustion() {
-        let mut s = SeekableSource::with_interval(numbered(10), 4);
-        assert_eq!(s.seek(25).unwrap(), 10);
-        assert!(s.next_access().is_none());
-    }
+    use crate::record::{Addr, MemoryAccess, Pc};
+    use crate::source::{Replay, TraceSource};
 
     #[test]
     fn store_round_trips_through_serde() {
-        let mut s = SeekableSource::with_interval(numbered(20), 5);
-        while s.next_access().is_some() {}
-        let store = s.into_store();
-        let value = store.to_value();
-        let parsed = CheckpointStore::from_value(&value).unwrap();
-        assert_eq!(parsed, store);
-    }
-
-    #[test]
-    fn prepopulated_store_skips_generation() {
-        let mut first = SeekableSource::with_interval(numbered(40), 10);
-        while first.next_access().is_some() {}
-        let store = first.into_store();
-        let mut second = SeekableSource::with_store(numbered(40), 10, store);
-        // 35 sits 5 past the checkpoint at 30: only 5 residual accesses.
-        assert_eq!(second.seek(35).unwrap(), 5);
-        assert_eq!(second.next_access().unwrap().pc, Pc(35));
-    }
-
-    /// A source with no checkpoint support: forward seeks degrade to
-    /// generation, backward seeks fail.
-    struct Opaque(Replay);
-
-    impl TraceSource for Opaque {
-        fn next_access(&mut self) -> Option<MemoryAccess> {
-            self.0.next_access()
+        // Snapshot a numbered recording every 5 accesses.
+        let mut source =
+            Replay::once((0..20).map(|i| MemoryAccess::load(Pc(i), Addr(i * 64))).collect());
+        let mut store = CheckpointStore::default();
+        for pos in 0..20 {
+            if pos % 5 == 0 {
+                store.insert(Checkpoint { pos, state: source.checkpoint().unwrap() });
+            }
+            source.next_access();
         }
-    }
-
-    #[test]
-    fn non_checkpointable_sources_degrade_to_forward_generation() {
-        let mut s = SeekableSource::with_interval(Opaque(numbered(30)), 4);
-        assert_eq!(s.seek(12).unwrap(), 12);
-        assert_eq!(s.store().len(), 0);
-        assert_eq!(s.next_access().unwrap().pc, Pc(12));
-        assert_eq!(s.seek(5), Err(RestoreError::Unsupported));
+        assert_eq!(store.len(), 4);
+        assert_eq!(store.nearest_at_or_before(13).unwrap().pos, 10);
+        assert_eq!(store.nearest_at_or_before(4).unwrap().pos, 0);
+        assert!(store.at(9).is_none());
+        let parsed = CheckpointStore::from_value(&store.to_value()).unwrap();
+        assert_eq!(parsed, store);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::checkpoint::{RestoreError, SourceState};
 use crate::record::MemoryAccess;
-use crate::source::{BoxedSource, TraceSource};
+use crate::source::{restore_all, BoxedSource, TraceSource};
 
 /// Cycles through sub-generators, emitting a fixed number of accesses from
 /// each before moving to the next, forever.
@@ -88,9 +88,7 @@ impl TraceSource for PhaseMix {
         if *current >= self.phases.len() as u64 {
             return Err(RestoreError::invalid(format!("phase index {current} out of range")));
         }
-        for ((src, _), sub) in self.phases.iter_mut().zip(phases) {
-            src.restore(sub)?;
-        }
+        restore_all(self.phases.iter_mut().map(|(src, _)| src).collect(), phases)?;
         self.current = *current as usize;
         self.emitted = *emitted;
         Ok(())
@@ -126,6 +124,24 @@ mod tests {
         let mut m = PhaseMix::new(vec![(finite, 100), (looping(3), 2)]);
         let pcs: Vec<u64> = m.collect_accesses(4).iter().map(|a| a.pc.0).collect();
         assert_eq!(pcs, vec![9, 3, 3, 3]);
+    }
+
+    #[test]
+    fn failed_restore_leaves_the_mixer_unchanged() {
+        let build = || PhaseMix::new(vec![(looping(1), 2), (looping(2), 3)]);
+        let mut mixer = build();
+        let mut reference = build();
+        mixer.collect_accesses(3);
+        reference.collect_accesses(3);
+        // The first phase's state fits; the second's position does not.
+        let bad = SourceState::Phase {
+            current: 0,
+            emitted: 0,
+            phases: vec![SourceState::Replay { pos: 0 }, SourceState::Replay { pos: 9 }],
+        };
+        assert!(mixer.restore(&bad).is_err());
+        assert_eq!(mixer.checkpoint(), reference.checkpoint());
+        assert_eq!(mixer.collect_accesses(10), reference.collect_accesses(10));
     }
 
     #[test]

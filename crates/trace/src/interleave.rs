@@ -2,7 +2,7 @@
 
 use crate::checkpoint::{RestoreError, SourceState};
 use crate::record::MemoryAccess;
-use crate::source::{BoxedSource, TraceSource};
+use crate::source::{restore_all, BoxedSource, TraceSource};
 
 /// Interleaves several programs with context switches, as in the paper's
 /// multi-programmed study (Section 5.5).
@@ -136,9 +136,7 @@ impl TraceSource for MultiProgram {
         if *current >= self.programs.len() as u64 {
             return Err(RestoreError::invalid(format!("program index {current} out of range")));
         }
-        for (p, sub) in self.programs.iter_mut().zip(programs) {
-            p.source.restore(sub)?;
-        }
+        restore_all(self.programs.iter_mut().map(|p| &mut p.source).collect(), programs)?;
         for (p, &flag) in self.programs.iter_mut().zip(done) {
             p.done = flag;
         }
@@ -207,6 +205,25 @@ mod tests {
             pcs.push(a.pc.0);
         }
         assert_eq!(pcs, vec![1, 2, 1]);
+    }
+
+    #[test]
+    fn failed_restore_leaves_the_interleaving_unchanged() {
+        let build = || MultiProgram::new(vec![(looping(1), 2, 0), (looping(2), 3, 0)]);
+        let mut multi = build();
+        let mut reference = build();
+        multi.collect_accesses(3);
+        reference.collect_accesses(3);
+        // The first program's state fits; the second's position does not.
+        let bad = SourceState::MultiProgram {
+            current: 0,
+            remaining: 1,
+            done: vec![false, false],
+            programs: vec![SourceState::Replay { pos: 0 }, SourceState::Replay { pos: 9 }],
+        };
+        assert!(multi.restore(&bad).is_err());
+        assert_eq!(multi.checkpoint(), reference.checkpoint());
+        assert_eq!(multi.collect_accesses(10), reference.collect_accesses(10));
     }
 
     #[test]

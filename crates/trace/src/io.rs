@@ -16,7 +16,7 @@
 //! build on; it is several times faster and asserted record-for-record
 //! identical to the reference by `tests/decode_parity.rs`.
 
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Write};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -450,38 +450,6 @@ impl<R: Read> BatchReader<R> {
     }
 }
 
-impl<R: Read + Seek> BatchReader<R> {
-    /// Positions the stream so the next access decoded is record `n`
-    /// (0-based) — an O(1) file seek on the fixed 21-byte record format,
-    /// the recorded-trace counterpart of generator checkpointing.
-    ///
-    /// A target at or past the end of the recording clamps to the end
-    /// (the next read then reports a clean end of stream, mirroring what
-    /// skipping forward record by record would have produced). Returns
-    /// the record position actually landed on, and clears any parked
-    /// [`BatchReader::error`] along with buffered batch state.
-    ///
-    /// # Errors
-    ///
-    /// Returns any underlying I/O error from seeking.
-    pub fn seek_record(&mut self, n: u64) -> io::Result<u64> {
-        let end = self.reader.seek(SeekFrom::End(0))?;
-        let payload = end.saturating_sub(HEADER_BYTES as u64);
-        // Floor division: a trailing partial record is not addressable
-        // (decoding it reports the same mid-record error a sequential
-        // read would hit).
-        let total = payload / RECORD_BYTES as u64;
-        let target = n.min(total);
-        self.reader.seek(SeekFrom::Start(HEADER_BYTES as u64 + target * RECORD_BYTES as u64))?;
-        self.current = TraceBatch::default();
-        self.pos = 0;
-        self.error = None;
-        self.done = false;
-        self.truncated = false;
-        Ok(target)
-    }
-}
-
 impl<R: Read> TraceSource for BatchReader<R> {
     fn next_access(&mut self) -> Option<MemoryAccess> {
         if self.pos >= self.current.len() {
@@ -584,6 +552,11 @@ mod tests {
         assert_eq!(batch.len(), 9);
         let err = reader.next_batch().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // The source face also yields the 9 whole records, then ends the
+        // stream and parks the same error.
+        let mut reader = BatchReader::new(buf.as_slice()).unwrap();
+        assert_eq!(reader.collect_accesses(100).len(), 9);
+        assert_eq!(reader.error().map(io::Error::kind), Some(io::ErrorKind::InvalidData));
     }
 
     #[test]
@@ -638,87 +611,8 @@ mod tests {
         let mut reader = BatchReader::new(buf.as_slice()).unwrap();
         let restored = reader.collect_accesses(2 * n);
         assert_eq!(restored, original);
-        assert!(reader.error().is_none());
-    }
-
-    /// A numbered recording (`pc == record index`) for seek tests.
-    fn numbered_trace(n: u64) -> Vec<u8> {
-        let accesses: Vec<MemoryAccess> =
-            (0..n).map(|i| MemoryAccess::load(Pc(i), Addr(i * 64))).collect();
-        let mut buf = Vec::new();
-        write_trace(&mut Replay::once(accesses), &mut buf, u64::MAX).unwrap();
-        buf
-    }
-
-    #[test]
-    fn seek_record_lands_exactly_forward_and_backward() {
-        let buf = numbered_trace(500);
-        let mut reader = BatchReader::new(io::Cursor::new(&buf)).unwrap();
-        assert_eq!(reader.seek_record(321).unwrap(), 321);
-        assert_eq!(reader.next_access().unwrap().pc, Pc(321));
-        // Backward, after buffered state exists.
-        assert_eq!(reader.seek_record(7).unwrap(), 7);
-        assert_eq!(reader.next_access().unwrap().pc, Pc(7));
-        // Seek to 0 replays from the very first record.
-        assert_eq!(reader.seek_record(0).unwrap(), 0);
-        assert_eq!(reader.next_access().unwrap().pc, Pc(0));
-    }
-
-    #[test]
-    fn seek_record_past_eof_clamps_to_a_clean_end() {
-        let buf = numbered_trace(100);
-        let mut reader = BatchReader::new(io::Cursor::new(&buf)).unwrap();
-        assert_eq!(reader.seek_record(100).unwrap(), 100, "end itself is addressable");
-        assert!(reader.next_access().is_none());
-        assert!(reader.error().is_none(), "past-EOF is a clean end, not an error");
-        assert_eq!(reader.seek_record(u64::MAX).unwrap(), 100);
+        assert!(reader.error().is_none(), "the end of a whole recording is clean");
         assert!(reader.next_batch().unwrap().is_none());
-        // The reader is still usable after the clamped seek.
-        assert_eq!(reader.seek_record(99).unwrap(), 99);
-        assert_eq!(reader.next_access().unwrap().pc, Pc(99));
-    }
-
-    #[test]
-    fn seek_record_into_final_partial_chunk() {
-        // A recording whose tail chunk is partial: seeking into it must
-        // decode exactly the remaining records, no more, no fewer.
-        let n = READER_CHUNK_RECORDS as u64 + 123;
-        let buf = numbered_trace(n);
-        let mut reader = BatchReader::new(io::Cursor::new(&buf)).unwrap();
-        let target = READER_CHUNK_RECORDS as u64 + 100;
-        assert_eq!(reader.seek_record(target).unwrap(), target);
-        let tail = reader.collect_accesses(1000);
-        assert_eq!(tail.len() as u64, n - target);
-        assert_eq!(tail.first().unwrap().pc, Pc(target));
-        assert_eq!(tail.last().unwrap().pc, Pc(n - 1));
-        assert!(reader.error().is_none());
-    }
-
-    #[test]
-    fn seek_record_ignores_a_trailing_partial_record() {
-        let mut buf = numbered_trace(10);
-        buf.pop(); // corrupt the tail: record 9 is now partial
-        let mut reader = BatchReader::new(io::Cursor::new(&buf)).unwrap();
-        // Only 9 whole records are addressable.
-        assert_eq!(reader.seek_record(u64::MAX).unwrap(), 9);
-        assert_eq!(reader.seek_record(8).unwrap(), 8);
-        assert_eq!(reader.next_access().unwrap().pc, Pc(8));
-        // Reading on hits the same mid-record error a sequential read
-        // reports, parked on the source face.
-        assert!(reader.next_access().is_none());
-        assert!(reader.error().is_some());
-    }
-
-    #[test]
-    fn seek_record_resets_a_parked_error() {
-        let mut buf = numbered_trace(10);
-        buf.pop();
-        let mut reader = BatchReader::new(io::Cursor::new(&buf)).unwrap();
-        while reader.next_access().is_some() {}
-        assert!(reader.error().is_some());
-        assert_eq!(reader.seek_record(0).unwrap(), 0);
-        assert!(reader.error().is_none());
-        assert_eq!(reader.collect_accesses(100).len(), 9);
     }
 
     #[test]

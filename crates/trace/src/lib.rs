@@ -37,10 +37,7 @@ pub mod source;
 pub mod stats;
 pub mod suite;
 
-pub use checkpoint::{
-    Checkpoint, CheckpointStore, RestoreError, SeekableSource, SourceState,
-    DEFAULT_CHECKPOINT_INTERVAL,
-};
+pub use checkpoint::{Checkpoint, CheckpointStore, RestoreError, SourceState};
 pub use interleave::MultiProgram;
 pub use record::{AccessKind, Addr, MemoryAccess, Pc};
 pub use segment::TraceSegment;

@@ -8,19 +8,18 @@
 //! partition (even to within one access, covering the budget exactly,
 //! in order).
 //!
-//! Reaching a slice no longer costs `O(start)` generator work per
-//! worker: every built-in source supports the [`checkpoint`] protocol
+//! Reaching a slice need not cost `O(start)` generator work per worker:
+//! every built-in source supports the [`checkpoint`] protocol
 //! ([`TraceSource::checkpoint`] / [`TraceSource::restore`]), so a worker
-//! restores the nearest recorded snapshot at-or-before its slice and
-//! generates only the residual — `O(K)` for checkpoint interval `K`
-//! (plus the bounded warm-up window below). The restored stream is
+//! handed a snapshot recorded at its slice start restores it and
+//! generates nothing before the slice. The restored stream is
 //! element-identical to the skipped one, so reports do not depend on
-//! which path placed the worker. The plain skip loop remains the
-//! fallback whenever no snapshot is available — no checkpoint recorded
-//! at-or-before the target, or a source that does not implement the
-//! protocol (external/recorded sources wrapped by adapters that cannot
-//! snapshot their inner state return `None` from `checkpoint`); it is
-//! generation-only (no simulation), merely `O(start)` instead of `O(K)`.
+//! which path placed the worker. The plain skip loop from access 0
+//! remains the fallback whenever no usable snapshot is available — none
+//! recorded at the start, a state the source refuses, or a source that
+//! does not implement the protocol (external/recorded sources wrapped
+//! by adapters that cannot snapshot their inner state return `None`
+//! from `checkpoint`); it is generation-only (no simulation).
 //! [`TraceSegment::carve`] packages the skip-then-bound pattern for
 //! plain consumers; consumers that keep simulator state place the
 //! source themselves so they can replay a bounded warm-up window of the

@@ -52,8 +52,9 @@ pub trait TraceSource {
     ///
     /// Fails on sources that do not checkpoint (the default), on a state
     /// from a different kind of source, or on values that do not fit
-    /// this source's configuration. A composite source may be left
-    /// partially restored on error — discard it and rebuild.
+    /// this source's configuration. On error the source is unchanged:
+    /// leaf generators validate before they write, and composite sources
+    /// roll back the sub-sources they had already restored.
     fn restore(&mut self, state: &SourceState) -> Result<(), RestoreError> {
         let _ = state;
         Err(RestoreError::Unsupported)
@@ -62,6 +63,30 @@ pub trait TraceSource {
 
 /// Boxed trait object form used by the suite and experiment runner.
 pub type BoxedSource = Box<dyn TraceSource + Send>;
+
+/// Restores each of a composite's `sources` from the matching entry of
+/// `states`, all or nothing: when one sub-restore fails, the sources
+/// restored before it are rolled back to their prior state, so the
+/// composite is left unchanged on error.
+pub(crate) fn restore_all(
+    mut sources: Vec<&mut BoxedSource>,
+    states: &[SourceState],
+) -> Result<(), RestoreError> {
+    let prior: Vec<SourceState> = sources
+        .iter()
+        .map(|source| source.checkpoint())
+        .collect::<Option<_>>()
+        .ok_or(RestoreError::Unsupported)?;
+    for i in 0..sources.len() {
+        if let Err(e) = sources[i].restore(&states[i]) {
+            for (source, state) in sources[..i].iter_mut().zip(&prior) {
+                source.restore(state).expect("a source accepts its own checkpoint");
+            }
+            return Err(e);
+        }
+    }
+    Ok(())
+}
 
 impl TraceSource for BoxedSource {
     fn next_access(&mut self) -> Option<MemoryAccess> {

@@ -191,6 +191,43 @@ fn assert_resumes(
     Ok(())
 }
 
+/// A suite state with one mismatched sub-state is refused, and the
+/// refused source then streams exactly what a fresh one does: composite
+/// restores are all or nothing. gcc's checkpoint at 12 000 nests sweep,
+/// chase and sweep states; the last one becomes a chase state here, so
+/// the restore fails after the first two phases were restored.
+#[test]
+fn composite_restores_are_all_or_nothing_across_the_suite() {
+    let mut nested = Vec::new();
+    for entry in suite::benchmarks() {
+        let mut recorder = entry.build(1);
+        recorder.collect_accesses(12_000);
+        let Some(SourceState::Phase { current, emitted, mut phases }) = recorder.checkpoint()
+        else {
+            continue;
+        };
+        let last = phases.len() - 1;
+        phases[last] = phases
+            .iter()
+            .find(|p| p.kind() != phases[last].kind())
+            .cloned()
+            .unwrap_or(SourceState::Replay { pos: 0 });
+        let mut source = entry.build(1);
+        assert!(
+            source.restore(&SourceState::Phase { current, emitted, phases }).is_err(),
+            "{} accepted a mismatched sub-state",
+            entry.name
+        );
+        assert!(
+            source.collect_accesses(5_000) == entry.build(1).collect_accesses(5_000),
+            "a refused restore changed {}",
+            entry.name
+        );
+        nested.push(entry.name);
+    }
+    assert!(nested.contains(&"gcc"), "suite composites: {nested:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
