@@ -47,13 +47,15 @@
 //! `run --events FILE` (also on `stream`) records the structured
 //! telemetry stream — scheduler planning, per-spec spans with queue-wait
 //! vs run time, segment-restore outcomes, sketch occupancy gauges,
-//! warnings — as JSON lines (`ltc_telemetry` schema v1), including
-//! events forwarded from subprocess workers. `events summarize` renders
-//! a recorded log as per-phase/per-spec breakdown tables. Progress/ETA
-//! rendering itself rides the same event stream (the engine installs a
-//! `ProgressSubscriber` for `--progress` while it executes), and every
-//! `run`/`stream` ends with a one-line summary from the in-memory
-//! aggregator even under `--progress off`.
+//! warnings — as JSON lines (schema v1, see `ltc_sim::engine::eventlog`),
+//! including events forwarded from subprocess workers. `events
+//! summarize` folds a recorded log through the same aggregator a live
+//! run installs and renders it as per-phase/per-spec breakdown tables.
+//! Progress/ETA rendering itself rides the same event stream (the
+//! engine installs a `ProgressSubscriber` for `--progress` while it
+//! executes), and every successful `run`/`stream` ends with a one-line
+//! summary from the in-memory aggregator even under `--progress off`.
+//! A failed run prints no summary but still flushes its event log.
 //!
 //! `stream` runs the bounded-memory one-pass miss analysis. Its runs are
 //! ordinary `RunSpec`s (mode `stream`, budget in the key), so they
@@ -69,6 +71,7 @@ use std::time::Instant;
 
 use ltc_bench::harness::{self, FigureDef};
 use ltc_bench::Scale;
+use ltc_sim::engine::eventlog::{self, JsonLinesWriter};
 use ltc_sim::engine::{
     artifact, BackendKind, EngineOptions, FaultInject, FaultPolicy, ProgressMode, ResultSet,
     RunSpec, FAULT_INJECT_ENV,
@@ -389,10 +392,11 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
 /// in-memory aggregator (always — it powers the end-of-run summary
 /// line) and the JSON-lines event log (with `--events`). The progress
 /// renderer is the engine's own, installed per execution from
-/// [`EngineOptions::progress`].
+/// [`EngineOptions::progress`]. Dropping it flushes and uninstalls the
+/// subscribers, so a run that fails still leaves its whole event log.
 struct RunTelemetry {
     aggregator: Arc<ltc_telemetry::Aggregator>,
-    writer: Option<(Arc<ltc_telemetry::JsonLinesWriter>, String)>,
+    writer: Option<(Arc<JsonLinesWriter>, String)>,
     tokens: Vec<ltc_telemetry::SubscriberToken>,
     started: Instant,
 }
@@ -405,7 +409,7 @@ impl RunTelemetry {
         let writer = match events {
             Some(path) => {
                 let w = Arc::new(
-                    ltc_telemetry::JsonLinesWriter::create(std::path::Path::new(path))
+                    JsonLinesWriter::create(std::path::Path::new(path))
                         .map_err(|e| format!("creating event log {path}: {e}"))?,
                 );
                 tokens.push(ltc_telemetry::install(w.clone()));
@@ -416,13 +420,9 @@ impl RunTelemetry {
         Ok(RunTelemetry { aggregator, writer, tokens, started: Instant::now() })
     }
 
-    /// Flushes and uninstalls the subscribers, then prints the one-line
-    /// end-of-run summary (and the event-log location, if any).
+    /// Prints the one-line end-of-run summary of a successful run (and
+    /// the event-log location, if any).
     fn finish(self) {
-        ltc_telemetry::flush();
-        for token in self.tokens {
-            ltc_telemetry::uninstall(token);
-        }
         println!(
             "summary: {} specs run, {} deduped, {} served from artifact cache in {:.1}s",
             self.aggregator.counter("scheduler.simulated"),
@@ -436,6 +436,15 @@ impl RunTelemetry {
                 writer.events_written(),
                 writer.bytes_written()
             );
+        }
+    }
+}
+
+impl Drop for RunTelemetry {
+    fn drop(&mut self) {
+        ltc_telemetry::flush();
+        for token in self.tokens.drain(..) {
+            ltc_telemetry::uninstall(token);
         }
     }
 }
@@ -663,34 +672,24 @@ fn cmd_events(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Streams this worker's telemetry to stdout as `{"event":…}` frames,
-/// interleaved with (never inside) result lines: the Rust stdlib stdout
-/// lock is re-entrant per thread, and the worker is single-threaded, so
-/// frames written mid-`execute` land whole between protocol lines. The
-/// parent remaps span ids and stamps its own worker ids on arrival.
-struct WireSubscriber;
-
-impl ltc_telemetry::Subscriber for WireSubscriber {
-    fn event(&self, event: &ltc_telemetry::Event) {
-        let mut out = std::io::stdout().lock();
-        let _ = writeln!(out, "{}", ltc_telemetry::wire_line(event));
-        let _ = out.flush();
-    }
-}
-
 /// The subprocess-backend worker loop: one canonical `RunSpec` JSON line
 /// per request on stdin, one `RunResult` JSON line per answer on stdout
 /// (flushed per line — the parent blocks on it), until stdin closes.
 /// Blank lines are ignored so the stream is easy to drive by hand.
 ///
 /// With `LTC_TELEMETRY_WIRE` set (the parent backend sets it whenever
-/// telemetry is enabled on its side), the worker also installs a
-/// [`WireSubscriber`] and wraps each execution in a `worker.spec` span,
-/// so child-side events — segment-restore outcomes, sketch gauges,
-/// warnings — interleave into the parent's event log.
+/// telemetry is enabled on its side), the worker also writes its events
+/// to stdout as plain event lines and wraps each execution in a
+/// `worker.spec` span, so child-side events — segment-restore outcomes,
+/// sketch gauges, warnings — interleave into the parent's event log.
+/// Stdout is line-buffered and its lock re-entrant per thread, and the
+/// worker is single-threaded, so event lines written mid-`execute` land
+/// whole between result lines. The parent remaps span ids and stamps its
+/// own worker ids on arrival.
 fn cmd_worker() -> Result<(), String> {
-    let _wire_token = std::env::var_os(ltc_telemetry::WIRE_ENV)
-        .map(|_| ltc_telemetry::install(Arc::new(WireSubscriber)));
+    let _wire_token = std::env::var_os(eventlog::WIRE_ENV).map(|_| {
+        ltc_telemetry::install(Arc::new(JsonLinesWriter::new(Box::new(std::io::stdout()))))
+    });
     // Chaos-test injection (the supervising parent must recover):
     // `exit-after:<n>` dies abruptly after answering n specs,
     // `hang-before:<n>` stalls the n-th answer until the parent's

@@ -5,7 +5,9 @@
 //! and counters, per-spec execution spans (queue wait vs run time,
 //! worker ids), segment-restore outcomes, sketch occupancy gauges, and
 //! structured warnings — including events forwarded from subprocess
-//! workers. [`summarize`] digests such a log into the operator-facing
+//! workers. [`summarize`] decodes each line with
+//! [`ltc_sim::engine::eventlog::decode`], folds it into the same
+//! [`Aggregator`] live runs install, and renders the operator-facing
 //! breakdown tables: per-phase span totals, the slowest specs, the
 //! artifact-cache hit ratio, the restore-outcome histogram (a replay is
 //! listed with its reason), the fault histogram (`spec.retry` /
@@ -17,320 +19,118 @@
 //! span balance and phase totals but are excluded from the slowest-spec
 //! table so retries do not masquerade as slow completions.
 
-use std::collections::HashMap;
-
+use ltc_sim::engine::eventlog;
 use ltc_sim::report::Table;
-use ltc_sim::serde_json;
-use serde::Value;
+use ltc_telemetry::{Aggregator, EventKind, FieldValue, Subscriber, Tallies};
 
-/// Parses and renders an event log in one step.
+/// Decodes, folds and renders an event log in one step.
 ///
 /// # Errors
 ///
-/// Returns a message naming the first malformed line (bad JSON, missing
-/// required fields, or an unsupported schema version).
+/// Returns a message naming the first malformed line (see
+/// [`eventlog::decode`]).
 pub fn summarize(text: &str) -> Result<String, String> {
-    EventLog::parse(text).map(|log| log.render())
+    fold(text).map(|tallies| render(&tallies))
+}
+
+/// Decodes each line of an event log (blank lines ignored) into one
+/// [`Aggregator`] and returns what it folded, or a message naming the
+/// first malformed line.
+fn fold(text: &str) -> Result<Tallies, String> {
+    let aggregator = Aggregator::new();
+    for (i, line) in text.lines().enumerate() {
+        let trimmed = line.trim();
+        if trimmed.is_empty() {
+            continue;
+        }
+        let event = eventlog::decode(trimmed).map_err(|e| format!("line {}: {e}", i + 1))?;
+        aggregator.event(&event);
+    }
+    Ok(aggregator.tallies())
 }
 
 /// How many of the slowest specs the summary lists.
 const SLOWEST: usize = 5;
 
-/// Aggregated view of one event log.
-#[derive(Default)]
-pub struct EventLog {
-    events: u64,
-    kinds: HashMap<String, u64>,
-    /// Open spans keyed by `(worker, span id)`; used for balance only.
-    open: HashMap<(Option<u64>, u64), u64>,
-    /// Span ends that never saw a begin (or vice versa at the end).
-    unmatched_ends: u64,
-    begun: u64,
-    ended: u64,
-    /// Per span name: (count, total elapsed µs) across span ends.
-    phases: Vec<(String, u64, u64)>,
-    specs: Vec<SpecRow>,
-    cache_hits: u64,
-    cache_probes: u64,
-    restores: Vec<(String, u64)>,
-    /// Fault-path points keyed by event name (`spec.retry`, …).
-    faults: Vec<(String, u64)>,
-    gauges: Vec<(String, u64, Option<u64>)>,
-    counters: Vec<(String, u64)>,
-    warnings: Vec<String>,
-}
+/// Renders the breakdown tables.
+fn render(tallies: &Tallies) -> String {
+    let mut out = String::new();
+    let kind = |k: EventKind| tallies.kinds.get(&k).copied().unwrap_or(0);
+    out.push_str(&format!(
+        "event log: {} events ({} span pairs, {} counters, {} gauges, {} points, {} warnings)\n",
+        tallies.events,
+        tallies.ended.min(tallies.begun),
+        kind(EventKind::Counter),
+        kind(EventKind::Gauge),
+        kind(EventKind::Point),
+        kind(EventKind::Warning),
+    ));
+    out.push_str(&format!(
+        "span balance: {} begun, {} ended, {} unbalanced\n\n",
+        tallies.begun,
+        tallies.ended,
+        tallies.unbalanced_spans()
+    ));
+    let ms = |us: u64| format!("{:.2}", us as f64 / 1e3);
+    let worker = |w: Option<u64>| w.map_or_else(|| "-".to_string(), |w| w.to_string());
+    let counts = |rows: &[(String, u64)]| -> Vec<Vec<String>> {
+        rows.iter().map(|(name, count)| vec![name.clone(), count.to_string()]).collect()
+    };
 
-/// One completed `spec` (or `worker.spec`) span.
-struct SpecRow {
-    label: String,
-    run_us: u64,
-    queue_us: u64,
-    worker: Option<u64>,
-}
+    let mut phases: Vec<_> = tallies.phases.iter().collect();
+    phases.sort_by_key(|(_, _, total)| std::cmp::Reverse(*total));
+    let phases =
+        phases.iter().map(|(name, count, us)| vec![name.clone(), count.to_string(), ms(*us)]);
+    section(&mut out, vec!["phase (span)", "count", "total ms"], phases.collect());
 
-fn field_u64(event: &Value, name: &str) -> Option<u64> {
-    event.get("fields").and_then(|f| f.get(name)).and_then(Value::as_u64)
-}
+    let mut specs: Vec<_> = tallies.specs.iter().collect();
+    specs.sort_by_key(|s| std::cmp::Reverse(s.run_us));
+    let specs = specs.iter().take(SLOWEST);
+    let specs =
+        specs.map(|s| vec![s.label.clone(), ms(s.run_us), ms(s.queue_us), worker(s.worker)]);
+    section(&mut out, vec!["slowest specs", "run ms", "queue ms", "worker"], specs.collect());
 
-fn field_str<'a>(event: &'a Value, name: &str) -> Option<&'a str> {
-    event.get("fields").and_then(|f| f.get(name)).and_then(Value::as_str)
-}
-
-/// Increments `key`'s slot in an insertion-ordered association list
-/// (keeps first-seen order, unlike a `HashMap`, so output is stable).
-fn bump(list: &mut Vec<(String, u64)>, key: &str, delta: u64) {
-    match list.iter_mut().find(|(k, _)| k == key) {
-        Some((_, v)) => *v += delta,
-        None => list.push((key.to_string(), delta)),
-    }
-}
-
-impl EventLog {
-    /// Parses a JSON-lines event log (blank lines ignored).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first malformed line.
-    pub fn parse(text: &str) -> Result<EventLog, String> {
-        let mut log = EventLog::default();
-        for (i, line) in text.lines().enumerate() {
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            let event = serde_json::parse(trimmed).map_err(|e| format!("line {}: {e}", i + 1))?;
-            log.ingest(&event).map_err(|what| format!("line {}: {what}", i + 1))?;
-        }
-        Ok(log)
-    }
-
-    fn ingest(&mut self, event: &Value) -> Result<(), String> {
-        match event.get("v").and_then(Value::as_u64) {
-            Some(1) => {}
-            Some(v) => return Err(format!("unsupported event schema v{v}")),
-            None => return Err("missing schema version field `v`".to_string()),
-        }
-        let kind = event
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or_else(|| "missing `kind`".to_string())?;
-        let name = event
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| "missing `name`".to_string())?;
-        self.events += 1;
-        *self.kinds.entry(kind.to_string()).or_insert(0) += 1;
-        let worker = event.get("worker").and_then(Value::as_u64);
-        let span = event.get("span").and_then(Value::as_u64);
-        match kind {
-            "span_begin" => {
-                self.begun += 1;
-                if let Some(id) = span {
-                    *self.open.entry((worker, id)).or_insert(0) += 1;
-                }
-            }
-            "span_end" => {
-                self.ended += 1;
-                match span.map(|id| (worker, id)) {
-                    Some(key) if self.open.get(&key).copied().unwrap_or(0) > 0 => {
-                        let open = self.open.get_mut(&key).expect("checked above");
-                        *open -= 1;
-                        if *open == 0 {
-                            self.open.remove(&key);
-                        }
-                    }
-                    _ => self.unmatched_ends += 1,
-                }
-                let elapsed = field_u64(event, "elapsed_us").unwrap_or(0);
-                match self.phases.iter_mut().find(|(n, _, _)| n == name) {
-                    Some((_, count, total)) => {
-                        *count += 1;
-                        *total += elapsed;
-                    }
-                    None => self.phases.push((name.to_string(), 1, elapsed)),
-                }
-                // Failed attempts (outcome-tagged ends) are not
-                // completions; keep them out of the slowest-spec table.
-                if (name == "spec" || name == "worker.spec")
-                    && field_str(event, "outcome").is_none()
-                {
-                    if let Some(label) = field_str(event, "label") {
-                        self.specs.push(SpecRow {
-                            label: format!(
-                                "{label}{}",
-                                if name == "worker.spec" { " (worker)" } else { "" }
-                            ),
-                            run_us: field_u64(event, "run_us").unwrap_or(elapsed),
-                            queue_us: field_u64(event, "queue_wait_us").unwrap_or(0),
-                            worker,
-                        });
-                    }
-                }
-            }
-            "counter" => {
-                bump(&mut self.counters, name, field_u64(event, "value").unwrap_or(0));
-            }
-            "gauge" => {
-                let value = field_u64(event, "value").unwrap_or(0);
-                match self.gauges.iter_mut().find(|(n, _, _)| n == name) {
-                    Some((_, peak, at)) => {
-                        if value > *peak {
-                            *peak = value;
-                            *at = worker;
-                        }
-                    }
-                    None => self.gauges.push((name.to_string(), value, worker)),
-                }
-            }
-            "warning" => {
-                let message = field_str(event, "message").unwrap_or("(no message)");
-                self.warnings.push(format!("{name}: {message}"));
-            }
-            "point" => match name {
-                "cache_probe" => {
-                    self.cache_probes += 1;
-                    if event
-                        .get("fields")
-                        .and_then(|f| f.get("hit"))
-                        .is_some_and(|v| *v == Value::Bool(true))
-                    {
-                        self.cache_hits += 1;
-                    }
-                }
-                "segment_restore" => {
-                    let outcome = field_str(event, "outcome").unwrap_or("unknown");
-                    let label = match field_str(event, "reason") {
-                        Some(reason) => format!("{outcome} ({reason})"),
-                        None => outcome.to_string(),
-                    };
-                    bump(&mut self.restores, &label, 1);
-                }
-                "spec.retry" | "spec.timeout" | "worker.respawn" => {
-                    bump(&mut self.faults, name, 1);
-                }
-                _ => {}
-            },
-            other => return Err(format!("unknown event kind `{other}`")),
-        }
-        Ok(())
-    }
-
-    /// Spans that begun but never ended plus ends without begins.
-    pub fn unbalanced_spans(&self) -> u64 {
-        self.open.values().sum::<u64>() + self.unmatched_ends
-    }
-
-    /// Renders the breakdown tables.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let kind = |k: &str| self.kinds.get(k).copied().unwrap_or(0);
+    if tallies.cache_probes > 0 {
         out.push_str(&format!(
-            "event log: {} events ({} span pairs, {} counters, {} gauges, {} points, {} warnings)\n",
-            self.events,
-            self.ended.min(self.begun),
-            kind("counter"),
-            kind("gauge"),
-            kind("point"),
-            kind("warning"),
+            "artifact cache: {} hits / {} probes ({:.0}%)\n\n",
+            tallies.cache_hits,
+            tallies.cache_probes,
+            tallies.cache_hits as f64 / tallies.cache_probes as f64 * 100.0
         ));
-        out.push_str(&format!(
-            "span balance: {} begun, {} ended, {} unbalanced\n\n",
-            self.begun,
-            self.ended,
-            self.unbalanced_spans()
-        ));
-
-        if !self.phases.is_empty() {
-            let mut phases = self.phases.clone();
-            phases.sort_by_key(|(_, _, total)| std::cmp::Reverse(*total));
-            let mut t = Table::new(vec!["phase (span)", "count", "total ms"]);
-            for (name, count, total_us) in &phases {
-                t.row(vec![
-                    name.clone(),
-                    count.to_string(),
-                    format!("{:.2}", *total_us as f64 / 1e3),
-                ]);
-            }
-            out.push_str(&t.render());
-            out.push('\n');
-        }
-
-        if !self.specs.is_empty() {
-            let mut specs: Vec<&SpecRow> = self.specs.iter().collect();
-            specs.sort_by_key(|s| std::cmp::Reverse(s.run_us));
-            let mut t = Table::new(vec!["slowest specs", "run ms", "queue ms", "worker"]);
-            for s in specs.iter().take(SLOWEST) {
-                t.row(vec![
-                    s.label.clone(),
-                    format!("{:.2}", s.run_us as f64 / 1e3),
-                    format!("{:.2}", s.queue_us as f64 / 1e3),
-                    s.worker.map_or_else(|| "-".to_string(), |w| w.to_string()),
-                ]);
-            }
-            out.push_str(&t.render());
-            out.push('\n');
-        }
-
-        if self.cache_probes > 0 {
-            out.push_str(&format!(
-                "artifact cache: {} hits / {} probes ({:.0}%)\n\n",
-                self.cache_hits,
-                self.cache_probes,
-                self.cache_hits as f64 / self.cache_probes as f64 * 100.0
-            ));
-        }
-
-        if !self.restores.is_empty() {
-            let mut t = Table::new(vec!["segment restore", "count"]);
-            for (outcome, count) in &self.restores {
-                t.row(vec![outcome.clone(), count.to_string()]);
-            }
-            out.push_str(&t.render());
-            out.push('\n');
-        }
-
-        if !self.faults.is_empty() {
-            let mut t = Table::new(vec!["fault", "count"]);
-            for (name, count) in &self.faults {
-                t.row(vec![name.clone(), count.to_string()]);
-            }
-            out.push_str(&t.render());
-            out.push('\n');
-        }
-
-        if !self.gauges.is_empty() {
-            let mut t = Table::new(vec!["gauge", "peak", "worker"]);
-            for (name, peak, at) in &self.gauges {
-                t.row(vec![
-                    name.clone(),
-                    peak.to_string(),
-                    at.map_or_else(|| "-".to_string(), |w| w.to_string()),
-                ]);
-            }
-            out.push_str(&t.render());
-            out.push('\n');
-        }
-
-        if !self.counters.is_empty() {
-            let mut t = Table::new(vec!["counter", "total"]);
-            for (name, total) in &self.counters {
-                t.row(vec![name.clone(), total.to_string()]);
-            }
-            out.push_str(&t.render());
-            out.push('\n');
-        }
-
-        if !self.warnings.is_empty() {
-            out.push_str(&format!("warnings ({}):\n", self.warnings.len()));
-            for w in self.warnings.iter().take(5) {
-                out.push_str(&format!("  {w}\n"));
-            }
-            if self.warnings.len() > 5 {
-                out.push_str(&format!("  ... and {} more\n", self.warnings.len() - 5));
-            }
-        }
-        out
     }
+
+    section(&mut out, vec!["segment restore", "count"], counts(&tallies.restores));
+    section(&mut out, vec!["fault", "count"], counts(&tallies.faults));
+    let gauges = tallies.gauges.iter();
+    let gauges = gauges.map(|(name, peak, at)| vec![name.clone(), peak.to_string(), worker(*at)]);
+    section(&mut out, vec!["gauge", "peak", "worker"], gauges.collect());
+    section(&mut out, vec!["counter", "total"], counts(&tallies.counters));
+
+    let warnings = &tallies.warnings;
+    if !warnings.is_empty() {
+        out.push_str(&format!("warnings ({}):\n", warnings.len()));
+        for w in warnings.iter().take(5) {
+            let message = w.field("message").and_then(FieldValue::as_str).unwrap_or("(no message)");
+            out.push_str(&format!("  {}: {message}\n", w.name));
+        }
+        if warnings.len() > 5 {
+            out.push_str(&format!("  ... and {} more\n", warnings.len() - 5));
+        }
+    }
+    out
+}
+
+/// Appends a table and a blank line, unless it has no rows.
+fn section(out: &mut String, headers: Vec<&str>, rows: Vec<Vec<String>>) {
+    if rows.is_empty() {
+        return;
+    }
+    let mut t = Table::new(headers);
+    for row in rows {
+        t.row(row);
+    }
+    out.push_str(&t.render());
+    out.push('\n');
 }
 
 #[cfg(test)]
@@ -413,10 +213,10 @@ mod tests {
             r#"{"v":1,"t":4,"kind":"span_end","name":"spec","span":2,"worker":1,"fields":{"elapsed_us":10,"label":"completed","run_us":10}}"#,
         ]
         .join("\n");
-        let parsed = EventLog::parse(&log).unwrap();
+        let tallies = fold(&log).unwrap();
         // Failed attempts still balance their spans...
-        assert_eq!(parsed.unbalanced_spans(), 0);
-        let out = parsed.render();
+        assert_eq!(tallies.unbalanced_spans(), 0);
+        let out = render(&tallies);
         // ...but only the completion makes the slowest-spec table.
         assert!(out.contains("completed"), "{out}");
         assert!(!out.contains("failing"), "{out}");
@@ -424,7 +224,7 @@ mod tests {
 
     #[test]
     fn unbalanced_spans_are_counted() {
-        let log = EventLog::parse(
+        let log = fold(
             &[
                 r#"{"v":1,"t":1,"kind":"span_begin","name":"spec","span":1,"worker":1,"fields":{}}"#,
                 r#"{"v":1,"t":2,"kind":"span_end","name":"spec","span":9,"worker":1,"fields":{"elapsed_us":1}}"#,
@@ -435,7 +235,7 @@ mod tests {
         // One begin never ended, one end never begun.
         assert_eq!(log.unbalanced_spans(), 2);
         // The same span id on different workers is two distinct spans.
-        let log = EventLog::parse(
+        let log = fold(
             &[
                 r#"{"v":1,"t":1,"kind":"span_begin","name":"spec","span":1,"worker":1,"fields":{}}"#,
                 r#"{"v":1,"t":2,"kind":"span_end","name":"spec","span":1,"worker":2,"fields":{"elapsed_us":1}}"#,
@@ -474,10 +274,10 @@ mod tests {
                 ("queue_wait_us".to_string(), 1u64.into()),
             ]);
         });
-        let text: String = capture.events().iter().map(|e| e.to_json_line() + "\n").collect();
-        let log = EventLog::parse(&text).unwrap();
+        let text: String = capture.events().iter().map(|e| eventlog::encode(e) + "\n").collect();
+        let log = fold(&text).unwrap();
         assert_eq!(log.unbalanced_spans(), 0);
-        let out = log.render();
+        let out = render(&log);
         assert!(out.contains("coverage/gzip/baseline/1000k/s1"), "{out}");
         assert_eq!(capture.events().iter().filter(|e| e.kind == EventKind::SpanEnd).count(), 1);
     }

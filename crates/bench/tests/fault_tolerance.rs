@@ -133,10 +133,13 @@ fn chaos_run_matches_a_fault_free_run_byte_for_byte() {
 
 /// A worker that hangs forever trips the `--spec-timeout` watchdog; with
 /// the retry budget exhausted the run fails with a typed timeout error
-/// naming the spec — instead of blocking the batch indefinitely.
+/// naming the spec — instead of blocking the batch indefinitely. The
+/// failed run still flushes its event log, timeout point included, and
+/// prints no end-of-run summary.
 #[test]
 fn hung_worker_times_out_with_a_typed_error() {
     let out_dir = tmp_dir("hang");
+    let events = out_dir.join("events.jsonl");
     let output = ltsim()
         .args([
             "stream",
@@ -155,6 +158,8 @@ fn hung_worker_times_out_with_a_typed_error() {
             "0",
             "--out",
             &out_dir.display().to_string(),
+            "--events",
+            &events.display().to_string(),
         ])
         .env("LTC_FAULT_INJECT", "hang-before:1")
         .output()
@@ -163,6 +168,23 @@ fn hung_worker_times_out_with_a_typed_error() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("timed out"), "error must name the timeout: {stderr}");
     assert!(stderr.contains("gzip"), "error must name the lost spec: {stderr}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(!stdout.contains("summary:"), "a failed run prints no summary: {stdout}");
+
+    let log = fs::read_to_string(&events).expect("the failed run's event log");
+    let timeouts: Vec<_> = log
+        .lines()
+        .map(|line| ltc_sim::engine::eventlog::decode(line).expect("event line decodes"))
+        .filter(|e| e.name == "spec.timeout")
+        .collect();
+    assert_eq!(timeouts.len(), 1, "the log holds the timeout point:\n{log}");
+    let label = timeouts[0].field("label").and_then(|l| l.as_str()).unwrap_or_default();
+    assert!(label.contains("gzip"), "{label}");
+    let summary = ltsim().args(["events", "summarize"]).arg(&events).output().unwrap();
+    assert!(summary.status.success());
+    let summary = String::from_utf8_lossy(&summary.stdout);
+    let row = summary.lines().find(|l| l.starts_with("spec.timeout"));
+    assert!(row.is_some_and(|r| r.ends_with(" 1")), "fault histogram lists it:\n{summary}");
     let _ = fs::remove_dir_all(&out_dir);
 }
 

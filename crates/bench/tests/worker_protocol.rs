@@ -9,9 +9,12 @@ use std::process::{Command, Stdio};
 
 use ltc_bench::harness;
 use ltc_bench::Scale;
-use ltc_sim::engine::{BackendKind, EngineOptions, ResultSet, RunResult, RunSpec, Scheduler};
+use ltc_sim::engine::{
+    eventlog, BackendKind, EngineOptions, ResultSet, RunResult, RunSpec, Scheduler,
+};
 use ltc_sim::experiment::PredictorKind;
 use ltc_sim::serde_json;
+use ltc_telemetry::{Event, EventKind, FieldValue};
 
 fn worker_command() -> Vec<String> {
     vec![env!("CARGO_BIN_EXE_ltsim").to_string(), "worker".to_string()]
@@ -53,6 +56,48 @@ fn worker_round_trips_spec_lines() {
     drop(stdin);
     let status = child.wait().unwrap();
     assert!(status.success(), "worker must exit cleanly at EOF, got {status}");
+}
+
+/// With `LTC_TELEMETRY_WIRE` set, the worker interleaves plain event
+/// lines with its one result line: every other stdout line decodes with
+/// the shared event decoder, the `worker.spec` span balances, and a
+/// non-zero segment reports how it placed itself (a replay here: no
+/// slice-start stores are offered).
+#[test]
+fn worker_wire_interleaves_decodable_event_lines() {
+    let spec = RunSpec::stream_segment("mcf", 64 << 10, 4, 2, 4_000, 1);
+    let cmd = worker_command();
+    let mut child = Command::new(&cmd[0])
+        .args(&cmd[1..])
+        .env(eventlog::WIRE_ENV, "1")
+        .env_remove("LTC_CHECKPOINT_DIR")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn ltsim worker");
+    writeln!(child.stdin.take().unwrap(), "{}", spec.key()).unwrap();
+    let output = child.wait_with_output().unwrap();
+    assert!(output.status.success(), "worker must exit cleanly at EOF");
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    let (results, events): (Vec<&str>, Vec<&str>) =
+        stdout.lines().partition(|line| !eventlog::is_event_line(line));
+    assert_eq!(results.len(), 1, "exactly one result line:\n{stdout}");
+    let result: RunResult = serde_json::from_str(results[0]).expect("RunResult JSON line");
+    assert_eq!(result, spec.execute());
+    let events: Vec<Event> =
+        events.iter().map(|line| eventlog::decode(line).expect("event line decodes")).collect();
+    let spans: Vec<_> = events.iter().filter(|e| e.name == "worker.spec").collect();
+    assert_eq!(spans.len(), 2, "one worker.spec span: {spans:?}");
+    assert_eq!((spans[0].kind, spans[1].kind), (EventKind::SpanBegin, EventKind::SpanEnd));
+    assert!(spans[0].span.is_some() && spans[0].span == spans[1].span, "{spans:?}");
+    assert_eq!(spans[0].field("label"), Some(&FieldValue::from(spec.label())));
+    let restore = events.iter().find(|e| e.name == "segment_restore").expect("a restore point");
+    assert_eq!(restore.kind, EventKind::Point);
+    assert_eq!(restore.field("index").and_then(FieldValue::as_u64), Some(2));
+    assert_eq!(restore.field("outcome").and_then(FieldValue::as_str), Some("replay"));
+    assert_eq!(restore.field("reason").and_then(FieldValue::as_str), Some("missing"));
+    // The result line is the last one: the span ends before it is written.
+    assert!(!eventlog::is_event_line(stdout.lines().last().unwrap()));
 }
 
 /// A malformed spec line is a protocol error: the worker reports it on
@@ -274,20 +319,15 @@ fn subprocess_segments_restore_their_slice_starts() {
     let text = std::fs::read_to_string(&events).expect("event log written");
     let mut restores = 0;
     for line in text.lines() {
-        let event = serde_json::parse(line).expect("event line parses");
-        if event.get("name").and_then(serde::Value::as_str) != Some("segment_restore") {
+        let event = eventlog::decode(line).expect("event line decodes");
+        if event.name != "segment_restore" {
             continue;
         }
-        let field = |name: &str| event.get("fields").and_then(|f| f.get(name)).cloned();
-        let expected = match field("index").and_then(|i| i.as_u64()) {
+        let expected = match event.field("index").and_then(FieldValue::as_u64) {
             Some(0) => "cold_start",
             _ => "warm_image",
         };
-        assert_eq!(
-            field("outcome").as_ref().and_then(serde::Value::as_str),
-            Some(expected),
-            "{line}"
-        );
+        assert_eq!(event.field("outcome").and_then(FieldValue::as_str), Some(expected), "{line}");
         restores += 1;
     }
     assert_eq!(restores, 28 * 4, "one restore outcome per segment worker");

@@ -38,9 +38,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use ltc_telemetry::{Event, EventKind, FieldValue};
-use serde::Value;
-
+use crate::engine::eventlog;
 use crate::engine::result::RunResult;
 use crate::engine::spec::{Mode, RunSpec};
 
@@ -912,7 +910,7 @@ struct WorkerProcess {
     stdin: Option<ChildStdin>,
     stdout: BufReader<ChildStdout>,
     /// Child telemetry span ids → parent span ids. Children number spans
-    /// from their own counters, so forwarded frames are remapped into the
+    /// from their own counters, so forwarded events are remapped into the
     /// parent's id space to stay collision-free across workers.
     span_map: HashMap<u64, u64>,
     /// Specs this child has answered (fresh children are preferred for
@@ -925,9 +923,9 @@ impl WorkerProcess {
         let mut cmd = Command::new(&command[0]);
         cmd.args(&command[1..]).stdin(Stdio::piped()).stdout(Stdio::piped());
         if ltc_telemetry::enabled() {
-            // Asks `ltsim worker` to interleave telemetry frames with its
+            // Asks `ltsim worker` to interleave event lines with its
             // result lines; without the variable children stay silent.
-            cmd.env(ltc_telemetry::WIRE_ENV, "1");
+            cmd.env(eventlog::WIRE_ENV, "1");
         }
         let mut child = cmd.spawn().map_err(|e| {
             io::Error::new(e.kind(), format!("spawning worker `{}`: {e}", command[0]))
@@ -944,8 +942,8 @@ impl WorkerProcess {
     }
 
     /// Sends one spec line, then reads until the result line arrives,
-    /// forwarding any interleaved `{"event":…}` telemetry frames into the
-    /// parent's event stream.
+    /// forwarding any interleaved event lines into the parent's event
+    /// stream.
     fn round_trip(&mut self, spec: &RunSpec) -> io::Result<RunResult> {
         let stdin = self.stdin.as_mut().expect("stdin open until shutdown");
         writeln!(stdin, "{}", spec.key())?;
@@ -960,8 +958,8 @@ impl WorkerProcess {
                 ));
             }
             let trimmed = line.trim();
-            if trimmed.starts_with("{\"event\":") {
-                forward_wire_frame(&mut self.span_map, trimmed);
+            if eventlog::is_event_line(trimmed) {
+                forward_event_line(&mut self.span_map, trimmed);
                 continue;
             }
             let result = serde_json::from_str(trimmed).map_err(|e| {
@@ -983,8 +981,8 @@ impl WorkerProcess {
         let mut line = String::new();
         while self.stdout.read_line(&mut line)? > 0 {
             let trimmed = line.trim();
-            if trimmed.starts_with("{\"event\":") {
-                forward_wire_frame(&mut self.span_map, trimmed);
+            if eventlog::is_event_line(trimmed) {
+                forward_event_line(&mut self.span_map, trimmed);
             }
             line.clear();
         }
@@ -997,41 +995,19 @@ impl WorkerProcess {
     }
 }
 
-/// Re-emits one child telemetry frame into this process's event stream:
-/// the timestamp is restamped on the parent clock, the span id remapped
+/// Re-emits one child event line into this process's event stream: the
+/// timestamp is restamped on the parent clock, the span id remapped
 /// through `span_map`, and the worker id replaced with the driving
-/// thread's id (children don't know which pool slot they occupy).
-/// Malformed frames are dropped — telemetry must never fail a run.
-fn forward_wire_frame(span_map: &mut HashMap<u64, u64>, line: &str) {
-    let Ok(value) = serde_json::parse(line) else { return };
-    let Some(wrapped) = value.get("event") else { return };
-    if let Some(event) = wire_event(wrapped, span_map) {
-        ltc_telemetry::emit(&event);
-    }
-}
-
-/// Rebuilds an [`Event`] from a parsed wire frame payload.
-fn wire_event(v: &Value, span_map: &mut HashMap<u64, u64>) -> Option<Event> {
-    let kind = EventKind::parse(v.get("kind")?.as_str()?)?;
-    let mut event = Event::now(kind, v.get("name")?.as_str()?);
-    if let Some(child_span) = v.get("span").and_then(Value::as_u64) {
-        let id = *span_map.entry(child_span).or_insert_with(ltc_telemetry::next_span_id);
-        event.span = Some(id);
-    }
-    if let Some(fields) = v.get("fields").and_then(Value::as_map) {
-        for (key, field) in fields {
-            let value = match field {
-                Value::Bool(b) => FieldValue::Bool(*b),
-                Value::U64(n) => FieldValue::U64(*n),
-                Value::I64(n) => FieldValue::I64(*n),
-                Value::F64(f) => FieldValue::F64(*f),
-                Value::Str(s) => FieldValue::Str(s.clone()),
-                Value::Null | Value::Seq(_) | Value::Map(_) => continue,
-            };
-            event.fields.push((key.clone(), value));
-        }
-    }
-    Some(event)
+/// thread's id (children don't know which pool slot they occupy). A
+/// line that fails to decode is dropped — telemetry must never fail a
+/// run.
+fn forward_event_line(span_map: &mut HashMap<u64, u64>, line: &str) {
+    let Ok(mut event) = eventlog::decode(line) else { return };
+    event.t_micros = ltc_telemetry::now_micros();
+    event.worker = ltc_telemetry::current_worker();
+    event.span =
+        event.span.map(|id| *span_map.entry(id).or_insert_with(ltc_telemetry::next_span_id));
+    ltc_telemetry::emit(&event);
 }
 
 impl Drop for WorkerProcess {
@@ -1049,6 +1025,7 @@ impl Drop for WorkerProcess {
 mod tests {
     use super::*;
     use crate::experiment::PredictorKind;
+    use ltc_telemetry::{EventKind, FieldValue};
 
     fn tiny(bench: &str, accesses: u64) -> RunSpec {
         RunSpec::coverage(bench, PredictorKind::Baseline, accesses, 1)

@@ -42,6 +42,9 @@
 //!    every on-disk write stages into a pid-suffixed tmp file, fsyncs,
 //!    and renames; startup sweeps staging files leaked by dead
 //!    processes.
+//! 10. [`eventlog`] — the JSON-lines form of telemetry events: one
+//!     encoder, one strict decoder and the log writer, shared by
+//!     `--events` logs, the worker protocol and `ltsim events summarize`.
 //!
 //! Execution is *supervised*: every backend runs under a [`FaultPolicy`]
 //! (retry budget, per-spec timeout, respawn backoff, and the
@@ -58,8 +61,9 @@
 //! scheduler emits planning spans, dedup/cache counters, and per-spec
 //! `cache_probe` points; every backend wraps each execution in a `spec`
 //! span carrying queue-wait vs run time and tags its workers with ids;
-//! subprocess children forward their own events over the worker protocol
-//! as `{"event":…}` frames interleaved with result lines. With no
+//! subprocess children write their own events to stdout as plain
+//! [`eventlog`] lines interleaved with result lines, and the parent
+//! decodes them with the same decoder `ltsim events summarize` uses. With no
 //! subscriber installed the instrumentation is inert (one atomic load on
 //! the warm paths). [`ProgressSubscriber`] renders every
 //! [`ProgressMode`] from that event stream; [`Scheduler::execute_into`]
@@ -84,6 +88,7 @@
 pub mod artifact;
 pub mod backend;
 pub mod checkpoints;
+pub mod eventlog;
 pub mod fsutil;
 pub mod progress;
 pub mod result;

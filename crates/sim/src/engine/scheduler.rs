@@ -155,12 +155,15 @@ impl Scheduler {
     /// segment-reduce error (shape-mismatched partials).
     pub fn execute_into(&self, results: &mut ResultSet, opts: &EngineOptions) -> io::Result<()> {
         let _progress = ProgressScope::install(opts.progress);
-        let unique = self.unique();
         let plan_span = ltc_telemetry::span("scheduler.plan", Vec::new());
-        ltc_telemetry::counter("scheduler.requested", self.requests.len() as u64);
-        ltc_telemetry::counter("scheduler.deduped", (self.requests.len() - unique.len()) as u64);
+        // Requests already satisfied by an earlier round are neither new
+        // requests nor duplicates.
+        let requested = self.requests.iter().filter(|s| !results.contains(s)).count();
+        let pending: Vec<RunSpec> =
+            self.unique().into_iter().filter(|s| !results.contains(s)).collect();
+        ltc_telemetry::counter("scheduler.requested", requested as u64);
+        ltc_telemetry::counter("scheduler.deduped", (requested - pending.len()) as u64);
         let hits_before = results.cache_hits;
-        let pending: Vec<RunSpec> = unique.into_iter().filter(|s| !results.contains(s)).collect();
 
         let mut to_run = Vec::new();
         let mut queued: HashSet<RunSpec> = HashSet::new();
@@ -466,6 +469,30 @@ mod tests {
         assert_eq!(results.simulated(), 1);
     }
 
+    /// A second round on the same `ResultSet` counts only the requests
+    /// it adds: specs the first round satisfied are neither requested
+    /// nor deduplicated again.
+    #[test]
+    fn rounds_count_only_their_new_requests() {
+        let agg = Arc::new(ltc_telemetry::Aggregator::new());
+        let opts = EngineOptions::in_memory(1);
+        let mut results = ResultSet::new();
+        let mut s = Scheduler::new();
+        s.request_all([tiny("gzip", 1), tiny("mesa", 1), tiny("gzip", 1)]);
+        // The scheduler counters are emitted on the calling thread.
+        ltc_telemetry::with_subscriber(agg.clone(), || s.execute_into(&mut results, &opts))
+            .unwrap();
+        assert_eq!(agg.counter("scheduler.requested"), 3);
+        assert_eq!(agg.counter("scheduler.deduped"), 1);
+        s.request_all([tiny("art", 1), tiny("art", 1), tiny("mesa", 1)]);
+        ltc_telemetry::with_subscriber(agg.clone(), || s.execute_into(&mut results, &opts))
+            .unwrap();
+        assert_eq!(agg.counter("scheduler.requested"), 3 + 2);
+        assert_eq!(agg.counter("scheduler.deduped"), 1 + 1);
+        assert_eq!(agg.counter("scheduler.simulated"), 3);
+        assert_eq!(results.simulated(), 3);
+    }
+
     #[test]
     fn execute_honours_the_selected_backend() {
         let mut s = Scheduler::new();
@@ -490,10 +517,11 @@ mod tests {
         // subscriber cannot see their events: install globally. Other
         // tests executing engines concurrently may emit into the capture
         // too, so assertions filter by this test's unique spec labels
-        // (the 4001/4002-access coverage runs exist nowhere else) and use
-        // lower bounds for unattributable counters.
-        let spec_a = RunSpec::coverage("gzip", PredictorKind::Baseline, 4_001, 1);
-        let spec_b = RunSpec::coverage("mesa", PredictorKind::Baseline, 4_002, 1);
+        // (labels round accesses to thousands, so the seeds set them
+        // apart: no other test runs seeds 4001/4002) and use lower bounds
+        // for unattributable counters.
+        let spec_a = RunSpec::coverage("gzip", PredictorKind::Baseline, 4_000, 4_001);
+        let spec_b = RunSpec::coverage("mesa", PredictorKind::Baseline, 4_000, 4_002);
         let capture = std::sync::Arc::new(Capture::new());
         let token = ltc_telemetry::install(capture.clone());
         let mut s = Scheduler::new();

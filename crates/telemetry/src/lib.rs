@@ -1,20 +1,21 @@
-//! Structured telemetry: spans, counters, gauges, and a JSON-lines
-//! event stream.
+//! Structured telemetry: spans, counters, gauges, warnings and points
+//! on one event stream.
 //!
 //! The simulator's runtime visibility used to be a stderr progress line
 //! plus ad-hoc `eprintln!` warnings. This crate replaces that with one
 //! structured event stream that every layer — scheduler, backends,
 //! subprocess workers, the segment path, and the sketch layer — writes
-//! into, and that pluggable [`Subscriber`]s consume: a JSON-lines file
-//! writer ([`JsonLinesWriter`]), an in-memory [`Aggregator`], a test
-//! [`Capture`], or the progress-rendering adapter in `ltc_sim`.
+//! into, and that pluggable [`Subscriber`]s consume: the in-memory
+//! [`Aggregator`], a test [`Capture`], or the subscribers in `ltc_sim`
+//! (the progress renderer and the JSON-lines log writer).
 //!
 //! # Design constraints
 //!
 //! * **Zero dependencies.** The crate sits at the bottom of the
 //!   workspace graph so `ltc_stream` and `ltc_analysis` can emit from
-//!   hot loops; it carries its own minimal JSON encoder rather than
-//!   depending on the serde shims.
+//!   hot loops. It holds no JSON code: the event line format (schema
+//!   v1), its one decoder and the log writer live in
+//!   `ltc_sim::engine::eventlog`, on the `serde_json` shim.
 //! * **Cheap when off.** All emit helpers gate on [`enabled`] — a
 //!   relaxed atomic load plus a thread-local check — so uninstrumented
 //!   runs pay (sub-)nanoseconds per site. Hot loops should additionally
@@ -26,45 +27,15 @@
 //!   [`with_subscriber`] instead, which never leaks across parallel
 //!   test threads.
 //!
-//! # Event schema (v1)
-//!
-//! One JSON object per line:
-//!
-//! ```json
-//! {"v":1,"t":1234,"kind":"span_begin","name":"spec","span":7,"worker":2,"fields":{"label":"coverage/gcc/..."}}
-//! ```
-//!
-//! | key      | type   | meaning                                               |
-//! |----------|--------|-------------------------------------------------------|
-//! | `v`      | u64    | schema version ([`EVENT_SCHEMA`])                     |
-//! | `t`      | u64    | microseconds since the process telemetry epoch        |
-//! | `kind`   | string | `span_begin` `span_end` `counter` `gauge` `warning` `point` |
-//! | `name`   | string | event name (the aggregation key)                      |
-//! | `span`   | u64?   | span id — present on `span_begin`/`span_end`          |
-//! | `worker` | u64?   | worker id — present when the emitting thread has one  |
-//! | `fields` | object | typed payload (strings, integers, floats, bools)      |
-//!
 //! `span_end` always carries an `elapsed_us` field. `counter` events
 //! carry a `value` field holding a **delta** (subscribers sum them);
 //! `gauge` events carry a `value` field holding an instantaneous level
 //! (subscribers keep the last or the peak).
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-
-/// Schema version stamped into every serialized event (`"v"`).
-pub const EVENT_SCHEMA: u64 = 1;
-
-/// Environment variable a parent process sets on `ltsim worker`
-/// children to request telemetry frames over the worker protocol
-/// (tagged `{"event":{...}}` stdout lines, see [`wire_line`]).
-pub const WIRE_ENV: &str = "LTC_TELEMETRY_WIRE";
 
 // ---------------------------------------------------------------------------
 // Events
@@ -78,9 +49,9 @@ pub enum FieldValue {
     U64(u64),
     /// Signed integer.
     I64(i64),
-    /// Float (serialized via Rust's shortest round-trip formatting).
+    /// Float.
     F64(f64),
-    /// String (JSON-escaped on serialization).
+    /// String.
     Str(String),
     /// Boolean.
     Bool(bool),
@@ -94,21 +65,6 @@ impl From<u64> for FieldValue {
 impl From<u32> for FieldValue {
     fn from(v: u32) -> Self {
         FieldValue::U64(u64::from(v))
-    }
-}
-impl From<usize> for FieldValue {
-    fn from(v: usize) -> Self {
-        FieldValue::U64(v as u64)
-    }
-}
-impl From<i64> for FieldValue {
-    fn from(v: i64) -> Self {
-        FieldValue::I64(v)
-    }
-}
-impl From<f64> for FieldValue {
-    fn from(v: f64) -> Self {
-        FieldValue::F64(v)
     }
 }
 impl From<bool> for FieldValue {
@@ -226,89 +182,6 @@ impl Event {
     pub fn field(&self, name: &str) -> Option<&FieldValue> {
         self.fields.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
-
-    /// The `value` field of counter/gauge events, when numeric.
-    pub fn value(&self) -> Option<u64> {
-        match self.field("value") {
-            Some(FieldValue::U64(v)) => Some(*v),
-            Some(FieldValue::I64(v)) => u64::try_from(*v).ok(),
-            _ => None,
-        }
-    }
-
-    /// Serializes the event as one schema-v1 JSON line (no trailing
-    /// newline).
-    pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(96);
-        let _ = write!(
-            out,
-            "{{\"v\":{EVENT_SCHEMA},\"t\":{},\"kind\":\"{}\",\"name\":",
-            self.t_micros,
-            self.kind.as_str()
-        );
-        escape_json_str(&self.name, &mut out);
-        if let Some(span) = self.span {
-            let _ = write!(out, ",\"span\":{span}");
-        }
-        if let Some(worker) = self.worker {
-            let _ = write!(out, ",\"worker\":{worker}");
-        }
-        out.push_str(",\"fields\":{");
-        for (i, (name, value)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            escape_json_str(name, &mut out);
-            out.push(':');
-            match value {
-                FieldValue::U64(v) => {
-                    let _ = write!(out, "{v}");
-                }
-                FieldValue::I64(v) => {
-                    let _ = write!(out, "{v}");
-                }
-                FieldValue::F64(v) => {
-                    // Rust's shortest round-trip formatting emits plain
-                    // JSON numbers (integral floats print without a
-                    // dot, which is still a valid JSON number).
-                    if v.is_finite() {
-                        let _ = write!(out, "{v}");
-                    } else {
-                        out.push_str("null");
-                    }
-                }
-                FieldValue::Str(v) => escape_json_str(v, &mut out),
-                FieldValue::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-            }
-        }
-        out.push_str("}}");
-        out
-    }
-}
-
-/// Wraps an event as a worker-protocol frame: a stdout line the parent
-/// distinguishes from `RunResult` lines by its single `"event"` key.
-pub fn wire_line(event: &Event) -> String {
-    format!("{{\"event\":{}}}", event.to_json_line())
-}
-
-/// JSON string escaping (quotes, backslash, control characters).
-fn escape_json_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 // ---------------------------------------------------------------------------
@@ -572,157 +445,163 @@ impl Drop for Span {
 }
 
 // ---------------------------------------------------------------------------
-// Counter / Gauge accumulators
-// ---------------------------------------------------------------------------
-
-/// An atomic counter for warm paths: [`Counter::add`] is one relaxed
-/// `fetch_add` with no event emission; [`Counter::emit`] publishes the
-/// accumulated total as a single counter-delta event and resets.
-pub struct Counter {
-    name: &'static str,
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// Creates a named counter at zero (usable in `static`s).
-    pub const fn new(name: &'static str) -> Counter {
-        Counter { name, value: AtomicU64::new(0) }
-    }
-
-    /// Adds to the counter (relaxed; no event).
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current accumulated value.
-    pub fn value(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// Publishes the accumulated value as one counter event and resets
-    /// the accumulator. No-op (and no reset) when disabled.
-    pub fn emit(&self) {
-        if !enabled() {
-            return;
-        }
-        let v = self.value.swap(0, Ordering::Relaxed);
-        counter(self.name, v);
-    }
-}
-
-/// An atomic gauge for warm paths: [`Gauge::set`] is one relaxed store;
-/// [`Gauge::emit`] publishes the current level.
-pub struct Gauge {
-    name: &'static str,
-    value: AtomicU64,
-}
-
-impl Gauge {
-    /// Creates a named gauge at zero (usable in `static`s).
-    pub const fn new(name: &'static str) -> Gauge {
-        Gauge { name, value: AtomicU64::new(0) }
-    }
-
-    /// Sets the level (relaxed; no event).
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Current level.
-    pub fn value(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// Publishes the current level as one gauge event. No-op when
-    /// disabled.
-    pub fn emit(&self) {
-        if !enabled() {
-            return;
-        }
-        gauge(self.name, self.value(), Vec::new());
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Built-in subscribers
 // ---------------------------------------------------------------------------
 
-/// Writes each event as one JSON line. Tracks events and bytes written
-/// (`ltsim run --events` reports both when the run ends).
-pub struct JsonLinesWriter {
-    out: Mutex<Box<dyn Write + Send>>,
-    events: AtomicU64,
-    bytes: AtomicU64,
-}
-
-impl JsonLinesWriter {
-    /// Creates (truncating) `path`, and any missing parent directories,
-    /// and writes events to it, buffered.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory- and file-creation errors.
-    pub fn create(path: &Path) -> io::Result<JsonLinesWriter> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let file = File::create(path)?;
-        Ok(JsonLinesWriter::new(Box::new(BufWriter::new(file))))
-    }
-
-    /// Wraps an arbitrary writer (stdout, a Vec for tests, …).
-    pub fn new(out: Box<dyn Write + Send>) -> JsonLinesWriter {
-        JsonLinesWriter {
-            out: Mutex::new(out),
-            events: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-        }
-    }
-
-    /// Events written so far.
-    pub fn events_written(&self) -> u64 {
-        self.events.load(Ordering::Relaxed)
-    }
-
-    /// Bytes written so far (including newlines).
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
-    }
-}
-
-impl Subscriber for JsonLinesWriter {
-    fn event(&self, event: &Event) {
-        let mut line = event.to_json_line();
-        line.push('\n');
-        let mut out = self.out.lock().unwrap();
-        if out.write_all(line.as_bytes()).is_ok() {
-            self.events.fetch_add(1, Ordering::Relaxed);
-            self.bytes.fetch_add(line.len() as u64, Ordering::Relaxed);
-        }
-    }
-
-    fn flush(&self) {
-        let _ = self.out.lock().unwrap().flush();
-    }
-}
-
-/// In-memory aggregation: event totals by kind, counter sums, gauge
-/// peaks, and retained warning events. Powers the end-of-run summary
-/// line and tests.
+/// The one fold over the event stream. Live `ltsim run`/`stream`
+/// invocations install it for their end-of-run summary line, and `ltsim
+/// events summarize` feeds it the decoded lines of a recorded log and
+/// renders its [`Tallies`].
 #[derive(Default)]
 pub struct Aggregator {
-    inner: Mutex<AggState>,
+    inner: Mutex<Tallies>,
 }
 
-#[derive(Default)]
-struct AggState {
-    events: u64,
-    kinds: HashMap<&'static str, u64>,
-    counters: HashMap<String, u64>,
-    gauge_peaks: HashMap<String, u64>,
-    warnings: Vec<Event>,
+/// Everything an [`Aggregator`] has folded. Named series keep
+/// first-seen order, so renderings of the same stream are identical.
+#[derive(Debug, Clone, Default)]
+pub struct Tallies {
+    /// Events folded.
+    pub events: u64,
+    /// Events folded, per kind.
+    pub kinds: HashMap<EventKind, u64>,
+    /// `span_begin` events.
+    pub begun: u64,
+    /// `span_end` events.
+    pub ended: u64,
+    /// Spans still open, keyed by `(worker, span id)`.
+    open: HashMap<(Option<u64>, u64), u64>,
+    /// Span ends that closed no open span.
+    unmatched_ends: u64,
+    /// Per span name: the number of ends and their summed `elapsed_us`.
+    pub phases: Vec<(String, u64, u64)>,
+    /// Completed `spec` spans, in end order. Failed attempts (ends
+    /// tagged with an `outcome`) are not completions.
+    pub specs: Vec<SpecRow>,
+    /// `cache_probe` points.
+    pub cache_probes: u64,
+    /// `cache_probe` points with `hit: true`.
+    pub cache_hits: u64,
+    /// `segment_restore` points per outcome; a replay is keyed
+    /// `replay (reason)`.
+    pub restores: Vec<(String, u64)>,
+    /// Fault points (`spec.retry`, `spec.timeout`, `worker.respawn`) per
+    /// name.
+    pub faults: Vec<(String, u64)>,
+    /// Per gauge name: the peak level and the worker that first reported
+    /// it.
+    pub gauges: Vec<(String, u64, Option<u64>)>,
+    /// Per counter name: the sum of its deltas.
+    pub counters: Vec<(String, u64)>,
+    /// Warning events, in arrival order.
+    pub warnings: Vec<Event>,
+}
+
+/// One completed `spec` span.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpecRow {
+    /// The spec's `label`.
+    pub label: String,
+    /// `run_us`, or the span's `elapsed_us` when it carries none.
+    pub run_us: u64,
+    /// `queue_wait_us` (0 when absent).
+    pub queue_us: u64,
+    /// The worker that ran it.
+    pub worker: Option<u64>,
+}
+
+/// Adds `delta` to `key`'s slot, appending the key when first seen.
+fn bump(list: &mut Vec<(String, u64)>, key: &str, delta: u64) {
+    match list.iter_mut().find(|(k, _)| k == key) {
+        Some((_, v)) => *v += delta,
+        None => list.push((key.to_string(), delta)),
+    }
+}
+
+impl Tallies {
+    /// Spans begun but never ended, plus ends that closed no span.
+    pub fn unbalanced_spans(&self) -> u64 {
+        self.open.values().sum::<u64>() + self.unmatched_ends
+    }
+
+    fn fold(&mut self, event: &Event) {
+        let number = |name: &str| event.field(name).and_then(FieldValue::as_u64);
+        let text = |name: &str| event.field(name).and_then(FieldValue::as_str);
+        let name = event.name.as_str();
+        self.events += 1;
+        *self.kinds.entry(event.kind).or_insert(0) += 1;
+        match event.kind {
+            EventKind::SpanBegin => {
+                self.begun += 1;
+                if let Some(id) = event.span {
+                    *self.open.entry((event.worker, id)).or_insert(0) += 1;
+                }
+            }
+            EventKind::SpanEnd => {
+                self.ended += 1;
+                let key = event.span.map(|id| (event.worker, id));
+                match key.and_then(|key| self.open.remove(&key).map(|open| (key, open))) {
+                    Some((key, open)) if open > 1 => {
+                        self.open.insert(key, open - 1);
+                    }
+                    Some(_) => {}
+                    None => self.unmatched_ends += 1,
+                }
+                let elapsed = number("elapsed_us").unwrap_or(0);
+                match self.phases.iter_mut().find(|(n, _, _)| n == name) {
+                    Some((_, count, total)) => {
+                        *count += 1;
+                        *total += elapsed;
+                    }
+                    None => self.phases.push((name.to_string(), 1, elapsed)),
+                }
+                if name == "spec" && text("outcome").is_none() {
+                    if let Some(label) = text("label") {
+                        self.specs.push(SpecRow {
+                            label: label.to_string(),
+                            run_us: number("run_us").unwrap_or(elapsed),
+                            queue_us: number("queue_wait_us").unwrap_or(0),
+                            worker: event.worker,
+                        });
+                    }
+                }
+            }
+            EventKind::Counter => bump(&mut self.counters, name, number("value").unwrap_or(0)),
+            EventKind::Gauge => {
+                let value = number("value").unwrap_or(0);
+                match self.gauges.iter_mut().find(|(n, _, _)| n == name) {
+                    Some((_, peak, at)) => {
+                        if value > *peak {
+                            *peak = value;
+                            *at = event.worker;
+                        }
+                    }
+                    None => self.gauges.push((name.to_string(), value, event.worker)),
+                }
+            }
+            EventKind::Warning => self.warnings.push(event.clone()),
+            EventKind::Point => match name {
+                "cache_probe" => {
+                    self.cache_probes += 1;
+                    if event.field("hit") == Some(&FieldValue::Bool(true)) {
+                        self.cache_hits += 1;
+                    }
+                }
+                "segment_restore" => {
+                    let outcome = text("outcome").unwrap_or("unknown");
+                    let label = match text("reason") {
+                        Some(reason) => format!("{outcome} ({reason})"),
+                        None => outcome.to_string(),
+                    };
+                    bump(&mut self.restores, &label, 1);
+                }
+                "spec.retry" | "spec.timeout" | "worker.respawn" => {
+                    bump(&mut self.faults, name, 1);
+                }
+                _ => {}
+            },
+        }
+    }
 }
 
 impl Aggregator {
@@ -736,52 +615,21 @@ impl Aggregator {
         self.inner.lock().unwrap().events
     }
 
-    /// Events observed of one kind.
-    pub fn kind_count(&self, kind: EventKind) -> u64 {
-        *self.inner.lock().unwrap().kinds.get(kind.as_str()).unwrap_or(&0)
-    }
-
     /// Sum of `value` deltas across counter events with this name.
     pub fn counter(&self, name: &str) -> u64 {
-        *self.inner.lock().unwrap().counters.get(name).unwrap_or(&0)
+        let tallies = self.inner.lock().unwrap();
+        tallies.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, total)| *total)
     }
 
-    /// Peak `value` across gauge events with this name.
-    pub fn gauge_peak(&self, name: &str) -> Option<u64> {
-        self.inner.lock().unwrap().gauge_peaks.get(name).copied()
-    }
-
-    /// Retained warning events (full copies, in arrival order).
-    pub fn warnings(&self) -> Vec<Event> {
-        self.inner.lock().unwrap().warnings.clone()
-    }
-
-    /// Warnings observed with this name.
-    pub fn warning_count(&self, name: &str) -> u64 {
-        self.inner.lock().unwrap().warnings.iter().filter(|w| w.name == name).count() as u64
+    /// A copy of everything folded so far.
+    pub fn tallies(&self) -> Tallies {
+        self.inner.lock().unwrap().clone()
     }
 }
 
 impl Subscriber for Aggregator {
     fn event(&self, event: &Event) {
-        let mut state = self.inner.lock().unwrap();
-        state.events += 1;
-        *state.kinds.entry(event.kind.as_str()).or_insert(0) += 1;
-        match event.kind {
-            EventKind::Counter => {
-                if let Some(v) = event.value() {
-                    *state.counters.entry(event.name.clone()).or_insert(0) += v;
-                }
-            }
-            EventKind::Gauge => {
-                if let Some(v) = event.value() {
-                    let peak = state.gauge_peaks.entry(event.name.clone()).or_insert(0);
-                    *peak = (*peak).max(v);
-                }
-            }
-            EventKind::Warning => state.warnings.push(event.clone()),
-            _ => {}
-        }
+        self.inner.lock().unwrap().fold(event);
     }
 }
 
@@ -829,66 +677,6 @@ mod tests {
 
     fn hub_lock() -> std::sync::MutexGuard<'static, ()> {
         GLOBAL_HUB.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    #[test]
-    fn json_line_matches_schema_shape() {
-        let mut ev = Event {
-            t_micros: 42,
-            kind: EventKind::SpanBegin,
-            name: "spec".to_string(),
-            span: Some(7),
-            worker: Some(2),
-            fields: vec![("label".to_string(), FieldValue::Str("a/b".to_string()))],
-        };
-        assert_eq!(
-            ev.to_json_line(),
-            r#"{"v":1,"t":42,"kind":"span_begin","name":"spec","span":7,"worker":2,"fields":{"label":"a/b"}}"#
-        );
-        ev.span = None;
-        ev.worker = None;
-        ev.fields = vec![
-            ("u".to_string(), FieldValue::U64(1)),
-            ("i".to_string(), FieldValue::I64(-2)),
-            ("f".to_string(), FieldValue::F64(1.5)),
-            ("b".to_string(), FieldValue::Bool(true)),
-        ];
-        assert_eq!(
-            ev.to_json_line(),
-            r#"{"v":1,"t":42,"kind":"span_begin","name":"spec","fields":{"u":1,"i":-2,"f":1.5,"b":true}}"#
-        );
-    }
-
-    #[test]
-    fn strings_are_escaped() {
-        let ev = Event {
-            t_micros: 0,
-            kind: EventKind::Warning,
-            name: "w".to_string(),
-            span: None,
-            worker: None,
-            fields: vec![(
-                "message".to_string(),
-                FieldValue::Str("quote \" slash \\ nl \n ctl \u{1}".to_string()),
-            )],
-        };
-        assert_eq!(
-            ev.to_json_line(),
-            "{\"v\":1,\"t\":0,\"kind\":\"warning\",\"name\":\"w\",\"fields\":{\"message\":\"quote \\\" slash \\\\ nl \\n ctl \\u0001\"}}"
-        );
-    }
-
-    #[test]
-    fn non_finite_floats_serialize_as_null() {
-        let ev = Event {
-            t_micros: 0,
-            kind: EventKind::Point,
-            name: "p".to_string(),
-            span: None,
-            worker: None,
-            fields: vec![("x".to_string(), FieldValue::F64(f64::NAN))],
-        };
-        assert!(ev.to_json_line().contains("\"x\":null"));
     }
 
     #[test]
@@ -970,36 +758,90 @@ mod tests {
         assert_eq!(agg.events(), 6);
         assert_eq!(agg.counter("hits"), 5);
         assert_eq!(agg.counter("absent"), 0);
-        assert_eq!(agg.gauge_peak("mem"), Some(30));
-        assert_eq!(agg.warning_count("corrupt"), 1);
-        assert_eq!(agg.warnings()[0].field("message"), Some(&FieldValue::Str("oh no".to_string())));
+        let tallies = agg.tallies();
+        assert_eq!(tallies.gauges, [("mem".to_string(), 30, None)]);
+        assert_eq!(tallies.warnings.len(), 1);
+        assert_eq!(tallies.warnings[0].name, "corrupt");
+        assert_eq!(
+            tallies.warnings[0].field("message"),
+            Some(&FieldValue::Str("oh no".to_string()))
+        );
     }
 
     #[test]
-    fn counter_accumulator_publishes_and_resets() {
-        let _hub = hub_lock();
-        let c = Counter::new("acc");
-        c.add(2);
-        c.add(3);
-        assert_eq!(c.value(), 5);
-        let agg = Arc::new(Aggregator::new());
-        with_subscriber(agg.clone(), || c.emit());
-        assert_eq!(agg.counter("acc"), 5);
-        assert_eq!(c.value(), 0, "emit resets the accumulator");
-        // Disabled emit keeps the accumulation.
-        c.add(7);
-        c.emit();
-        assert_eq!(c.value(), 7);
-    }
-
-    #[test]
-    fn gauge_accumulator_publishes_level() {
-        let g = Gauge::new("level");
-        g.set(11);
-        let agg = Arc::new(Aggregator::new());
-        with_subscriber(agg.clone(), || g.emit());
-        assert_eq!(agg.gauge_peak("level"), Some(11));
-        assert_eq!(g.value(), 11);
+    fn aggregator_folds_spans_specs_and_histograms() {
+        let agg = Aggregator::new();
+        let event = |kind, name: &str, span, worker, fields: &[(&str, FieldValue)]| Event {
+            t_micros: 0,
+            kind,
+            name: name.to_string(),
+            span,
+            worker,
+            fields: fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect(),
+        };
+        let label = |l: &str| FieldValue::from(l);
+        for e in [
+            event(EventKind::SpanBegin, "spec", Some(1), Some(1), &[]),
+            event(EventKind::SpanBegin, "spec", Some(2), Some(2), &[]),
+            event(EventKind::SpanBegin, "spec", Some(1), Some(2), &[]),
+            event(
+                EventKind::SpanEnd,
+                "spec",
+                Some(1),
+                Some(1),
+                &[
+                    ("elapsed_us", 9u64.into()),
+                    ("label", label("a")),
+                    ("queue_wait_us", 3u64.into()),
+                ],
+            ),
+            // A failed attempt balances its span but is no completion.
+            event(
+                EventKind::SpanEnd,
+                "spec",
+                Some(2),
+                Some(2),
+                &[("elapsed_us", 5u64.into()), ("label", label("b")), ("outcome", label("retry"))],
+            ),
+            // Span 1 of worker 2 stays open; span 7 was never opened.
+            event(EventKind::SpanEnd, "spec", Some(7), Some(2), &[("elapsed_us", 1u64.into())]),
+            event(EventKind::Point, "cache_probe", None, None, &[("hit", true.into())]),
+            event(EventKind::Point, "cache_probe", None, None, &[("hit", false.into())]),
+            event(EventKind::Point, "segment_restore", None, None, &[("outcome", label("x"))]),
+            event(
+                EventKind::Point,
+                "segment_restore",
+                None,
+                None,
+                &[("outcome", label("replay")), ("reason", label("missing"))],
+            ),
+            event(EventKind::Point, "spec.timeout", None, None, &[]),
+            event(EventKind::Point, "spec.timeout", None, None, &[]),
+            event(EventKind::Point, "elsewhere", None, None, &[]),
+            event(EventKind::Gauge, "mem", None, Some(1), &[("value", 8u64.into())]),
+            event(EventKind::Gauge, "mem", None, Some(2), &[("value", 8u64.into())]),
+            event(EventKind::Counter, "z", None, None, &[("value", 2u64.into())]),
+            event(EventKind::Counter, "a", None, None, &[]),
+        ] {
+            agg.event(&e);
+        }
+        let t = agg.tallies();
+        assert_eq!((t.events, t.begun, t.ended), (17, 3, 3));
+        assert_eq!(t.kinds[&EventKind::Point], 7);
+        assert_eq!(t.unbalanced_spans(), 2);
+        assert_eq!(t.phases, [("spec".to_string(), 3, 15)]);
+        let row = SpecRow { label: "a".to_string(), run_us: 9, queue_us: 3, worker: Some(1) };
+        assert_eq!(t.specs, [row]);
+        assert_eq!((t.cache_hits, t.cache_probes), (1, 2));
+        let named = |pairs: &[(&str, u64)]| -> Vec<(String, u64)> {
+            pairs.iter().map(|(n, c)| (n.to_string(), *c)).collect()
+        };
+        assert_eq!(t.restores, named(&[("x", 1), ("replay (missing)", 1)]));
+        assert_eq!(t.faults, named(&[("spec.timeout", 2)]));
+        // A tie keeps the worker that reached the peak first.
+        assert_eq!(t.gauges, [("mem".to_string(), 8, Some(1))]);
+        // Counters keep first-seen order, a missing value counting 0.
+        assert_eq!(t.counters, named(&[("z", 2), ("a", 0)]));
     }
 
     #[test]
@@ -1011,36 +853,6 @@ mod tests {
         assert_eq!(capture.events()[0].worker, Some(9));
         let handle = std::thread::spawn(current_worker);
         assert_eq!(handle.join().unwrap(), None);
-    }
-
-    #[test]
-    fn json_writer_counts_events_and_bytes() {
-        let writer = Arc::new(JsonLinesWriter::new(Box::new(Vec::new())));
-        with_subscriber(writer.clone(), || {
-            counter("a", 1);
-            gauge("b", 2, Vec::new());
-        });
-        assert_eq!(writer.events_written(), 2);
-        assert!(writer.bytes_written() > 40);
-        writer.flush();
-    }
-
-    #[test]
-    fn json_writer_creates_parseable_lines_on_disk() {
-        let dir = std::env::temp_dir().join(format!("ltc_telemetry_test_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // `create` makes the missing directories itself.
-        let path = dir.join("new").join("events.jsonl");
-        let writer = Arc::new(JsonLinesWriter::create(&path).unwrap());
-        with_subscriber(writer.clone(), || {
-            counter("hits", 3);
-        });
-        writer.flush();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 1);
-        assert!(text.starts_with("{\"v\":1,"));
-        assert!(text.trim_end().ends_with('}'));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1058,14 +870,6 @@ mod tests {
         // Tests outside the lock may still emit into the capture while
         // it is installed; count only this test's own event.
         assert_eq!(capture.named("global").len(), 1);
-    }
-
-    #[test]
-    fn wire_line_wraps_the_event() {
-        let ev = Event::now(EventKind::Point, "p");
-        let line = wire_line(&ev);
-        assert!(line.starts_with("{\"event\":{\"v\":1,"));
-        assert!(line.ends_with("}}"));
     }
 
     #[test]
