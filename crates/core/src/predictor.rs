@@ -1,10 +1,8 @@
 //! The LT-cords predictor: history, streaming and prediction wired together.
 
-use std::collections::HashMap;
-
 use ltc_cache::{HierarchyOutcome, MemLevel, PrefetchOutcome};
 use ltc_lasttouch::{HistoryTable, Signature};
-use ltc_predictors::{PredictorTraffic, PrefetchRequest, Prefetcher};
+use ltc_predictors::{FoldMap, PredictorTraffic, PrefetchRequest, Prefetcher};
 use ltc_trace::{Addr, MemoryAccess};
 
 use crate::config::LtCordsConfig;
@@ -37,7 +35,7 @@ pub struct LtCords {
     cache: SignatureCache,
     /// Prefetch target line -> (signature, off-chip location) that produced
     /// it, for confidence feedback.
-    inflight: HashMap<Addr, (Signature, SigPtr)>,
+    inflight: FoldMap<Addr, (Signature, SigPtr)>,
     metrics: LtCordsMetrics,
 }
 
@@ -68,7 +66,7 @@ impl LtCords {
                 cfg.sig_cache_ways,
                 cfg.sig_cache_policy,
             ),
-            inflight: HashMap::new(),
+            inflight: FoldMap::default(),
             metrics: LtCordsMetrics::default(),
             cfg,
         }
@@ -125,9 +123,6 @@ impl LtCords {
     fn stream_range(&mut self, frame: u32, from: u32, to: u32) {
         if from >= to {
             return;
-        }
-        if std::env::var_os("LTC_DEBUG_STREAM").is_some() && to - from > 256 {
-            eprintln!("big stream: frame={frame} from={from} to={to}");
         }
         let unit = self.cfg.transfer_unit as u32;
         let rounded = to.div_ceil(unit) * unit;

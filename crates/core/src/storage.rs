@@ -1,6 +1,6 @@
 //! Off-chip sequence storage: frames, fragments and head signatures.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use ltc_lasttouch::{Confidence, Signature, SignatureRecord};
 
@@ -27,8 +27,6 @@ struct Frame {
     sigs: Vec<SignatureRecord>,
     /// Next write position within the fragment.
     write_pos: usize,
-    /// Generation counter: bumped every time the frame is re-opened.
-    generation: u64,
 }
 
 /// The off-chip (main-memory) signature sequence store (Section 4.2).
@@ -38,11 +36,14 @@ struct Frame {
 /// a *head signature* — the signature that preceded the fragment's first
 /// entry by `head_lookahead` positions — and lives in the frame selected by
 /// the head's low-order bits, like a direct-mapped cache (collisions
-/// overwrite). Frames are materialized lazily so very large ("unlimited")
-/// configurations cost only what they actually store.
+/// overwrite). Every frame has an (empty) slot from the start, as it has a
+/// tag-array entry; a fragment's signatures are allocated on its first
+/// append, so very large ("unlimited") configurations cost only what they
+/// actually store.
 #[derive(Debug)]
 pub struct SequenceStorage {
-    frames: HashMap<u32, Frame>,
+    /// Indexed by frame number.
+    frames: Vec<Frame>,
     frame_mask: u32,
     fragment_len: usize,
     head_lookahead: usize,
@@ -70,7 +71,7 @@ impl SequenceStorage {
         assert!(fragment_len > 0, "fragments must hold signatures");
         assert!(head_lookahead > 0, "head lookahead must be non-zero");
         SequenceStorage {
-            frames: HashMap::new(),
+            frames: vec![Frame::default(); frames],
             frame_mask: (frames - 1) as u32,
             fragment_len,
             head_lookahead,
@@ -109,9 +110,9 @@ impl SequenceStorage {
         self.confidence_bytes
     }
 
-    /// Number of frames materialized so far.
+    /// Number of frames holding a fragment.
     pub fn live_frames(&self) -> usize {
-        self.frames.len()
+        self.frames.iter().filter(|f| !f.sigs.is_empty()).count()
     }
 
     /// Appends one record in eviction order, returning its location.
@@ -119,9 +120,7 @@ impl SequenceStorage {
         // Start a new fragment when none is open or the current one is full.
         let need_new = match self.current {
             None => true,
-            Some(f) => {
-                self.frames.get(&f).map(|fr| fr.write_pos >= self.fragment_len).unwrap_or(true)
-            }
+            Some(f) => self.frames[f as usize].write_pos >= self.fragment_len,
         };
         if need_new {
             // The head is the signature appended `head_lookahead` ago; early
@@ -129,17 +128,16 @@ impl SequenceStorage {
             // oldest signature we have, or to the incoming record itself.
             let head = self.recent.front().copied().unwrap_or(record.signature);
             let frame_idx = head.0 & self.frame_mask;
-            let frame = self.frames.entry(frame_idx).or_default();
+            let frame = &mut self.frames[frame_idx as usize];
             if !frame.sigs.is_empty() {
                 self.overwrites += 1;
             }
             frame.head = Some(head);
             frame.write_pos = 0;
-            frame.generation += 1;
             self.current = Some(frame_idx);
         }
         let frame_idx = self.current.expect("fragment was just opened");
-        let frame = self.frames.get_mut(&frame_idx).expect("current frame exists");
+        let frame = &mut self.frames[frame_idx as usize];
         let offset = frame.write_pos as u32;
         if frame.write_pos < frame.sigs.len() {
             frame.sigs[frame.write_pos] = record;
@@ -163,58 +161,62 @@ impl SequenceStorage {
         head.0 & self.frame_mask
     }
 
+    /// The signatures stored in `frame` (none for a frame out of range).
+    fn sigs(&self, frame: u32) -> &[SignatureRecord] {
+        self.frames.get(frame as usize).map_or(&[], |f| &f.sigs)
+    }
+
     /// Head signature registered for `frame`, if any.
     pub fn head_of(&self, frame: u32) -> Option<Signature> {
-        self.frames.get(&frame).and_then(|f| f.head)
+        self.frames.get(frame as usize).and_then(|f| f.head)
     }
 
     /// Whether `sig` is the head of the fragment stored in its frame.
     pub fn is_head(&self, sig: Signature) -> bool {
-        self.frames
-            .get(&self.frame_of(sig))
-            .map(|f| f.head == Some(sig) && !f.sigs.is_empty())
-            .unwrap_or(false)
+        let frame = &self.frames[self.frame_of(sig) as usize];
+        frame.head == Some(sig) && !frame.sigs.is_empty()
     }
 
-    /// Reads signatures `[from, to)` of `frame`, charging read traffic.
-    /// Returns the records with their offsets; out-of-range reads clamp.
-    pub fn stream(&mut self, frame: u32, from: u32, to: u32) -> Vec<(SigPtr, SignatureRecord)> {
-        let Some(fr) = self.frames.get(&frame) else { return Vec::new() };
-        let len = fr.sigs.len() as u32;
-        let from = from.min(len);
-        let to = to.min(len);
-        if from >= to {
-            return Vec::new();
-        }
-        let out: Vec<(SigPtr, SignatureRecord)> =
-            (from..to).map(|o| (SigPtr { frame, offset: o }, fr.sigs[o as usize])).collect();
-        self.read_bytes += (to - from) as u64 * SignatureRecord::STORAGE_BYTES;
-        out
+    /// Reads signatures `[from, to)` of `frame`, charging the read
+    /// traffic of the clamped range when called. Yields the records with
+    /// their offsets; out-of-range reads clamp.
+    pub fn stream(
+        &mut self,
+        frame: u32,
+        from: u32,
+        to: u32,
+    ) -> impl Iterator<Item = (SigPtr, SignatureRecord)> + '_ {
+        let sigs = self.frames.get(frame as usize).map_or(&[][..], |f| &f.sigs);
+        let to = to.min(sigs.len() as u32);
+        let from = from.min(to);
+        self.read_bytes += u64::from(to - from) * SignatureRecord::STORAGE_BYTES;
+        (from..to)
+            .zip(&sigs[from as usize..to as usize])
+            .map(move |(offset, &rec)| (SigPtr { frame, offset }, rec))
     }
 
     /// Number of signatures currently stored in `frame`.
     pub fn fragment_len_of(&self, frame: u32) -> u32 {
-        self.frames.get(&frame).map(|f| f.sigs.len() as u32).unwrap_or(0)
+        self.sigs(frame).len() as u32
     }
 
     /// Writes a confidence update through a signature-cache pointer
     /// (Section 4.4: "a direct update of the counter value").
     pub fn update_confidence(&mut self, ptr: SigPtr, correct: bool) {
-        if let Some(fr) = self.frames.get_mut(&ptr.frame) {
-            if let Some(rec) = fr.sigs.get_mut(ptr.offset as usize) {
-                rec.confidence =
-                    if correct { rec.confidence.strengthen() } else { rec.confidence.weaken() };
-                self.confidence_bytes += 1;
-            }
+        let rec = self
+            .frames
+            .get_mut(ptr.frame as usize)
+            .and_then(|f| f.sigs.get_mut(ptr.offset as usize));
+        if let Some(rec) = rec {
+            rec.confidence =
+                if correct { rec.confidence.strengthen() } else { rec.confidence.weaken() };
+            self.confidence_bytes += 1;
         }
     }
 
     /// Confidence of the record at `ptr` (diagnostics).
     pub fn confidence_at(&self, ptr: SigPtr) -> Option<Confidence> {
-        self.frames
-            .get(&ptr.frame)
-            .and_then(|f| f.sigs.get(ptr.offset as usize))
-            .map(|r| r.confidence)
+        self.sigs(ptr.frame).get(ptr.offset as usize).map(|r| r.confidence)
     }
 }
 
@@ -233,8 +235,7 @@ mod tests {
         let ptrs: Vec<SigPtr> = (0..8u32).map(|i| s.append(rec(i))).collect();
         let frame = ptrs[0].frame;
         assert!(ptrs.iter().all(|p| p.frame == frame), "one fragment holds all 8");
-        let read = s.stream(frame, 0, 8);
-        let sigs: Vec<u32> = read.iter().map(|(_, r)| r.signature.0).collect();
+        let sigs: Vec<u32> = s.stream(frame, 0, 8).map(|(_, r)| r.signature.0).collect();
         assert_eq!(sigs, (0..8).collect::<Vec<u32>>(), "eviction order preserved");
     }
 
@@ -296,9 +297,9 @@ mod tests {
         let mut s = SequenceStorage::new(16, 8, 4);
         s.append(rec(1));
         let frame = s.frame_of(Signature(1));
-        assert_eq!(s.stream(frame, 5, 100).len(), 0);
-        assert_eq!(s.stream(frame, 0, 100).len(), 1);
-        assert!(s.stream(999 & s.frame_mask, 0, 1).len() <= 1);
+        assert_eq!(s.stream(frame, 5, 100).count(), 0);
+        assert_eq!(s.stream(frame, 0, 100).count(), 1);
+        assert!(s.stream(999 & s.frame_mask, 0, 1).count() <= 1);
     }
 
     #[test]

@@ -21,7 +21,7 @@ proptest! {
         for (i, p) in ptrs.iter().enumerate() {
             prop_assert_eq!(p.offset as usize, i);
         }
-        let read = s.stream(0, 0, sigs.len() as u32);
+        let read: Vec<_> = s.stream(0, 0, sigs.len() as u32).collect();
         prop_assert_eq!(read.len(), sigs.len());
         for (i, (ptr, r)) in read.iter().enumerate() {
             prop_assert_eq!(ptr.offset as usize, i);

@@ -6,10 +6,9 @@
 //! collapses for applications whose signature working set exceeds the table
 //! (Figure 4), which is the motivation for LT-cords.
 
-use std::collections::HashMap;
-
 use ltc_cache::{CacheConfig, HierarchyOutcome, ImageError, MemLevel, PrefetchOutcome};
 use ltc_lasttouch::{HistoryTable, Signature, SignatureScheme};
+use ltc_stream::hash::FoldMap;
 use ltc_trace::{Addr, MemoryAccess};
 
 use crate::image::{DbcpImage, PredictorImage};
@@ -55,7 +54,7 @@ pub struct DbcpPrefetcher {
     table: CorrelationTable,
     /// In-flight prefetches: target line -> signature that produced them
     /// (for confidence feedback).
-    inflight: HashMap<Addr, Signature>,
+    inflight: FoldMap<Addr, Signature>,
     predictions: u64,
 }
 
@@ -65,7 +64,7 @@ impl DbcpPrefetcher {
         DbcpPrefetcher {
             history: HistoryTable::new(cfg.l1, cfg.scheme),
             table: CorrelationTable::new(cfg.table),
-            inflight: HashMap::new(),
+            inflight: FoldMap::default(),
             predictions: 0,
         }
     }

@@ -29,6 +29,9 @@ pub mod table;
 pub use dbcp::{DbcpConfig, DbcpPrefetcher};
 pub use ghb::{GhbConfig, GhbPrefetcher};
 pub use image::{DbcpImage, GhbImage, PredictorImage, SketchImage, StrideImage};
+/// The integer-key hasher of the hot maps, shared with `ltcords` (which
+/// does not depend on `ltc_stream`).
+pub use ltc_stream::hash::{FoldHasher, FoldMap};
 pub use null::NullPrefetcher;
 pub use prefetcher::{PredictorTraffic, PrefetchLevel, PrefetchRequest, Prefetcher};
 pub use queue::RequestQueue;

@@ -2,6 +2,7 @@
 
 use ltc_cache::ImageError;
 use ltc_lasttouch::{Confidence, Signature};
+use ltc_stream::hash::FoldMap;
 use ltc_trace::Addr;
 use serde::{Deserialize, Serialize};
 
@@ -56,7 +57,7 @@ pub struct CorrelationTable {
     sets: Vec<Entry>,
     set_count: usize,
     /// Unlimited mode: a plain map.
-    map: std::collections::HashMap<Signature, (Addr, Confidence)>,
+    map: FoldMap<Signature, (Addr, Confidence)>,
     clock: u64,
     insertions: u64,
 }
@@ -84,14 +85,7 @@ impl CorrelationTable {
             }
             None => (Vec::new(), 0),
         };
-        CorrelationTable {
-            cfg,
-            sets,
-            set_count,
-            map: std::collections::HashMap::new(),
-            clock: 0,
-            insertions: 0,
-        }
+        CorrelationTable { cfg, sets, set_count, map: FoldMap::default(), clock: 0, insertions: 0 }
     }
 
     /// Number of live entries.

@@ -135,10 +135,54 @@ pub fn record_warm_images<S: TraceSource + ?Sized>(
     warmup: u64,
     starts: &[u64],
 ) -> WarmStore {
+    let mut store = WarmStore::default();
+    walk_starts(source, warmup, starts, |_, pos, hierarchy| {
+        store.insert(WarmImage { pos, image: hierarchy.to_image() });
+    });
+    store
+}
+
+/// Records a generator checkpoint and a warm image at each non-zero
+/// start in `starts`, in one walk of `source`: the walk of
+/// [`record_warm_images`], snapshotting the generator as it passes each
+/// start. The stores equal what [`record_targets`] and
+/// [`record_warm_images`] record at the same starts, for the generation
+/// cost of one of them. This is what [`ensure`] records.
+pub fn record_stores<S: TraceSource + ?Sized>(
+    source: &mut S,
+    warmup: u64,
+    starts: &[u64],
+) -> SegmentStores {
+    let mut stores = SegmentStores::default();
+    // As in `record_targets`, checkpoints stop at the first position the
+    // source cannot snapshot.
+    let mut checkpointing = true;
+    walk_starts(source, warmup, starts, |source, pos, hierarchy| {
+        if checkpointing {
+            match source.checkpoint() {
+                Some(state) => stores.checkpoints.insert(Checkpoint { pos, state }),
+                None => checkpointing = false,
+            }
+        }
+        stores.images.insert(WarmImage { pos, image: hierarchy.to_image() });
+    });
+    stores
+}
+
+/// Walks `source` from the beginning to the last non-zero start in
+/// `starts`, feeding each start's `warmup`-access window to a hierarchy
+/// of its own, and calls `at_start(source, start, hierarchy)` as the walk
+/// reaches each start, with `source` positioned exactly there. Stops
+/// early if the source ends.
+fn walk_starts<S: TraceSource + ?Sized>(
+    source: &mut S,
+    warmup: u64,
+    starts: &[u64],
+    mut at_start: impl FnMut(&S, u64, Hierarchy),
+) {
     let mut sorted: Vec<u64> = starts.iter().copied().filter(|&s| s > 0).collect();
     sorted.sort_unstable();
     sorted.dedup();
-    let mut store = WarmStore::default();
     let mut active: Vec<(u64, Hierarchy)> = Vec::new();
     let mut next = 0usize;
     let mut pos = 0u64;
@@ -151,7 +195,7 @@ pub fn record_warm_images<S: TraceSource + ?Sized>(
         }
         while let Some(i) = active.iter().position(|(start, _)| *start == pos) {
             let (start, hierarchy) = active.swap_remove(i);
-            store.insert(WarmImage { pos: start, image: hierarchy.to_image() });
+            at_start(source, start, hierarchy);
         }
         if next >= sorted.len() && active.is_empty() {
             break;
@@ -162,7 +206,6 @@ pub fn record_warm_images<S: TraceSource + ?Sized>(
         }
         pos += 1;
     }
-    store
 }
 
 /// The generator checkpoints and warm hierarchy images recorded at the
@@ -189,11 +232,11 @@ impl SegmentStores {
 ///
 /// Starts the registry or the on-disk stores already cover are not
 /// re-recorded; partially covering stores are extended by one recording
-/// pass over the union of their positions and the missing starts. The
-/// result lands in the process registry and — when [`CHECKPOINT_DIR_ENV`]
-/// is set — on disk for subprocess workers. Returns `None` for an
-/// unknown benchmark; start zero is skipped (a fresh source and a cold
-/// hierarchy already *are* position zero).
+/// walk ([`record_stores`]) over the union of their positions and the
+/// missing starts. The result lands in the process registry and — when
+/// [`CHECKPOINT_DIR_ENV`] is set — on disk for subprocess workers.
+/// Returns `None` for an unknown benchmark; start zero is skipped (a
+/// fresh source and a cold hierarchy already *are* position zero).
 pub fn ensure(
     benchmark: &str,
     seed: u64,
@@ -209,10 +252,7 @@ pub fn ensure(
         wanted.extend(stores.images.iter().map(|w| w.pos));
     }
     let entry = suite::by_name(benchmark)?;
-    let stores = Arc::new(SegmentStores {
-        checkpoints: record_targets(&mut entry.build(seed), &wanted),
-        images: record_warm_images(&mut entry.build(seed), warmup, &wanted),
-    });
+    let stores = Arc::new(record_stores(&mut entry.build(seed), warmup, &wanted));
     registry()
         .lock()
         .expect("segment-store registry lock")
@@ -454,6 +494,48 @@ mod tests {
                 h.access(a.addr, a.kind);
             }
             assert_eq!(image.image, h.to_image(), "image diverges from replay at {start}");
+        }
+    }
+
+    /// A source that counts the accesses drawn through it.
+    struct Counting<S> {
+        inner: S,
+        drawn: u64,
+    }
+
+    impl<S: TraceSource> TraceSource for Counting<S> {
+        fn next_access(&mut self) -> Option<ltc_trace::MemoryAccess> {
+            self.drawn += 1;
+            self.inner.next_access()
+        }
+
+        fn checkpoint(&self) -> Option<ltc_trace::SourceState> {
+            self.inner.checkpoint()
+        }
+    }
+
+    #[test]
+    fn record_stores_matches_both_recorders_in_one_walk() {
+        let warmup = 2_000;
+        let starts = segment_starts(40_000, 4);
+        let last = *starts.iter().max().unwrap();
+        for entry in suite::benchmarks() {
+            let mut source = Counting { inner: entry.build(1), drawn: 0 };
+            let stores = record_stores(&mut source, warmup, &starts);
+            assert_eq!(source.drawn, last, "{}: one walk to the last start", entry.name);
+            assert_eq!(
+                stores.checkpoints,
+                record_targets(&mut entry.build(1), &starts),
+                "{}: checkpoints",
+                entry.name
+            );
+            assert_eq!(
+                stores.images,
+                record_warm_images(&mut entry.build(1), warmup, &starts),
+                "{}: warm images",
+                entry.name
+            );
+            assert_eq!(stores.checkpoints.len(), starts.len(), "{}", entry.name);
         }
     }
 

@@ -11,15 +11,16 @@
 //! whole pairs that persists across outer replacements and caps the
 //! inner estimates.
 //!
-//! Unlike the pointer-heavy global [`crate::SpaceSaving`], the outer
-//! summary is
-//! *set-associative*: keys hash (seeded) into sets of [`ChhConfig::ways`]
-//! packed 16-byte entries, replacement is Space-Saving's
-//! min-count-inheritance restricted to the set, and the inner summaries
-//! are inline arrays in one flat allocation. That keeps the never-
-//! undercount property and the deterministic state while monitoring
-//! 5–10x more keys per budget byte — the difference between a sketch
-//! predictor that can hold a signature working set and one that churns.
+//! Unlike the global [`crate::SpaceSaving`], whose key→slot hash index
+//! and min-tree cost 48 modelled bytes per key on top of the entry, the
+//! outer summary is *set-associative*: keys hash (seeded) into sets of
+//! [`ChhConfig::ways`] packed 16-byte entries, replacement is
+//! Space-Saving's min-count-inheritance restricted to the set, and the
+//! inner summaries are inline arrays in one flat allocation. That keeps
+//! the never-undercount property and the deterministic state while
+//! monitoring 5–10x more keys per budget byte — the difference between a
+//! sketch predictor that can hold a signature working set and one that
+//! churns.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};

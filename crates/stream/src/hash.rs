@@ -7,6 +7,15 @@
 //! *default* family changes simulation results and therefore rides a
 //! `MODEL_VERSION` bump; old states remain replayable because they pin
 //! their own family by code.
+//!
+//! [`FoldHasher`] is the other hasher here: the `std` [`Hasher`] behind
+//! the workspace's hot integer-keyed maps ([`FoldMap`]). No result
+//! depends on its values — the maps it backs are only probed, or sorted
+//! before they are written out — so it can change without touching any
+//! output.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::mix64;
 
@@ -77,6 +86,66 @@ impl HashKind {
         }
     }
 }
+
+/// The odd multiplier of [`FoldHasher`] (2^64 / φ, the Fibonacci
+/// hashing constant).
+const FOLD_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// A fast [`Hasher`] for integer keys: each word is xored into the
+/// state, multiplied by an odd constant into 128 bits, and the two
+/// halves are folded together with an xor.
+///
+/// The fold matters for line addresses, whose low 6 bits are zero: a
+/// plain 64-bit multiply leaves those bits zero, and `HashMap` picks a
+/// bucket from the low bits. The high half carries the mixed product
+/// down into them, while the low half's high bits, which the map uses as
+/// its tag byte, stay the multiply's best-mixed bits. It is not
+/// DoS-resistant, and need not be: its keys are the addresses and
+/// signatures of a trace the user chose, so a trace crafted to collide
+/// slows only its own simulation.
+///
+/// # Example
+///
+/// ```
+/// use ltc_stream::hash::FoldMap;
+///
+/// let mut inflight: FoldMap<u64, u32> = FoldMap::default();
+/// inflight.insert(0x7f00_0040, 3);
+/// assert_eq!(inflight.get(&0x7f00_0040), Some(&3));
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FoldHasher {
+    state: u64,
+}
+
+impl Hasher for FoldHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        let product = u128::from(self.state ^ word) * u128::from(FOLD_MUL);
+        self.state = product as u64 ^ (product >> 64) as u64;
+    }
+
+    #[inline]
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
+/// A `HashMap` hashed by [`FoldHasher`].
+pub type FoldMap<K, V> = HashMap<K, V, BuildHasherDefault<FoldHasher>>;
 
 #[cfg(test)]
 mod tests {

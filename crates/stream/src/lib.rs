@@ -57,7 +57,7 @@ pub mod spacesaving;
 
 pub use chh::{ChhConfig, ChhPair, ChhState, ChhSummary};
 pub use countmin::{CountMin, CountMinState};
-pub use hash::HashKind;
+pub use hash::{FoldHasher, FoldMap, HashKind};
 pub use merge::{MergeError, SketchShape};
 pub use spacesaving::{Estimate, Observed, SpaceSaving, SpaceSavingState};
 

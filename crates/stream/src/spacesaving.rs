@@ -8,11 +8,11 @@
 //! ε = 1/k). The summary is deterministic: identical observation sequences
 //! produce identical states (min-replacement ties break by slot index).
 
-use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
 
 use serde::{Deserialize, Serialize};
 
+use crate::hash::FoldMap;
 use crate::merge::{MergeError, SketchShape};
 
 /// What [`SpaceSaving::observe`] did with the key.
@@ -57,9 +57,20 @@ struct Entry<K> {
 }
 
 /// Modelled bookkeeping bytes per monitored key beyond the entry payload:
-/// the `(count, slot)` order-set node and the key→slot index node,
-/// including allocator/container overhead.
+/// the key→slot index entry and the key's share of the min-tree (a leaf
+/// and an inner node of 16 bytes each), including allocator/container
+/// overhead. Every summary is sized by [`SpaceSaving::entry_bytes`], so
+/// this stays fixed whatever the layout it models.
 const NODE_BYTES: u64 = 48;
+
+/// A min-tree node: `count << 32 | slot`, so comparing two ranks orders
+/// by count and breaks ties by the lower slot.
+type Rank = u128;
+
+#[inline]
+fn rank(count: u64, slot: u32) -> Rank {
+    Rank::from(count) << 32 | Rank::from(slot)
+}
 
 /// Deterministic Space-Saving summary over `Copy` keys.
 ///
@@ -79,10 +90,15 @@ const NODE_BYTES: u64 = 48;
 #[derive(Debug, Clone)]
 pub struct SpaceSaving<K> {
     capacity: usize,
+    /// Monitored keys, indexed by slot.
     entries: Vec<Entry<K>>,
-    index: HashMap<K, u32>,
-    /// Live `(count, slot)` pairs ordered for O(log k) min retrieval.
-    order: BTreeSet<(u64, u32)>,
+    /// Key → slot.
+    index: FoldMap<K, u32>,
+    /// Min-tree over the slots' ranks: node `i` holds the least rank of
+    /// nodes `2i` and `2i + 1`, slot `s`'s leaf is node `capacity + s`,
+    /// and node 1 is the minimum. Empty until the summary first fills,
+    /// the only state in which the minimum is read.
+    tree: Vec<Rank>,
     total: u64,
     /// Replacements performed by this instance (telemetry only — not
     /// part of the logical sketch state, so excluded from
@@ -101,16 +117,16 @@ impl<K: Eq + Hash + Copy> SpaceSaving<K> {
         SpaceSaving {
             capacity,
             entries: Vec::new(),
-            index: HashMap::new(),
-            order: BTreeSet::new(),
+            index: FoldMap::default(),
+            tree: Vec::new(),
             total: 0,
             evictions: 0,
         }
     }
 
     /// Modelled resident bytes per monitored key (entry payload plus
-    /// index/order bookkeeping) — the unit [`SpaceSaving::with_budget`]
-    /// divides a byte budget by.
+    /// index and min-tree bookkeeping) — the unit
+    /// [`SpaceSaving::with_budget`] divides a byte budget by.
     pub fn entry_bytes() -> u64 {
         std::mem::size_of::<Entry<K>>() as u64 + NODE_BYTES
     }
@@ -168,27 +184,29 @@ impl<K: Eq + Hash + Copy> SpaceSaving<K> {
         self.total += n;
         if let Some(&slot) = self.index.get(&key) {
             let e = &mut self.entries[slot as usize];
-            self.order.remove(&(e.count, slot));
             e.count += n;
-            self.order.insert((e.count, slot));
+            let count = e.count;
+            if !self.tree.is_empty() {
+                self.raise(slot, rank(count - n, slot), rank(count, slot));
+            }
             return Observed::Incremented(slot);
         }
         if self.entries.len() < self.capacity {
             let slot = self.entries.len() as u32;
             self.entries.push(Entry { key, count: n, overestimate: 0 });
             self.index.insert(key, slot);
-            self.order.insert((n, slot));
+            self.build_tree_if_full();
             return Observed::Inserted(slot);
         }
         // Displace the minimum-count key (deterministic: lowest slot on
         // count ties) and inherit its counter as the overestimate.
-        let &(min_count, slot) = self.order.iter().next().expect("capacity >= 1");
-        self.order.remove(&(min_count, slot));
+        let min = self.tree[1];
+        let (min_count, slot) = ((min >> 32) as u64, min as u32);
         let e = &mut self.entries[slot as usize];
         self.index.remove(&e.key);
         *e = Entry { key, count: min_count + n, overestimate: min_count };
         self.index.insert(key, slot);
-        self.order.insert((min_count + n, slot));
+        self.raise(slot, min, rank(min_count + n, slot));
         self.evictions += 1;
         Observed::Replaced(slot)
     }
@@ -238,25 +256,43 @@ impl<K: Eq + Hash + Copy> SpaceSaving<K> {
     pub fn clear(&mut self) {
         self.entries.clear();
         self.index.clear();
-        self.order.clear();
+        self.tree.clear();
         self.total = 0;
         self.evictions = 0;
-    }
-
-    /// The minimum monitored count (0 when empty) — the upper bound on
-    /// any unmonitored key's true count once the summary is full.
-    fn min_count(&self) -> u64 {
-        self.order.iter().next().map(|&(count, _)| count).unwrap_or(0)
     }
 
     /// What an absent key may have truly counted in this summary: the
     /// minimum counter when full (it could have been displaced), zero
     /// otherwise (below capacity every observed key is monitored).
     fn absent_bound(&self) -> u64 {
-        if self.entries.len() == self.capacity {
-            self.min_count()
-        } else {
-            0
+        self.tree.get(1).map_or(0, |&min| (min >> 32) as u64)
+    }
+
+    /// Builds the min-tree once every slot is taken.
+    fn build_tree_if_full(&mut self) {
+        if self.entries.len() < self.capacity {
+            return;
+        }
+        let k = self.capacity;
+        self.tree = vec![0; 2 * k];
+        for (slot, e) in self.entries.iter().enumerate() {
+            self.tree[k + slot] = rank(e.count, slot as u32);
+        }
+        for node in (1..k).rev() {
+            self.tree[node] = self.tree[2 * node].min(self.tree[2 * node + 1]);
+        }
+    }
+
+    /// Rewrites `slot`'s leaf from rank `old` to the larger `new`. Only
+    /// ancestors whose minimum was `old` can change, and they form an
+    /// unbroken path up from the leaf, so the walk stops at the first
+    /// ancestor with another minimum.
+    fn raise(&mut self, slot: u32, old: Rank, new: Rank) {
+        let mut node = self.capacity + slot as usize;
+        self.tree[node] = new;
+        while node > 1 && self.tree[node / 2] == old {
+            self.tree[node / 2] = self.tree[node].min(self.tree[node ^ 1]);
+            node /= 2;
         }
     }
 }
@@ -316,8 +352,8 @@ impl<K: Eq + Hash + Copy + Ord> SpaceSaving<K> {
         for (slot, (key, count, overestimate)) in combined.into_iter().enumerate() {
             self.entries.push(Entry { key, count, overestimate });
             self.index.insert(key, slot as u32);
-            self.order.insert((count, slot as u32));
         }
+        self.build_tree_if_full();
         Ok(())
     }
 }
@@ -372,8 +408,8 @@ impl SpaceSaving<u64> {
                 return Err(invalid(format!("duplicate key {key:#x}")));
             }
             ss.entries.push(Entry { key, count, overestimate });
-            ss.order.insert((count, slot as u32));
         }
+        ss.build_tree_if_full();
         Ok(ss)
     }
 }

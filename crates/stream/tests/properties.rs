@@ -4,11 +4,16 @@
 //! merge guarantees: summaries built over stream segments and merged
 //! must match a single-pass summary over the concatenated stream within
 //! the documented merged error bounds, commutatively, and associatively
-//! up to those bounds.
+//! up to those bounds. Space-Saving is also checked step by step against
+//! a linear-scan reference model.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, BuildHasherDefault};
 
-use ltc_stream::{ChhConfig, ChhSummary, CountMin, SpaceSaving};
+use ltc_stream::{
+    ChhConfig, ChhSummary, CountMin, FoldHasher, Observed, SpaceSaving, SpaceSavingState,
+};
 use ltc_trace::gen::{ChaseConfig, ChaseGen};
 use ltc_trace::TraceSource;
 use proptest::prelude::*;
@@ -406,4 +411,133 @@ fn chh_memory_is_independent_of_stream_length() {
         footprints.push(chh.memory_bytes());
     }
     assert_eq!(footprints[0], footprints[1], "both lengths saturate the same summary size");
+}
+
+/// The linear-scan Space-Saving reference: slots in insertion order as
+/// `(key, count, overestimate)`, evicting the least `(count, slot)` by
+/// scanning them all.
+#[derive(Debug, Clone)]
+struct ScanModel {
+    capacity: usize,
+    total: u64,
+    slots: Vec<(u64, u64, u64)>,
+}
+
+impl ScanModel {
+    fn new(capacity: usize) -> Self {
+        ScanModel { capacity, total: 0, slots: Vec::new() }
+    }
+
+    fn observe_n(&mut self, key: u64, n: u64) -> Observed {
+        self.total += n;
+        if let Some(slot) = self.slots.iter().position(|s| s.0 == key) {
+            self.slots[slot].1 += n;
+            return Observed::Incremented(slot as u32);
+        }
+        if self.slots.len() < self.capacity {
+            self.slots.push((key, n, 0));
+            return Observed::Inserted(self.slots.len() as u32 - 1);
+        }
+        let slot = (0..self.slots.len()).min_by_key(|&s| (self.slots[s].1, s)).unwrap();
+        let min = self.slots[slot].1;
+        self.slots[slot] = (key, min + n, min);
+        Observed::Replaced(slot as u32)
+    }
+
+    /// The minimum count when full, else zero.
+    fn absent_bound(&self) -> u64 {
+        let min = self.slots.iter().map(|s| s.1).min().unwrap_or(0);
+        if self.slots.len() == self.capacity {
+            min
+        } else {
+            0
+        }
+    }
+
+    /// The documented combine: matched keys sum, a one-sided key adds
+    /// the other side's absent bound, the top `capacity` by count (ties
+    /// by key) survive in that order.
+    fn merge(&mut self, other: &ScanModel) {
+        let find = |slots: &[(u64, u64, u64)], key: u64| slots.iter().find(|s| s.0 == key).copied();
+        let (m_self, m_other) = (self.absent_bound(), other.absent_bound());
+        let mut combined: Vec<(u64, u64, u64)> = self
+            .slots
+            .iter()
+            .map(|&(key, count, over)| match find(&other.slots, key) {
+                Some((_, c, o)) => (key, count + c, over + o),
+                None => (key, count + m_other, over + m_other),
+            })
+            .collect();
+        for &(key, count, over) in &other.slots {
+            if find(&self.slots, key).is_none() {
+                combined.push((key, count + m_self, over + m_self));
+            }
+        }
+        combined.sort_by_key(|&(key, count, _)| (Reverse(count), key));
+        combined.truncate(self.capacity);
+        self.total += other.total;
+        self.slots = combined;
+    }
+
+    fn state(&self) -> SpaceSavingState {
+        SpaceSavingState {
+            capacity: self.capacity as u64,
+            total: self.total,
+            keys: self.slots.iter().map(|s| s.0).collect(),
+            counts: self.slots.iter().map(|s| s.1).collect(),
+            overestimates: self.slots.iter().map(|s| s.2).collect(),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Step for step, `SpaceSaving` does what the linear-scan model does:
+    /// the same `Observed` slot and the same state after every
+    /// `observe`, `observe_n`, `merge` and snapshot round trip. Keys are
+    /// drawn from barely more than `capacity` values, so counts tie often
+    /// and the lowest-slot tie-break decides most evictions.
+    #[test]
+    fn space_saving_matches_a_linear_scan_model(
+        capacity in prop_oneof![1usize..10, Just(64usize)],
+        steps in prop::collection::vec((0u8..10, 0u64..1_000, 1u64..4), 1..400),
+    ) {
+        let keys = capacity as u64 + 3;
+        let (mut ss, mut model) = (SpaceSaving::new(capacity), ScanModel::new(capacity));
+        // A partner summary that steps 6 and 9 feed and step 7 merges in.
+        let (mut peer, mut peer_model) = (SpaceSaving::new(capacity), ScanModel::new(capacity));
+        for (op, key, n) in steps {
+            let key = key % keys;
+            match op {
+                0..=3 => prop_assert_eq!(ss.observe(key), model.observe_n(key, 1)),
+                4 | 5 => prop_assert_eq!(ss.observe_n(key, n), model.observe_n(key, n)),
+                6 => prop_assert_eq!(peer.observe_n(key, n), peer_model.observe_n(key, n)),
+                7 => {
+                    ss.merge(&peer).expect("same capacity");
+                    model.merge(&peer_model);
+                }
+                8 => ss = SpaceSaving::from_state(&ss.to_state()).expect("own state"),
+                _ => prop_assert_eq!(peer.observe(key), peer_model.observe_n(key, 1)),
+            }
+            prop_assert_eq!(ss.to_state(), model.state());
+            prop_assert_eq!(peer.to_state(), peer_model.state());
+        }
+    }
+}
+
+/// The hot maps' hasher spreads line addresses (multiples of 64) over
+/// both the low bits a `HashMap` picks buckets with and the top 7 bits
+/// it tags entries with.
+#[test]
+fn fold_hasher_spreads_line_addresses() {
+    let build = BuildHasherDefault::<FoldHasher>::default();
+    let (mut low, mut top) = (HashSet::new(), HashSet::new());
+    for line in 0..65_536u64 {
+        let hash = build.hash_one(line * 64);
+        low.insert(hash & 0xffff);
+        top.insert(hash >> 57);
+    }
+    assert!(low.len() >= 32_768, "low 16 bits: {} of 65 536 values", low.len());
+    assert!(top.len() >= 100, "top 7 bits: {} of 128 values", top.len());
 }
