@@ -13,8 +13,10 @@
 //! full spec key — so a `MODEL_VERSION` bump alone does not invalidate
 //! them: the wall asserts *results*, and `MODEL_VERSION` bumps exactly
 //! when results legitimately change. When that happens (e.g. the sketch
-//! `HashKind` default changed under MODEL_VERSION 4), regenerate the
-//! affected snapshot in the same PR as the bump:
+//! hash family changed under MODEL_VERSION 4; a future family change
+//! edits `ltc_stream::hash::index`/`spread` and bumps both `HASH_CODE`
+//! and `MODEL_VERSION`), regenerate the affected snapshot in the same
+//! change as the bump:
 //!
 //! ```text
 //! LTC_UPDATE_GOLDEN=1 cargo test -p ltc_bench --test golden_reports

@@ -105,16 +105,6 @@ impl Hierarchy {
         &self.l2
     }
 
-    /// Mutable access to the L1 (used by prefetchers that fill L1 directly).
-    pub fn l1_mut(&mut self) -> &mut Cache {
-        &mut self.l1
-    }
-
-    /// Mutable access to the L2.
-    pub fn l2_mut(&mut self) -> &mut Cache {
-        &mut self.l2
-    }
-
     /// Performs one demand access through both levels.
     pub fn access(&mut self, addr: Addr, kind: AccessKind) -> HierarchyOutcome {
         let l1 = self.l1.access(addr, kind);

@@ -19,16 +19,9 @@ use crate::config::{CacheConfig, GeometryError};
 use crate::hierarchy::{Hierarchy, HierarchyConfig};
 use crate::stats::CacheStats;
 
-/// Why an image refused to restore.
-///
-/// Shared by every imaging surface in the workspace: cache and hierarchy
-/// restores here, history-table and predictor restores in the crates
-/// built on top.
+/// Why a cache or hierarchy image refused to restore.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ImageError {
-    /// The component does not support imaging (e.g. a predictor whose
-    /// state is too entangled to snapshot); callers fall back to replay.
-    Unsupported,
     /// The image's embedded configuration is not a buildable geometry.
     Geometry(GeometryError),
     /// The restore target is configured differently from the image donor.
@@ -47,13 +40,6 @@ pub enum ImageError {
         /// Entries the image carried.
         found: usize,
     },
-    /// The image was captured from a different component kind.
-    Kind {
-        /// The restore target's kind.
-        expected: String,
-        /// The image donor's kind.
-        found: String,
-    },
     /// Any other malformed field (out-of-range counter, bad invariant).
     Invalid(String),
 }
@@ -61,16 +47,12 @@ pub enum ImageError {
 impl std::fmt::Display for ImageError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ImageError::Unsupported => write!(f, "component does not support state images"),
             ImageError::Geometry(e) => write!(f, "image carries an invalid geometry: {e}"),
             ImageError::ConfigMismatch { expected, found } => {
                 write!(f, "image config {found} does not match restore target {expected}")
             }
             ImageError::Shape { field, expected, found } => {
                 write!(f, "image field `{field}` has {found} entries, geometry demands {expected}")
-            }
-            ImageError::Kind { expected, found } => {
-                write!(f, "image of kind {found} cannot restore into {expected}")
             }
             ImageError::Invalid(msg) => write!(f, "invalid image: {msg}"),
         }
@@ -133,26 +115,6 @@ impl HierarchyImage {
     }
 }
 
-impl Cache {
-    /// Snapshots the cache's complete mutable state.
-    pub fn to_image(&self) -> CacheImage {
-        self.image()
-    }
-
-    /// Rebuilds a cache from `image`, validating geometry, vector shapes
-    /// and the sequence counter.
-    ///
-    /// # Errors
-    ///
-    /// [`ImageError::Geometry`] when the embedded config cannot build;
-    /// [`ImageError::Shape`] when a state vector's length disagrees with
-    /// the slot count; [`ImageError::Invalid`] when the sequence counter
-    /// is outside the stamp range.
-    pub fn from_image(image: &CacheImage) -> Result<Cache, ImageError> {
-        Cache::restore_image(image)
-    }
-}
-
 impl Hierarchy {
     /// Snapshots both levels.
     pub fn to_image(&self) -> HierarchyImage {
@@ -199,7 +161,9 @@ mod tests {
     fn restored_hierarchy_continues_byte_identically() {
         for cfg in [HierarchyConfig::paper(), HierarchyConfig::paper_4mb_l2()] {
             let mut original = warmed(cfg, 20_000);
-            let image = original.to_image();
+            // Restore from JSON text, as the on-disk warm stores do.
+            let text = serde_json::to_string(&original.to_image());
+            let image: HierarchyImage = serde_json::from_str(&text).unwrap();
             let mut restored = Hierarchy::from_image(cfg, &image).unwrap();
             for i in 0..5_000u64 {
                 let a = Addr((i * 2891) % (1 << 22));

@@ -17,9 +17,8 @@
 //! provably identical whenever the access sequence recurs, for any
 //! associativity.
 
-use ltc_cache::{CacheConfig, ImageError};
+use ltc_cache::CacheConfig;
 use ltc_trace::{Addr, Pc};
-use serde::{Deserialize, Serialize};
 
 use crate::signature::{extend_trace, Signature, SignatureRecord, SignatureScheme};
 
@@ -164,56 +163,6 @@ impl HistoryTable {
         record
     }
 
-    /// Snapshots the table's complete per-frame state.
-    pub fn to_image(&self) -> HistoryTableImage {
-        HistoryTableImage {
-            scheme: self.scheme,
-            valid: self.slots.iter().map(|s| s.valid).collect(),
-            line: self.slots.iter().map(|s| s.line).collect(),
-            trace_hash: self.slots.iter().map(|s| s.trace_hash).collect(),
-            accesses: self.slots.iter().map(|s| s.accesses).collect(),
-            prev_line: self.slots.iter().map(|s| s.prev_line).collect(),
-        }
-    }
-
-    /// Overwrites this table's per-frame state from `image`.
-    ///
-    /// # Errors
-    ///
-    /// [`ImageError::ConfigMismatch`] when the image was captured under a
-    /// different signature scheme, [`ImageError::Shape`] when a state
-    /// vector's length disagrees with this table's frame count.
-    pub fn restore_image(&mut self, image: &HistoryTableImage) -> Result<(), ImageError> {
-        if image.scheme != self.scheme {
-            return Err(ImageError::ConfigMismatch {
-                expected: format!("{:?}", self.scheme),
-                found: format!("{:?}", image.scheme),
-            });
-        }
-        let frames = self.slots.len();
-        for (field, found) in [
-            ("valid", image.valid.len()),
-            ("line", image.line.len()),
-            ("trace_hash", image.trace_hash.len()),
-            ("accesses", image.accesses.len()),
-            ("prev_line", image.prev_line.len()),
-        ] {
-            if found != frames {
-                return Err(ImageError::Shape { field, expected: frames, found });
-            }
-        }
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            *slot = Slot {
-                valid: image.valid[i],
-                line: image.line[i],
-                trace_hash: image.trace_hash[i],
-                accesses: image.accesses[i],
-                prev_line: image.prev_line[i],
-            };
-        }
-        Ok(())
-    }
-
     /// Computes the current lookup signature for `addr` without mutating the
     /// table (diagnostics).
     pub fn peek_signature(&self, addr: Addr) -> Option<Signature> {
@@ -223,33 +172,6 @@ impl HistoryTable {
             .iter()
             .find(|s| s.valid && s.line == line)
             .map(|s| self.scheme.compute(s.trace_hash, s.prev_line, line))
-    }
-}
-
-/// Snapshot of a [`HistoryTable`]'s per-frame state (one entry per frame
-/// in each parallel vector), tagged with the signature scheme so a
-/// restore under a different scheme is a typed error.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HistoryTableImage {
-    /// Signature scheme the donor table was configured with.
-    pub scheme: SignatureScheme,
-    /// Per-frame valid bits.
-    pub valid: Vec<bool>,
-    /// Per-frame tracked line numbers.
-    pub line: Vec<u64>,
-    /// Per-frame PC trace hashes.
-    pub trace_hash: Vec<u64>,
-    /// Per-frame demand access counts.
-    pub accesses: Vec<u32>,
-    /// Per-frame previous-occupant line numbers.
-    pub prev_line: Vec<u64>,
-}
-
-impl HistoryTableImage {
-    /// Bytes of simulated state the image carries: 29 bytes per frame
-    /// (1 valid + 8 line + 8 trace hash + 4 accesses + 8 previous line).
-    pub fn image_bytes(&self) -> u64 {
-        self.valid.len() as u64 * 29
     }
 }
 

@@ -39,5 +39,5 @@ pub mod history;
 pub mod signature;
 
 pub use confidence::Confidence;
-pub use history::{HistoryTable, HistoryTableImage};
+pub use history::HistoryTable;
 pub use signature::{Signature, SignatureRecord, SignatureScheme};

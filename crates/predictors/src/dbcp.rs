@@ -6,12 +6,11 @@
 //! collapses for applications whose signature working set exceeds the table
 //! (Figure 4), which is the motivation for LT-cords.
 
-use ltc_cache::{CacheConfig, HierarchyOutcome, ImageError, MemLevel, PrefetchOutcome};
+use ltc_cache::{CacheConfig, HierarchyOutcome, MemLevel, PrefetchOutcome};
 use ltc_lasttouch::{HistoryTable, Signature, SignatureScheme};
 use ltc_stream::hash::FoldMap;
 use ltc_trace::{Addr, MemoryAccess};
 
-use crate::image::{DbcpImage, PredictorImage};
 use crate::prefetcher::{PrefetchRequest, Prefetcher};
 use crate::table::{CorrelationTable, TableConfig};
 
@@ -159,28 +158,6 @@ impl Prefetcher for DbcpPrefetcher {
 
     fn memory_bytes(&self) -> u64 {
         self.table.memory_bytes() + self.history.storage_bytes()
-    }
-
-    fn image(&self) -> Option<PredictorImage> {
-        let mut inflight: Vec<(u64, u32)> = self.inflight.iter().map(|(a, s)| (a.0, s.0)).collect();
-        inflight.sort_unstable();
-        Some(PredictorImage::Dbcp(DbcpImage {
-            history: self.history.to_image(),
-            table: self.table.to_state(),
-            inflight,
-            predictions: self.predictions,
-        }))
-    }
-
-    fn restore_image(&mut self, image: &PredictorImage) -> Result<(), ImageError> {
-        let PredictorImage::Dbcp(img) = image else {
-            return Err(image.kind_mismatch("dbcp"));
-        };
-        self.history.restore_image(&img.history)?;
-        self.table.restore_state(&img.table)?;
-        self.inflight = img.inflight.iter().map(|&(a, s)| (Addr(a), Signature(s))).collect();
-        self.predictions = img.predictions;
-        Ok(())
     }
 }
 

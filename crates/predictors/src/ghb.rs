@@ -6,10 +6,9 @@
 //! configures it with a 256-entry index table, a 256-entry history buffer
 //! and prefetch depth 4 (Table 1), "as recommended for SPEC applications".
 
-use ltc_cache::{HierarchyOutcome, ImageError};
+use ltc_cache::HierarchyOutcome;
 use ltc_trace::{Addr, MemoryAccess};
 
-use crate::image::{check_shapes, GhbImage, PredictorImage};
 use crate::prefetcher::{PrefetchRequest, Prefetcher};
 
 /// Configuration for [`GhbPrefetcher`].
@@ -171,47 +170,6 @@ impl Prefetcher for GhbPrefetcher {
         // Fixed arrays: resident memory is the full-width entries.
         self.index.len() as u64 * std::mem::size_of::<ItEntry>() as u64
             + self.ring.len() as u64 * std::mem::size_of::<GhbEntry>() as u64
-    }
-
-    fn image(&self) -> Option<PredictorImage> {
-        Some(PredictorImage::Ghb(GhbImage {
-            index_pc_tag: self.index.iter().map(|e| e.pc_tag).collect(),
-            index_last_id: self.index.iter().map(|e| e.last_id).collect(),
-            index_valid: self.index.iter().map(|e| e.valid).collect(),
-            ring_addr: self.ring.iter().map(|e| e.addr).collect(),
-            ring_prev_id: self.ring.iter().map(|e| e.prev_id).collect(),
-            next_id: self.next_id,
-        }))
-    }
-
-    fn restore_image(&mut self, image: &PredictorImage) -> Result<(), ImageError> {
-        let PredictorImage::Ghb(img) = image else {
-            return Err(image.kind_mismatch("ghb"));
-        };
-        check_shapes(
-            self.index.len(),
-            &[
-                ("index_pc_tag", img.index_pc_tag.len()),
-                ("index_last_id", img.index_last_id.len()),
-                ("index_valid", img.index_valid.len()),
-            ],
-        )?;
-        check_shapes(
-            self.ring.len(),
-            &[("ring_addr", img.ring_addr.len()), ("ring_prev_id", img.ring_prev_id.len())],
-        )?;
-        for (i, e) in self.index.iter_mut().enumerate() {
-            *e = ItEntry {
-                pc_tag: img.index_pc_tag[i],
-                last_id: img.index_last_id[i],
-                valid: img.index_valid[i],
-            };
-        }
-        for (i, e) in self.ring.iter_mut().enumerate() {
-            *e = GhbEntry { addr: img.ring_addr[i], prev_id: img.ring_prev_id[i] };
-        }
-        self.next_id = img.next_id;
-        Ok(())
     }
 }
 

@@ -18,7 +18,6 @@
 
 pub mod dbcp;
 pub mod ghb;
-pub mod image;
 pub mod null;
 pub mod prefetcher;
 pub mod queue;
@@ -28,7 +27,6 @@ pub mod table;
 
 pub use dbcp::{DbcpConfig, DbcpPrefetcher};
 pub use ghb::{GhbConfig, GhbPrefetcher};
-pub use image::{DbcpImage, GhbImage, PredictorImage, SketchImage, StrideImage};
 /// The integer-key hasher of the hot maps, shared with `ltcords` (which
 /// does not depend on `ltc_stream`).
 pub use ltc_stream::hash::{FoldHasher, FoldMap};
@@ -37,4 +35,4 @@ pub use prefetcher::{PredictorTraffic, PrefetchLevel, PrefetchRequest, Prefetche
 pub use queue::RequestQueue;
 pub use sketch::{SketchDbcp, SketchDbcpConfig};
 pub use stride::{StrideConfig, StridePrefetcher};
-pub use table::{CorrelationTable, CorrelationTableState, TableConfig};
+pub use table::{CorrelationTable, TableConfig};

@@ -45,20 +45,6 @@ impl Prefetcher for NullPrefetcher {
     fn is_passive(&self) -> bool {
         true
     }
-
-    fn image(&self) -> Option<crate::PredictorImage> {
-        Some(crate::PredictorImage::Null)
-    }
-
-    fn restore_image(
-        &mut self,
-        image: &crate::PredictorImage,
-    ) -> Result<(), ltc_cache::ImageError> {
-        match image {
-            crate::PredictorImage::Null => Ok(()),
-            other => Err(other.kind_mismatch("null")),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,8 @@
 //! The prefetcher interface shared by all predictors.
 
-use ltc_cache::{HierarchyOutcome, ImageError, MemLevel, PrefetchOutcome};
+use ltc_cache::{HierarchyOutcome, MemLevel, PrefetchOutcome};
 use ltc_trace::{Addr, MemoryAccess};
 use serde::{Deserialize, Serialize};
-
-use crate::image::PredictorImage;
 
 /// Which cache level a prefetch fills.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -123,30 +121,6 @@ pub trait Prefetcher {
     fn is_passive(&self) -> bool {
         false
     }
-
-    /// This predictor's complete warm state, or `None` when the kind
-    /// does not support imaging (callers fall back to warm-up replay).
-    ///
-    /// An implementation must guarantee that restoring the returned
-    /// image via [`Prefetcher::restore_image`] reproduces the donor
-    /// byte-identically — same predictions, same counters — on any
-    /// subsequent access stream.
-    fn image(&self) -> Option<PredictorImage> {
-        None
-    }
-
-    /// Restores a previously captured [`Prefetcher::image`].
-    ///
-    /// # Errors
-    ///
-    /// [`ImageError::Unsupported`] for kinds that cannot image,
-    /// [`ImageError::Kind`] when the image belongs to a different
-    /// predictor kind, and the imaging surface's config/shape errors
-    /// when the image was captured under a different configuration.
-    fn restore_image(&mut self, image: &PredictorImage) -> Result<(), ImageError> {
-        let _ = image;
-        Err(ImageError::Unsupported)
-    }
 }
 
 /// A boxed prefetcher, as handled by the experiment runner.
@@ -189,14 +163,6 @@ impl Prefetcher for BoxedPrefetcher {
 
     fn is_passive(&self) -> bool {
         (**self).is_passive()
-    }
-
-    fn image(&self) -> Option<PredictorImage> {
-        (**self).image()
-    }
-
-    fn restore_image(&mut self, image: &PredictorImage) -> Result<(), ImageError> {
-        (**self).restore_image(image)
     }
 }
 

@@ -16,12 +16,11 @@
 //! [`SketchDbcpConfig::dominance`] — the sketch analogue of "confident
 //! and not flapping between targets".
 
-use ltc_cache::{CacheConfig, HierarchyOutcome, ImageError, MemLevel, PrefetchOutcome};
+use ltc_cache::{CacheConfig, HierarchyOutcome, MemLevel, PrefetchOutcome};
 use ltc_lasttouch::{HistoryTable, SignatureScheme};
 use ltc_stream::{ChhConfig, ChhSummary};
 use ltc_trace::{Addr, MemoryAccess};
 
-use crate::image::{PredictorImage, SketchImage};
 use crate::prefetcher::{PrefetchRequest, Prefetcher};
 
 /// Configuration for [`SketchDbcp`].
@@ -166,44 +165,6 @@ impl Prefetcher for SketchDbcp {
 
     fn memory_bytes(&self) -> u64 {
         self.summary.memory_bytes() + self.history.storage_bytes()
-    }
-
-    fn image(&self) -> Option<PredictorImage> {
-        Some(PredictorImage::Sketch(SketchImage {
-            history: self.history.to_image(),
-            summary: self.summary.to_state(),
-            predictions: self.predictions,
-        }))
-    }
-
-    fn restore_image(&mut self, image: &PredictorImage) -> Result<(), ImageError> {
-        let PredictorImage::Sketch(img) = image else {
-            return Err(image.kind_mismatch("sketch"));
-        };
-        // `ChhSummary::from_state` rebuilds from the snapshot's embedded
-        // configuration; require it to match ours so a restore can never
-        // silently change the summary's budget or bucketing.
-        let same_cfg = img.summary.budget_bytes == self.cfg.budget_bytes
-            && img.summary.inner_capacity == self.cfg.inner_capacity as u64
-            && img.summary.ways == self.summary.config().ways as u64
-            && img.summary.seed == self.summary.config().seed;
-        if !same_cfg {
-            return Err(ImageError::ConfigMismatch {
-                expected: format!("{:?}", self.summary.config()),
-                found: format!(
-                    "budget {} inner {} ways {} seed {:#x}",
-                    img.summary.budget_bytes,
-                    img.summary.inner_capacity,
-                    img.summary.ways,
-                    img.summary.seed
-                ),
-            });
-        }
-        self.history.restore_image(&img.history)?;
-        self.summary =
-            ChhSummary::from_state(&img.summary).map_err(|e| ImageError::Invalid(e.to_string()))?;
-        self.predictions = img.predictions;
-        Ok(())
     }
 }
 

@@ -1,9 +1,8 @@
 //! A classic per-PC stride prefetcher (Baer & Chen style).
 
-use ltc_cache::{HierarchyOutcome, ImageError};
+use ltc_cache::HierarchyOutcome;
 use ltc_trace::{Addr, MemoryAccess, Pc};
 
-use crate::image::{check_shapes, PredictorImage, StrideImage};
 use crate::prefetcher::{PrefetchRequest, Prefetcher};
 
 /// Configuration for [`StridePrefetcher`].
@@ -113,42 +112,6 @@ impl Prefetcher for StridePrefetcher {
     fn memory_bytes(&self) -> u64 {
         // Fixed array: resident memory is the full-width entries.
         self.table.len() as u64 * std::mem::size_of::<StrideEntry>() as u64
-    }
-
-    fn image(&self) -> Option<PredictorImage> {
-        Some(PredictorImage::Stride(StrideImage {
-            pc_tag: self.table.iter().map(|e| e.pc_tag).collect(),
-            last_addr: self.table.iter().map(|e| e.last_addr).collect(),
-            stride: self.table.iter().map(|e| e.stride).collect(),
-            count: self.table.iter().map(|e| e.count).collect(),
-            valid: self.table.iter().map(|e| e.valid).collect(),
-        }))
-    }
-
-    fn restore_image(&mut self, image: &PredictorImage) -> Result<(), ImageError> {
-        let PredictorImage::Stride(img) = image else {
-            return Err(image.kind_mismatch("stride"));
-        };
-        check_shapes(
-            self.table.len(),
-            &[
-                ("pc_tag", img.pc_tag.len()),
-                ("last_addr", img.last_addr.len()),
-                ("stride", img.stride.len()),
-                ("count", img.count.len()),
-                ("valid", img.valid.len()),
-            ],
-        )?;
-        for (i, e) in self.table.iter_mut().enumerate() {
-            *e = StrideEntry {
-                pc_tag: img.pc_tag[i],
-                last_addr: img.last_addr[i],
-                stride: img.stride[i],
-                count: img.count[i],
-                valid: img.valid[i],
-            };
-        }
-        Ok(())
     }
 }
 

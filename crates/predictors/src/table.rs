@@ -1,10 +1,8 @@
 //! A set-associative correlation table (the on-chip DBCP store).
 
-use ltc_cache::ImageError;
 use ltc_lasttouch::{Confidence, Signature};
 use ltc_stream::hash::FoldMap;
 use ltc_trace::Addr;
-use serde::{Deserialize, Serialize};
 
 /// Capacity configuration for a [`CorrelationTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -212,88 +210,6 @@ impl CorrelationTable {
         }
     }
 
-    /// Snapshots the table's complete state. The unlimited map is
-    /// flattened into parallel vectors sorted by signature, so the
-    /// snapshot's bytes are deterministic.
-    pub fn to_state(&self) -> CorrelationTableState {
-        let mut state = CorrelationTableState {
-            capacity: self.cfg.capacity.map(|c| c as u64),
-            ways: self.cfg.ways as u64,
-            sig: self.sets.iter().map(|e| e.sig.0).collect(),
-            predicted: self.sets.iter().map(|e| e.predicted.0).collect(),
-            confidence: self.sets.iter().map(|e| e.confidence.value()).collect(),
-            last_use: self.sets.iter().map(|e| e.last_use).collect(),
-            valid: self.sets.iter().map(|e| e.valid).collect(),
-            map_sigs: Vec::new(),
-            map_predicted: Vec::new(),
-            map_confidence: Vec::new(),
-            clock: self.clock,
-            insertions: self.insertions,
-        };
-        let mut entries: Vec<_> = self.map.iter().map(|(s, &(a, c))| (s.0, a.0, c)).collect();
-        entries.sort_unstable_by_key(|&(s, ..)| s);
-        for (s, a, c) in entries {
-            state.map_sigs.push(s);
-            state.map_predicted.push(a);
-            state.map_confidence.push(c.value());
-        }
-        state
-    }
-
-    /// Overwrites this table's state from `state`.
-    ///
-    /// # Errors
-    ///
-    /// [`ImageError::ConfigMismatch`] when the snapshot's sizing differs
-    /// from this table's configuration, [`ImageError::Shape`] when a
-    /// state vector's length disagrees with the entry count.
-    pub fn restore_state(&mut self, state: &CorrelationTableState) -> Result<(), ImageError> {
-        let same_cfg = state.capacity == self.cfg.capacity.map(|c| c as u64)
-            && state.ways == self.cfg.ways as u64;
-        if !same_cfg {
-            return Err(ImageError::ConfigMismatch {
-                expected: format!("{:?}", self.cfg),
-                found: format!("capacity {:?}, ways {}", state.capacity, state.ways),
-            });
-        }
-        crate::image::check_shapes(
-            self.sets.len(),
-            &[
-                ("sig", state.sig.len()),
-                ("predicted", state.predicted.len()),
-                ("confidence", state.confidence.len()),
-                ("last_use", state.last_use.len()),
-                ("valid", state.valid.len()),
-            ],
-        )?;
-        crate::image::check_shapes(
-            state.map_sigs.len(),
-            &[
-                ("map_predicted", state.map_predicted.len()),
-                ("map_confidence", state.map_confidence.len()),
-            ],
-        )?;
-        for (i, e) in self.sets.iter_mut().enumerate() {
-            *e = Entry {
-                sig: Signature(state.sig[i]),
-                predicted: Addr(state.predicted[i]),
-                confidence: Confidence::new(state.confidence[i]),
-                last_use: state.last_use[i],
-                valid: state.valid[i],
-            };
-        }
-        self.map.clear();
-        for i in 0..state.map_sigs.len() {
-            self.map.insert(
-                Signature(state.map_sigs[i]),
-                (Addr(state.map_predicted[i]), Confidence::new(state.map_confidence[i])),
-            );
-        }
-        self.clock = state.clock;
-        self.insertions = state.insertions;
-        Ok(())
-    }
-
     /// Adjusts the confidence of an existing entry (feedback from prefetch
     /// outcomes). Missing entries are ignored.
     pub fn update_confidence(&mut self, sig: Signature, correct: bool) {
@@ -311,46 +227,6 @@ impl CorrelationTable {
                 }
             }
         }
-    }
-}
-
-/// Snapshot of a [`CorrelationTable`]: the finite entry array as
-/// parallel per-slot vectors, the unlimited map as parallel vectors
-/// sorted by signature, plus the LRU clock and insertion counter.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CorrelationTableState {
-    /// Configured capacity (`None` = unlimited).
-    pub capacity: Option<u64>,
-    /// Configured associativity.
-    pub ways: u64,
-    /// Finite-mode per-slot signatures.
-    pub sig: Vec<u32>,
-    /// Finite-mode per-slot predicted addresses.
-    pub predicted: Vec<u64>,
-    /// Finite-mode per-slot confidence values.
-    pub confidence: Vec<u8>,
-    /// Finite-mode per-slot LRU stamps.
-    pub last_use: Vec<u64>,
-    /// Finite-mode per-slot valid bits.
-    pub valid: Vec<bool>,
-    /// Unlimited-mode signatures, strictly increasing.
-    pub map_sigs: Vec<u32>,
-    /// Unlimited-mode predictions, parallel to `map_sigs`.
-    pub map_predicted: Vec<u64>,
-    /// Unlimited-mode confidences, parallel to `map_sigs`.
-    pub map_confidence: Vec<u8>,
-    /// LRU clock at capture time.
-    pub clock: u64,
-    /// Insertions performed up to capture time.
-    pub insertions: u64,
-}
-
-impl CorrelationTableState {
-    /// Bytes of simulated state the snapshot carries: 22 per finite slot
-    /// (4 sig + 8 predicted + 1 confidence + 8 stamp + 1 valid), 13 per
-    /// unlimited entry, plus the two counters.
-    pub fn image_bytes(&self) -> u64 {
-        self.sig.len() as u64 * 22 + self.map_sigs.len() as u64 * 13 + 16
     }
 }
 

@@ -220,10 +220,12 @@ impl<'de> Deserialize<'de> for PredictorKind {
 /// 3 — segmented streaming: mergeable sketch summaries, the
 /// `stream-segment`/`stream-segmented` modes, and `StreamReport`
 /// production routed through the shared merge/finalize path.
-/// 4 — sketch hashing default switched from the SplitMix64 finalizer to
-/// the cheaper multiply-shift family (`ltc_stream::HashKind`); stream
-/// and sketch-predictor results rebucket, so the `stream` golden was
-/// regenerated in the same change.
+/// 4 — sketch hashing switched from the SplitMix64 finalizer to the
+/// cheaper multiply-shift family (hash code 2 in every sketch state);
+/// stream and sketch-predictor results rebucket, so the `stream` golden
+/// was regenerated in the same change. A future family change edits
+/// `ltc_stream::hash::index`/`spread` and bumps both `HASH_CODE` and
+/// this constant.
 pub const MODEL_VERSION: u32 = 4;
 
 /// The declarative key of one simulation: benchmark, predictor, mode,

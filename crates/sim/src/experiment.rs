@@ -11,12 +11,6 @@ use ltc_trace::{suite, MultiProgram};
 use ltcords::{LtCords, LtCordsConfig};
 use serde::{Deserialize, Serialize};
 
-/// Default access budget for coverage (trace-driven) experiments.
-pub const COVERAGE_ACCESSES: u64 = 2_000_000;
-
-/// Default access budget for timing experiments.
-pub const TIMING_ACCESSES: u64 = 400_000;
-
 /// The predictor configurations compared in the paper.
 ///
 /// `Eq`/`Hash` make a kind usable as part of an engine [`crate::engine::RunSpec`]

@@ -30,10 +30,7 @@ pub use engine::{
     BackendKind, EngineOptions, ExecutionBackend, Mode, ProgressMode, ResultSet, RunResult,
     RunSpec, Scheduler,
 };
-pub use experiment::{
-    run_coverage, run_multiprog, run_timing, MultiProgReport, PredictorKind, COVERAGE_ACCESSES,
-    TIMING_ACCESSES,
-};
+pub use experiment::{run_coverage, run_multiprog, run_timing, MultiProgReport, PredictorKind};
 pub use report::Table;
 
 // The serde_json shim, re-exported for worker-protocol peers (`ltsim

@@ -27,7 +27,7 @@ use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::countmin::{CountMin, CountMinState};
-use crate::hash::HashKind;
+use crate::hash::{self, HASH_CODE};
 use crate::merge::{MergeError, SketchShape};
 use crate::spacesaving::Estimate;
 
@@ -127,7 +127,6 @@ pub struct ChhSummary {
     inners: Vec<InnerSlot>,
     pairs: CountMin,
     sets: usize,
-    hash: HashKind,
     hash_seed: u64,
     total: u64,
 }
@@ -161,22 +160,11 @@ impl ChhSummary {
     /// is zero or the budget cannot hold one set of keys beside the
     /// minimum pair sketch.
     pub fn try_new(cfg: ChhConfig) -> Result<Self, MergeError> {
-        Self::try_new_with_hash(cfg, HashKind::default())
-    }
-
-    /// [`ChhSummary::try_new`] with an explicit hash family, shared by
-    /// the outer set hash and the nested pair sketch (legacy states
-    /// revive through this).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ChhSummary::try_new`].
-    pub fn try_new_with_hash(cfg: ChhConfig, hash: HashKind) -> Result<Self, MergeError> {
         let invalid = |reason: String| MergeError::State { summary: "chh", reason };
         if cfg.inner_capacity == 0 || cfg.ways == 0 {
             return Err(invalid("CHH needs inner_capacity and ways >= 1".to_string()));
         }
-        let pairs = CountMin::with_budget_hash(cfg.budget_bytes / 4, 2, cfg.seed, hash);
+        let pairs = CountMin::with_budget(cfg.budget_bytes / 4, 2, cfg.seed);
         let remaining = cfg.budget_bytes.saturating_sub(pairs.memory_bytes());
         let capacity = (remaining / cfg.bytes_per_key()) as usize;
         // Any set count works (set selection is a multiply-shift range
@@ -197,15 +185,9 @@ impl ChhSummary {
             inners: vec![InnerSlot::default(); entries * cfg.inner_capacity],
             pairs,
             sets,
-            hash,
             hash_seed,
             total: 0,
         })
-    }
-
-    /// The hash family bucketing this summary.
-    pub fn hash_kind(&self) -> HashKind {
-        self.hash
     }
 
     /// The configuration the summary was built with.
@@ -255,7 +237,7 @@ impl ChhSummary {
     fn way_range(&self, key: u64) -> std::ops::Range<usize> {
         // Range reduction `(h * sets) >> 64`: uniform over any set count,
         // weighted by the hashed value's high bits.
-        let h = self.hash.spread(key, self.hash_seed);
+        let h = hash::spread(key, self.hash_seed);
         let set = ((u128::from(h) * self.sets as u128) >> 64) as usize;
         set * self.cfg.ways..(set + 1) * self.cfg.ways
     }
@@ -390,7 +372,6 @@ impl ChhSummary {
                 ("inner_capacity", self.cfg.inner_capacity as u64),
                 ("ways", self.cfg.ways as u64),
                 ("seed", self.cfg.seed),
-                ("hash", self.hash.code()),
             ],
         )
     }
@@ -514,7 +495,7 @@ impl ChhSummary {
             inner_capacity: self.cfg.inner_capacity as u64,
             ways: self.cfg.ways as u64,
             seed: self.cfg.seed,
-            hash: self.hash.code(),
+            hash: HASH_CODE,
             total: self.total,
             pairs: self.pairs.to_state(),
             ..ChhState::default()
@@ -539,9 +520,10 @@ impl ChhSummary {
     /// # Errors
     ///
     /// Returns a [`MergeError::State`] when the snapshot is inconsistent:
-    /// a configuration too small to construct, ragged or out-of-range
-    /// slot arrays, counts beyond `u32`, or a pair sketch whose shape
-    /// disagrees with the configuration.
+    /// a configuration too small to construct, a hash family code other
+    /// than 2, ragged or out-of-range slot arrays, counts beyond
+    /// `u32`, or a pair sketch whose shape disagrees with the
+    /// configuration.
     pub fn from_state(state: &ChhState) -> Result<Self, MergeError> {
         let cfg = ChhConfig {
             budget_bytes: state.budget_bytes,
@@ -549,11 +531,13 @@ impl ChhSummary {
             ways: state.ways as usize,
             seed: state.seed,
         };
-        let hash = HashKind::from_code(state.hash).ok_or_else(|| MergeError::State {
-            summary: "chh",
-            reason: format!("unknown hash family code {}", state.hash),
-        })?;
-        let mut chh = ChhSummary::try_new_with_hash(cfg, hash)?;
+        if state.hash != HASH_CODE {
+            return Err(MergeError::State {
+                summary: "chh",
+                reason: format!("unknown hash family code {}", state.hash),
+            });
+        }
+        let mut chh = ChhSummary::try_new(cfg)?;
         let pairs = CountMin::from_state(&state.pairs)?;
         chh.pairs.shape().ensure_matches(&pairs.shape())?;
         chh.pairs = pairs;
@@ -697,8 +681,8 @@ pub struct ChhState {
     pub ways: u64,
     /// Hash seed ([`ChhConfig::seed`]).
     pub seed: u64,
-    /// Hash family wire code ([`HashKind::code`]), pinning the bucketing
-    /// the snapshot was built with.
+    /// Hash family wire code: always 2 (multiply-shift), so a snapshot
+    /// bucketed by another family is refused.
     pub hash: u64,
     /// Pairs observed.
     pub total: u64,
@@ -916,34 +900,26 @@ mod tests {
 
     #[test]
     fn merge_and_state_respect_hash_family() {
-        use crate::MergeError;
-        let cfg = ChhConfig::with_budget(16 << 10);
-        let mut ms = ChhSummary::try_new_with_hash(cfg, HashKind::MultiplyShift).unwrap();
-        let legacy = ChhSummary::try_new_with_hash(cfg, HashKind::Mix64).unwrap();
-        assert!(matches!(
-            ms.merge(&legacy).unwrap_err(),
-            MergeError::Shape { summary: "chh", field: "hash", .. }
-        ));
-
-        // Each family's snapshot revives that family, estimates intact.
-        for kind in [HashKind::Mix64, HashKind::MultiplyShift] {
-            let mut chh = ChhSummary::try_new_with_hash(cfg, kind).unwrap();
-            for i in 0..3_000u64 {
-                chh.observe(i % 31, i % 7);
-            }
-            let state = chh.to_state();
-            assert_eq!(state.hash, kind.code());
-            let revived = ChhSummary::from_state(&state).unwrap();
-            assert_eq!(revived.hash_kind(), kind);
-            for key in 0..31u64 {
-                assert_eq!(revived.key_estimate(key), chh.key_estimate(key), "{}", kind.name());
-                assert_eq!(revived.correlated(key), chh.correlated(key));
-            }
+        let mut chh = ChhSummary::new(ChhConfig::with_budget(16 << 10));
+        for i in 0..3_000u64 {
+            chh.observe(i % 31, i % 7);
         }
-
-        let mut bad = ChhSummary::new(cfg).to_state();
-        bad.hash = 77;
-        assert!(ChhSummary::from_state(&bad).is_err(), "unknown hash code must be rejected");
+        let state = chh.to_state();
+        assert_eq!((state.hash, state.pairs.hash), (2, 2));
+        let revived = ChhSummary::from_state(&state).unwrap();
+        for key in 0..31u64 {
+            assert_eq!(revived.key_estimate(key), chh.key_estimate(key));
+            assert_eq!(revived.correlated(key), chh.correlated(key));
+        }
+        // A foreign family is refused on the outer table and on the
+        // nested pair sketch alike.
+        for code in [1, 99] {
+            let outer = ChhState { hash: code, ..state.clone() };
+            assert!(ChhSummary::from_state(&outer).is_err(), "hash code {code} must be refused");
+            let mut pairs = state.clone();
+            pairs.pairs.hash = code;
+            assert!(ChhSummary::from_state(&pairs).is_err(), "pair code {code} must be refused");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::hash::HashKind;
+use crate::hash::{self, HASH_CODE};
 use crate::merge::{MergeError, SketchShape};
 
 /// Count-Min sketch over `u64` keys with deterministic seeding.
@@ -35,7 +35,6 @@ pub struct CountMin {
     width: usize,
     depth: usize,
     seed: u64,
-    hash: HashKind,
     row_seeds: Vec<u64>,
     counters: Vec<u64>,
     total: u64,
@@ -43,38 +42,22 @@ pub struct CountMin {
 
 impl CountMin {
     /// Creates a sketch of `depth` rows of `width` counters (width is
-    /// rounded up to a power of two for mask indexing), hashing with the
-    /// default [`HashKind`].
+    /// rounded up to a power of two for mask indexing).
     ///
     /// # Panics
     ///
     /// Panics if `width` or `depth` is zero.
     pub fn new(width: usize, depth: usize, seed: u64) -> Self {
-        CountMin::with_hash(width, depth, seed, HashKind::default())
-    }
-
-    /// [`CountMin::new`] with an explicit hash family (legacy states
-    /// revive through this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` or `depth` is zero.
-    pub fn with_hash(width: usize, depth: usize, seed: u64, hash: HashKind) -> Self {
         assert!(width > 0 && depth > 0, "Count-Min needs width >= 1 and depth >= 1");
         let width = width.next_power_of_two();
         let mut rng = StdRng::seed_from_u64(seed);
         let row_seeds = (0..depth).map(|_| rng.next_u64()).collect();
-        CountMin { width, depth, seed, hash, row_seeds, counters: vec![0; width * depth], total: 0 }
+        CountMin { width, depth, seed, row_seeds, counters: vec![0; width * depth], total: 0 }
     }
 
     /// Creates the widest power-of-two sketch of the given depth that fits
     /// `budget_bytes` of counters (at least one counter per row).
     pub fn with_budget(budget_bytes: u64, depth: usize, seed: u64) -> Self {
-        CountMin::with_budget_hash(budget_bytes, depth, seed, HashKind::default())
-    }
-
-    /// [`CountMin::with_budget`] with an explicit hash family.
-    pub fn with_budget_hash(budget_bytes: u64, depth: usize, seed: u64, hash: HashKind) -> Self {
         assert!(depth > 0, "Count-Min needs depth >= 1");
         let per_row = (budget_bytes / 8 / depth as u64).max(1);
         // next_power_of_two rounds up; halve back down if that overshoots.
@@ -82,12 +65,7 @@ impl CountMin {
         if width > per_row {
             width /= 2;
         }
-        CountMin::with_hash(width.max(1) as usize, depth, seed, hash)
-    }
-
-    /// The hash family bucketing this sketch.
-    pub fn hash_kind(&self) -> HashKind {
-        self.hash
+        CountMin::new(width.max(1) as usize, depth, seed)
     }
 
     /// Counters per row.
@@ -120,7 +98,7 @@ impl CountMin {
 
     #[inline]
     fn slot(&self, row: usize, key: u64) -> usize {
-        row * self.width + self.hash.index(key, self.row_seeds[row], self.width - 1)
+        row * self.width + hash::index(key, self.row_seeds[row], self.width - 1)
     }
 
     /// Records `n` occurrences of `key`.
@@ -149,18 +127,11 @@ impl CountMin {
     }
 
     /// This sketch's construction shape (merge precondition): width,
-    /// depth, the seed the row hashes derive from, and the hash family —
-    /// two families bucket differently, so cross-family cell addition
-    /// would be meaningless.
+    /// depth and the seed the row hashes derive from.
     pub fn shape(&self) -> SketchShape {
         SketchShape::new(
             "count-min",
-            vec![
-                ("width", self.width as u64),
-                ("depth", self.depth as u64),
-                ("seed", self.seed),
-                ("hash", self.hash.code()),
-            ],
+            vec![("width", self.width as u64), ("depth", self.depth as u64), ("seed", self.seed)],
         )
     }
 
@@ -196,7 +167,7 @@ impl CountMin {
             width: self.width as u64,
             depth: self.depth as u64,
             seed: self.seed,
-            hash: self.hash.code(),
+            hash: HASH_CODE,
             total: self.total,
             counters: self.counters.clone(),
         }
@@ -207,7 +178,8 @@ impl CountMin {
     /// # Errors
     ///
     /// Returns a [`MergeError::State`] when the counter array does not
-    /// match the stated geometry or the geometry is degenerate.
+    /// match the stated geometry, the geometry is degenerate, or the
+    /// state was bucketed by a hash family other than code 2.
     pub fn from_state(state: &CountMinState) -> Result<Self, MergeError> {
         let invalid = |reason: String| MergeError::State { summary: "count-min", reason };
         if state.width == 0 || state.depth == 0 {
@@ -216,10 +188,10 @@ impl CountMin {
         if !state.width.is_power_of_two() {
             return Err(invalid(format!("width {} is not a power of two", state.width)));
         }
-        let hash = HashKind::from_code(state.hash)
-            .ok_or_else(|| invalid(format!("unknown hash family code {}", state.hash)))?;
-        let mut cm =
-            CountMin::with_hash(state.width as usize, state.depth as usize, state.seed, hash);
+        if state.hash != HASH_CODE {
+            return Err(invalid(format!("unknown hash family code {}", state.hash)));
+        }
+        let mut cm = CountMin::new(state.width as usize, state.depth as usize, state.seed);
         if cm.counters.len() != state.counters.len() {
             return Err(invalid(format!(
                 "{} counters for a {}x{} grid",
@@ -244,8 +216,8 @@ pub struct CountMinState {
     pub depth: u64,
     /// Seed the row hashes derive from.
     pub seed: u64,
-    /// Hash family wire code ([`HashKind::code`]), so the snapshot
-    /// revives bucketing exactly as it was built.
+    /// Hash family wire code: always 2 (multiply-shift), so a snapshot
+    /// bucketed by another family is refused.
     pub hash: u64,
     /// Observations summarized (`N`).
     pub total: u64,
@@ -370,43 +342,21 @@ mod tests {
     }
 
     #[test]
-    fn merge_rejects_hash_family_mismatch() {
-        use crate::MergeError;
-        let mut ms = CountMin::with_hash(64, 2, 1, HashKind::MultiplyShift);
-        let legacy = CountMin::with_hash(64, 2, 1, HashKind::Mix64);
-        let err = ms.merge(&legacy).unwrap_err();
-        assert!(matches!(err, MergeError::Shape { summary: "count-min", field: "hash", .. }));
-    }
-
-    #[test]
     fn states_pin_their_hash_family() {
-        for kind in [HashKind::Mix64, HashKind::MultiplyShift] {
-            let mut cm = CountMin::with_hash(128, 3, 5, kind);
-            for key in 0..400u64 {
-                cm.observe(key * 13);
-            }
-            let state = cm.to_state();
-            assert_eq!(state.hash, kind.code());
-            let revived = CountMin::from_state(&state).unwrap();
-            assert_eq!(revived.hash_kind(), kind);
-            assert_eq!(revived.counters, cm.counters);
-            for key in 0..400u64 {
-                assert_eq!(revived.estimate(key * 13), cm.estimate(key * 13), "{}", kind.name());
-            }
+        let mut cm = CountMin::new(128, 3, 5);
+        for key in 0..400u64 {
+            cm.observe(key * 13);
         }
-        let mut bad = CountMin::new(64, 2, 1).to_state();
-        bad.hash = 99;
-        assert!(CountMin::from_state(&bad).is_err(), "unknown hash code must be rejected");
-    }
-
-    #[test]
-    fn legacy_mix64_family_still_never_undercounts() {
-        let mut cm = CountMin::with_hash(64, 4, 1, HashKind::Mix64);
-        for key in 0..1000u64 {
-            cm.observe_n(key, key % 7 + 1);
+        let state = cm.to_state();
+        assert_eq!(state.hash, 2);
+        let revived = CountMin::from_state(&state).unwrap();
+        assert_eq!(revived.counters, cm.counters);
+        for key in 0..400u64 {
+            assert_eq!(revived.estimate(key * 13), cm.estimate(key * 13));
         }
-        for key in 0..1000u64 {
-            assert!(cm.estimate(key) > key % 7);
+        for code in [1, 99] {
+            let bad = CountMinState { hash: code, ..state.clone() };
+            assert!(CountMin::from_state(&bad).is_err(), "hash code {code} must be refused");
         }
     }
 

@@ -1,12 +1,12 @@
-//! Versioned hash families for sketch bucket selection.
+//! The sketches' bucket hash, and the integer hasher of the hot maps.
 //!
-//! Every sketch records which family built it — in its
-//! [`crate::SketchShape`] (so merges across families are typed errors)
-//! and in its serialized state (so a snapshot revives seed-compatibly,
-//! hashing exactly as the summary that produced it). Changing the
-//! *default* family changes simulation results and therefore rides a
-//! `MODEL_VERSION` bump; old states remain replayable because they pin
-//! their own family by code.
+//! The crate-private `index` and `spread` are Dietzfelbinger
+//! multiply-shift: one widening multiply by an odd seed, keeping the
+//! well-mixed high bits. Every sketch state records `HASH_CODE` 2, and
+//! `from_state` refuses any other code, so a snapshot only revives under
+//! the bucketing that built it. Changing the family changes simulation
+//! results: a future change edits `index`/`spread` and bumps both
+//! `HASH_CODE` and `MODEL_VERSION`.
 //!
 //! [`FoldHasher`] is the other hasher here: the `std` [`Hasher`] behind
 //! the workspace's hot integer-keyed maps ([`FoldMap`]). No result
@@ -17,74 +17,24 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::mix64;
+/// Wire code of the bucket hash family, stored in every sketch state.
+/// Code 1 was the SplitMix64 family retired at `MODEL_VERSION` 4.
+pub(crate) const HASH_CODE: u64 = 2;
 
-/// A hash family, identified by a stable wire code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum HashKind {
-    /// The SplitMix64 finalizer over `key ^ seed` (family 1, the
-    /// original): two multiplies and three xor-shifts per bucket.
-    Mix64,
-    /// Dietzfelbinger multiply-shift: one widening multiply by an odd
-    /// seed, taking the well-mixed high bits. About half the work of
-    /// [`HashKind::Mix64`] per bucket; the default since
-    /// `MODEL_VERSION` 4.
-    #[default]
-    MultiplyShift,
+/// Bucket index in `[0, mask]` (mask = power-of-two size − 1).
+#[inline]
+pub(crate) fn index(key: u64, seed: u64, mask: usize) -> usize {
+    // High bits carry the quality in multiply-shift; shift them down
+    // before masking.
+    (spread(key, seed) >> 32) as usize & mask
 }
 
-impl HashKind {
-    /// The stable wire code stored in sketch states (1-based so an
-    /// all-zero state is visibly invalid rather than silently legacy).
-    pub fn code(self) -> u64 {
-        match self {
-            HashKind::Mix64 => 1,
-            HashKind::MultiplyShift => 2,
-        }
-    }
-
-    /// Revives a family from its wire code.
-    pub fn from_code(code: u64) -> Option<Self> {
-        match code {
-            1 => Some(HashKind::Mix64),
-            2 => Some(HashKind::MultiplyShift),
-            _ => None,
-        }
-    }
-
-    /// Human-readable family name (for error messages).
-    pub fn name(self) -> &'static str {
-        match self {
-            HashKind::Mix64 => "mix64",
-            HashKind::MultiplyShift => "multiply-shift",
-        }
-    }
-
-    /// Bucket index in `[0, mask]` (mask = power-of-two size − 1).
-    ///
-    /// The Mix64 arm masks the finalizer's low bits — bit-identical to
-    /// the historical `mix64(key ^ seed) & mask` — so legacy states
-    /// estimate exactly as they did when captured.
-    #[inline]
-    pub(crate) fn index(self, key: u64, seed: u64, mask: usize) -> usize {
-        match self {
-            HashKind::Mix64 => mix64(key ^ seed) as usize & mask,
-            // High bits carry the quality in multiply-shift; shift them
-            // down before masking.
-            HashKind::MultiplyShift => ((seed | 1).wrapping_mul(key) >> 32) as usize & mask,
-        }
-    }
-
-    /// Full-width hashed value for range reduction (`(h * n) >> 64`),
-    /// which weights high bits — exactly where multiply-shift
-    /// concentrates its mixing.
-    #[inline]
-    pub(crate) fn spread(self, key: u64, seed: u64) -> u64 {
-        match self {
-            HashKind::Mix64 => mix64(key ^ seed),
-            HashKind::MultiplyShift => (seed | 1).wrapping_mul(key),
-        }
-    }
+/// Full-width hashed value for range reduction (`(h * n) >> 64`), which
+/// weights high bits — exactly where multiply-shift concentrates its
+/// mixing.
+#[inline]
+pub(crate) fn spread(key: u64, seed: u64) -> u64 {
+    (seed | 1).wrapping_mul(key)
 }
 
 /// The odd multiplier of [`FoldHasher`] (2^64 / φ, the Fibonacci
@@ -152,41 +102,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn codes_round_trip_and_reject_unknowns() {
-        for kind in [HashKind::Mix64, HashKind::MultiplyShift] {
-            assert_eq!(HashKind::from_code(kind.code()), Some(kind));
-        }
-        assert_eq!(HashKind::from_code(0), None);
-        assert_eq!(HashKind::from_code(3), None);
-    }
-
-    #[test]
-    fn default_is_multiply_shift() {
-        assert_eq!(HashKind::default(), HashKind::MultiplyShift);
-    }
-
-    #[test]
-    fn mix64_indexing_matches_legacy_formula() {
-        for key in [0u64, 1, 0xdead_beef, u64::MAX] {
-            for seed in [7u64, 0x9e37_79b9_7f4a_7c15] {
-                assert_eq!(
-                    HashKind::Mix64.index(key, seed, 1023),
-                    mix64(key ^ seed) as usize & 1023,
-                );
-            }
-        }
-    }
-
-    #[test]
     fn families_spread_buckets() {
-        // Both families must scatter a consecutive key range across a
-        // small table instead of collapsing to a few buckets.
-        for kind in [HashKind::Mix64, HashKind::MultiplyShift] {
-            let mut seen = std::collections::HashSet::new();
-            for key in 0..256u64 {
-                seen.insert(kind.index(key, 0x1234_5678_9abc_def0, 63));
-            }
-            assert!(seen.len() > 48, "{} hit only {} of 64 buckets", kind.name(), seen.len());
+        // Every stored sketch state carries code 2: changing it orphans
+        // them, so it moves only with `index`/`spread` and MODEL_VERSION.
+        assert_eq!(HASH_CODE, 2);
+        // The family must scatter a consecutive key range across a small
+        // table instead of collapsing to a few buckets.
+        let mut seen = std::collections::HashSet::new();
+        for key in 0..256u64 {
+            seen.insert(index(key, 0x1234_5678_9abc_def0, 63));
         }
+        assert!(seen.len() > 48, "hit only {} of 64 buckets", seen.len());
     }
 }

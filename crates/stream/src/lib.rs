@@ -57,19 +57,6 @@ pub mod spacesaving;
 
 pub use chh::{ChhConfig, ChhPair, ChhState, ChhSummary};
 pub use countmin::{CountMin, CountMinState};
-pub use hash::{FoldHasher, FoldMap, HashKind};
+pub use hash::{FoldHasher, FoldMap};
 pub use merge::{MergeError, SketchShape};
 pub use spacesaving::{Estimate, Observed, SpaceSaving, SpaceSavingState};
-
-/// Strong 64-bit mixer (the SplitMix64 finalizer), shared by every
-/// summary so their hashing — and therefore their deterministic state —
-/// cannot drift apart.
-#[inline]
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    x
-}

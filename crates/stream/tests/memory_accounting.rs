@@ -8,7 +8,7 @@
 //! assert exact agreement, plus the hard budget bound for any stream
 //! length.
 
-use ltc_stream::{ChhConfig, ChhSummary, CountMin, HashKind, SpaceSaving};
+use ltc_stream::{ChhConfig, ChhSummary, CountMin, SpaceSaving};
 
 /// CountMin holds `width × depth` u64 counters plus one u64 row seed per
 /// row — nothing else scales with the stream.
@@ -44,24 +44,22 @@ fn countmin_budget_is_a_hard_bound() {
 #[test]
 fn chh_memory_matches_layout() {
     for budget in [16u64 << 10, 64 << 10, 100_000] {
-        for hash in [HashKind::Mix64, HashKind::MultiplyShift] {
-            let cfg = ChhConfig::with_budget(budget).with_seed(5);
-            let mut chh = ChhSummary::try_new_with_hash(cfg, hash).unwrap();
-            assert_eq!(
-                cfg.bytes_per_key(),
-                16 + cfg.inner_capacity as u64 * 16,
-                "packed entry/slot sizes changed — update the budget math docs"
-            );
-            let pairs = CountMin::with_budget_hash(budget / 4, 2, cfg.seed, hash);
-            let expected = chh.key_capacity() as u64 * cfg.bytes_per_key() + pairs.memory_bytes();
-            assert_eq!(chh.memory_bytes(), expected, "budget {budget}");
-            assert!(chh.memory_bytes() <= budget, "resident exceeds budget {budget}");
-            // The allocation is up front: a long stream moves nothing.
-            for i in 0..50_000u64 {
-                chh.observe(i % 999, i % 31);
-            }
-            assert_eq!(chh.memory_bytes(), expected);
+        let cfg = ChhConfig::with_budget(budget).with_seed(5);
+        let mut chh = ChhSummary::new(cfg);
+        assert_eq!(
+            cfg.bytes_per_key(),
+            16 + cfg.inner_capacity as u64 * 16,
+            "packed entry/slot sizes changed — update the budget math docs"
+        );
+        let pairs = CountMin::with_budget(budget / 4, 2, cfg.seed);
+        let expected = chh.key_capacity() as u64 * cfg.bytes_per_key() + pairs.memory_bytes();
+        assert_eq!(chh.memory_bytes(), expected, "budget {budget}");
+        assert!(chh.memory_bytes() <= budget, "resident exceeds budget {budget}");
+        // The allocation is up front: a long stream moves nothing.
+        for i in 0..50_000u64 {
+            chh.observe(i % 999, i % 31);
         }
+        assert_eq!(chh.memory_bytes(), expected);
     }
 }
 

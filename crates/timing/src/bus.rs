@@ -59,21 +59,10 @@ impl Bus {
         start
     }
 
-    /// Earliest time a new transaction could start if requested at `at`.
-    pub fn earliest_grant(&self, at: f64) -> f64 {
-        let ch = self.best_channel();
-        at.max(self.channels[ch])
-    }
-
     /// Whether any channel would be free at time `at`.
     pub fn is_free_at(&self, at: f64) -> bool {
         let ch = self.best_channel();
         at >= self.channels[ch]
-    }
-
-    /// Queuing delay a request issued at `at` would see.
-    pub fn queuing_delay(&self, at: f64) -> f64 {
-        self.earliest_grant(at) - at
     }
 
     /// Total cycles of occupancy accumulated.

@@ -39,11 +39,6 @@ impl PhaseMix {
         assert!(phases.iter().all(|(_, n)| *n > 0), "phase lengths must be non-zero");
         PhaseMix { phases, current: 0, emitted: 0 }
     }
-
-    /// Number of configured phases.
-    pub fn phase_count(&self) -> usize {
-        self.phases.len()
-    }
 }
 
 impl TraceSource for PhaseMix {

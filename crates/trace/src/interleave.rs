@@ -58,11 +58,6 @@ impl MultiProgram {
         MultiProgram { programs, current: 0, remaining: first_quantum }
     }
 
-    /// Index of the program that will produce the next access.
-    pub fn current_program(&self) -> usize {
-        self.current
-    }
-
     /// Produces the next access along with the index of the program that
     /// issued it.
     pub fn next_tagged(&mut self) -> Option<(usize, MemoryAccess)> {
