@@ -692,8 +692,8 @@ fn cmd_worker() -> Result<(), String> {
     });
     // Chaos-test injection (the supervising parent must recover):
     // `exit-after:<n>` dies abruptly after answering n specs,
-    // `hang-before:<n>` stalls the n-th answer until the parent's
-    // --spec-timeout watchdog kills us. Respawned children inherit the
+    // `hang-before:<n>` stalls the n-th answer until the parent kills
+    // us at its --spec-timeout deadline. Respawned children inherit the
     // directive, so injected faults recur for the whole batch.
     let inject = std::env::var(FAULT_INJECT_ENV).ok().as_deref().and_then(FaultInject::parse);
     let mut answered: u64 = 0;
@@ -723,7 +723,7 @@ fn cmd_worker() -> Result<(), String> {
         }
         if let Some(FaultInject::HangBefore(n)) = inject {
             if answered + 1 == n {
-                // Stall until the parent's timeout watchdog kills us.
+                // Stall until the parent kills us at its --spec-timeout deadline.
                 loop {
                     std::thread::sleep(std::time::Duration::from_secs(3600));
                 }

@@ -221,62 +221,6 @@ pub fn compute(def: &FigureDef, scale: Scale) -> ResultSet {
     results
 }
 
-/// Entry point shared by the per-figure binaries: runs one figure through
-/// the engine and prints its table.
-///
-/// Flags: `--quick` (reduced scale), `--out DIR` (artifact cache),
-/// `--force` (ignore cached artifacts), `--threads N` (one worker per
-/// core by default).
-///
-/// # Panics
-///
-/// Panics if `name` is not registered or the cache directory is unusable.
-pub fn figure_main(name: &str) {
-    let def = by_name(name).unwrap_or_else(|| panic!("unregistered figure {name}"));
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (scale, opts) = match parse_figure_flags(&args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("usage: {name} [--quick] [--out DIR] [--force] [--threads N]");
-            std::process::exit(2);
-        }
-    };
-    let mut results = ResultSet::new();
-    println!("{}\n", def.title);
-    collect(&[def], scale, &opts, &mut results).expect("artifact cache I/O failed");
-    print!("{}", (def.render)(scale, &results));
-    eprintln!("\nengine: {} simulated, {} from cache", results.simulated(), results.cache_hits());
-}
-
-/// Parses the figure binaries' shared flags, rejecting unknown flags and
-/// malformed values (a typo must not silently fall back to a full-scale
-/// uncached run).
-fn parse_figure_flags(args: &[String]) -> Result<(Scale, EngineOptions), String> {
-    let scale = if args.iter().any(|a| a == "--quick") { Scale::quick() } else { Scale::full() };
-    let mut opts = EngineOptions::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => {}
-            "--out" => {
-                opts.cache_dir = Some(it.next().ok_or("--out needs a directory")?.into());
-            }
-            "--force" => opts.force = true,
-            "--threads" => {
-                let raw = it.next().ok_or("--threads needs a positive number")?;
-                opts.threads = raw
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| format!("--threads needs a positive number, got `{raw}`"))?;
-            }
-            other => return Err(format!("unknown flag: {other}")),
-        }
-    }
-    Ok((scale, opts))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,8 +4,9 @@
 //! one paper table or figure needs and renders the rows from the engine's
 //! [`ltc_sim::engine::ResultSet`]; [`harness`] registers them all and
 //! drives the deduplicating scheduler across whichever figures are
-//! requested. The binaries in `src/bin/` (including the `ltsim` CLI with
-//! its `plan`/`run`/`render` subcommands) print them.
+//! requested. The `ltsim` CLI (`src/bin/ltsim.rs`) prints them: `ltsim
+//! run --figures NAME` computes and prints one figure or table, and its
+//! `plan`/`render` subcommands show the plan or re-render cached results.
 //!
 //! This crate times nothing: the repository's one benchmark harness is
 //! `perfbench/` (see `BENCHMARK.json` and `perfbench/README.md`).

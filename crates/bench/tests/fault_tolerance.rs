@@ -131,11 +131,11 @@ fn chaos_run_matches_a_fault_free_run_byte_for_byte() {
     let _ = fs::remove_file(&events_path);
 }
 
-/// A worker that hangs forever trips the `--spec-timeout` watchdog; with
-/// the retry budget exhausted the run fails with a typed timeout error
-/// naming the spec — instead of blocking the batch indefinitely. The
-/// failed run still flushes its event log, timeout point included, and
-/// prints no end-of-run summary.
+/// A worker that hangs forever is killed at the `--spec-timeout`
+/// deadline; with the retry budget exhausted the run fails with a typed
+/// timeout error naming the spec — instead of blocking the batch
+/// indefinitely. The failed run still flushes its event log, timeout
+/// point included, and prints no end-of-run summary.
 #[test]
 fn hung_worker_times_out_with_a_typed_error() {
     let out_dir = tmp_dir("hang");

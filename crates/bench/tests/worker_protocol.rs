@@ -6,11 +6,13 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 use std::process::{Command, Stdio};
+use std::sync::Mutex;
 
 use ltc_bench::harness;
 use ltc_bench::Scale;
 use ltc_sim::engine::{
-    eventlog, BackendKind, EngineOptions, ResultSet, RunResult, RunSpec, Scheduler,
+    eventlog, BackendKind, EngineOptions, FaultPolicy, ResultSet, RunObserver, RunResult, RunSpec,
+    Scheduler,
 };
 use ltc_sim::experiment::PredictorKind;
 use ltc_sim::serde_json;
@@ -165,6 +167,33 @@ fn worker_rejects_model_version_mismatch() {
     assert!(output.stdout.is_empty(), "no result line may be emitted");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("model_version"), "diagnostic should name the field: {stderr}");
+}
+
+/// Both backends seed the pool's one queue longest-first: one worker,
+/// whether it runs specs in process or through its child, completes the
+/// timing runs first, the longer one leading, and the equal-cost
+/// coverage runs in request order.
+#[test]
+fn one_subprocess_worker_runs_specs_longest_first() {
+    #[derive(Default)]
+    struct Order(Mutex<Vec<String>>);
+    impl RunObserver for Order {
+        fn finished(&self, spec: &RunSpec, _: &RunResult) {
+            self.0.lock().unwrap().push(spec.key());
+        }
+    }
+    let specs = [
+        RunSpec::coverage("gzip", PredictorKind::Baseline, 1_000, 1),
+        RunSpec::timing("mcf", PredictorKind::Baseline, 1_000, 1),
+        RunSpec::coverage("art", PredictorKind::Baseline, 1_000, 1),
+        RunSpec::timing("mesa", PredictorKind::Baseline, 2_000, 1),
+    ];
+    let expected: Vec<String> = [3, 1, 0, 2].iter().map(|&i| specs[i].key()).collect();
+    for backend in [BackendKind::Threads, BackendKind::Subprocess { command: worker_command() }] {
+        let order = Order::default();
+        backend.execute(1, &FaultPolicy::default(), &specs, &order).unwrap();
+        assert_eq!(order.0.into_inner().unwrap(), expected, "{}", backend.name());
+    }
 }
 
 /// The same plan through all three execution configurations — a

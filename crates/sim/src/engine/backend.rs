@@ -1,41 +1,45 @@
-//! Pluggable execution backends with supervised, fault-tolerant workers.
+//! The supervised worker pool that executes planned specs.
 //!
 //! The [`crate::engine::Scheduler`] *plans* — collects specs, dedupes
 //! them, probes the artifact cache — and hands whatever must actually be
-//! simulated to an [`ExecutionBackend`]:
+//! simulated to [`BackendKind::execute`]. That is one pool for both
+//! backends: one shared queue, seeded with the estimated-longest specs
+//! (timing runs) first so a straggler claimed late cannot serialize the
+//! tail of the run, drained by `threads` copies of one claim loop. Only
+//! how a worker runs one attempt differs:
 //!
-//! * [`ThreadPoolBackend`] — scoped threads claiming specs from one shared
-//!   queue, seeded with the estimated-longest specs (timing runs) first so
-//!   a straggler claimed late cannot serialize the tail of the run.
-//! * [`SubprocessBackend`] — a pool of `ltsim worker` child processes
-//!   speaking newline-delimited JSON ([`RunSpec`] in on stdin,
-//!   [`RunResult`] out on stdout). This proves the spec wire format end
-//!   to end; pointing the same protocol at a remote transport is the
-//!   multi-machine path the ROADMAP names.
+//! * [`BackendKind::Threads`] — the spec executes on the worker's own
+//!   thread.
+//! * [`BackendKind::Subprocess`] — each worker owns one `ltsim worker`
+//!   child process speaking newline-delimited JSON ([`RunSpec`] in on
+//!   stdin, [`RunResult`] out on stdout). This proves the spec wire
+//!   format end to end; pointing the same protocol at a remote transport
+//!   is the multi-machine path the ROADMAP names.
 //!
-//! Every backend runs under the same supervision discipline, governed by
-//! a [`FaultPolicy`]: a spec whose attempt dies — a panicking worker
-//! thread in the in-process pools, a child that exits, breaks the
-//! protocol, or exceeds [`FaultPolicy::spec_timeout`] in the subprocess
-//! pool — is requeued onto a surviving worker until its retry budget is
+//! Every worker runs under the same supervision discipline, governed by
+//! a [`FaultPolicy`]: a spec whose attempt dies — a panic in process, or
+//! a child that exits, breaks the protocol, or exceeds
+//! [`FaultPolicy::spec_timeout`] — is requeued until its retry budget is
 //! spent. Dead children are respawned with exponential backoff. Because
 //! artifacts persist through the [`RunObserver`] as each spec completes
 //! and segment partials are mergeable summaries, re-executing a lost
 //! spec is idempotent by construction; the supervisor only supplies the
-//! retry mechanics. When the budget is exhausted (or every worker is
-//! gone) execution fails with a typed [`BackendError`] naming the specs
-//! involved instead of panicking the pool. Fault paths emit structured
-//! telemetry — `spec.retry` / `spec.timeout` points, `worker.respawn`
-//! points, and `outcome`-tagged `spec` span ends — so `ltsim events
-//! summarize` can report a fault histogram.
+//! retry mechanics. When the budget is exhausted (or every worker has
+//! retired) execution fails with a typed [`BackendError`] naming the
+//! specs involved instead of panicking the pool. Fault paths emit
+//! structured telemetry — `spec.retry` / `spec.timeout` points,
+//! `worker.respawn` points, and `outcome`-tagged `spec` span ends — so
+//! `ltsim events summarize` can report a fault histogram.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
 use std::panic::AssertUnwindSafe;
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::process::{Child, ChildStdin, Command, Stdio};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::engine::eventlog;
@@ -57,12 +61,24 @@ pub(crate) fn lock_recover<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// `hang-before:<n>`). See [`FaultInject::parse`].
 pub const FAULT_INJECT_ENV: &str = "LTC_FAULT_INJECT";
 
+/// Delay before the first respawn of a failed worker child; it doubles
+/// per consecutive failure up to [`BACKOFF_CAP`], so a crash-looping
+/// worker cannot hot-spin the pool.
+const BACKOFF_BASE: Duration = Duration::from_millis(100);
+
 /// Ceiling on the exponential respawn backoff.
 const BACKOFF_CAP: Duration = Duration::from_secs(2);
 
+/// Backoff before the `consecutive`-th (1-based) respawn in a row:
+/// `BACKOFF_BASE * 2^(consecutive-1)`, capped at [`BACKOFF_CAP`].
+fn backoff_for(consecutive: u32) -> Duration {
+    let factor = 1u32 << consecutive.saturating_sub(1).min(16);
+    BACKOFF_BASE.checked_mul(factor).map_or(BACKOFF_CAP, |d| d.min(BACKOFF_CAP))
+}
+
 /// How a run behaves when workers fail. Threaded from the `ltsim` CLI
 /// (`--retries`, `--spec-timeout`) through
-/// [`crate::engine::EngineOptions`] into every backend.
+/// [`crate::engine::EngineOptions`] into the pool.
 #[derive(Debug, Clone)]
 pub struct FaultPolicy {
     /// Extra attempts a spec gets after its first failed one (so a spec
@@ -70,28 +86,19 @@ pub struct FaultPolicy {
     /// failures one worker slot tolerates — spawn failures included —
     /// before it retires. `0` fails fast on the first fault.
     pub retries: u32,
-    /// Wall-clock budget per spec attempt. Enforced by the subprocess
-    /// backend, whose children can be killed; the in-process backend
-    /// runs trusted library code on threads that cannot be safely
-    /// interrupted, so it ignores it. `None` (the default) never times
-    /// a spec out.
+    /// Wall-clock budget per spec attempt. Enforced on subprocess
+    /// workers, whose children can be killed; an in-process worker runs
+    /// trusted library code on a thread that cannot be safely
+    /// interrupted, so it ignores it. `None` (the default) never times a
+    /// spec out.
     pub spec_timeout: Option<Duration>,
-    /// Base delay before respawning after a worker failure; doubles per
-    /// consecutive failure and caps at 2s, so a crash-looping worker
-    /// cannot hot-spin the pool.
-    pub backoff: Duration,
     /// Injected fault for tests and chaos runs (see [`FaultInject`]).
     pub inject: Option<FaultInject>,
 }
 
 impl Default for FaultPolicy {
     fn default() -> Self {
-        FaultPolicy {
-            retries: 2,
-            spec_timeout: None,
-            backoff: Duration::from_millis(100),
-            inject: None,
-        }
+        FaultPolicy { retries: 2, spec_timeout: None, inject: None }
     }
 }
 
@@ -104,21 +111,15 @@ impl FaultPolicy {
         let inject = std::env::var(FAULT_INJECT_ENV).ok().as_deref().and_then(FaultInject::parse);
         FaultPolicy { inject, ..FaultPolicy::default() }
     }
-
-    /// Backoff before the `consecutive`-th (1-based) respawn in a row:
-    /// `backoff * 2^(consecutive-1)`, capped at 2 seconds.
-    pub fn backoff_for(&self, consecutive: u32) -> Duration {
-        let factor = 1u32 << consecutive.saturating_sub(1).min(16);
-        self.backoff.checked_mul(factor).map_or(BACKOFF_CAP, |d| d.min(BACKOFF_CAP))
-    }
 }
 
 /// A deliberately injected fault, for exercising the supervision paths.
 #[derive(Debug, Clone)]
 pub enum FaultInject {
     /// In-process backend: panic inside the first executed spec whose
-    /// label contains the substring — exactly once per policy, so the
-    /// retry must succeed.
+    /// label contains the substring — exactly once per policy (the
+    /// `fired` flag is shared by every clone), so the retry must
+    /// succeed.
     PanicOnce {
         /// Label substring selecting the victim spec.
         label: String,
@@ -251,40 +252,14 @@ impl RunObserver for NullObserver {
     fn finished(&self, _: &RunSpec, _: &RunResult) {}
 }
 
-/// Executes a planned set of specs.
-///
-/// The contract every backend upholds (and `crates/sim/tests/backends.rs`
-/// checks): results come back in input order, every spec *completes*
-/// exactly once (failed attempts may precede the completion), and
-/// [`RunObserver::finished`] fires for each completed spec from the
-/// worker that produced it.
-pub trait ExecutionBackend {
-    /// Short name for logs and `--backend` parsing.
-    fn name(&self) -> &'static str;
-
-    /// Executes every spec, returning results in `specs` order.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`BackendError`] when a spec's retry budget is
-    /// exhausted, a spec times out, the worker pool collapses, or the
-    /// transport cannot be set up. Specs completed before the failure
-    /// have already been persisted through the observer.
-    fn execute(
-        &self,
-        specs: &[RunSpec],
-        observer: &dyn RunObserver,
-    ) -> Result<Vec<RunResult>, BackendError>;
-}
-
-/// Which backend an [`crate::engine::EngineOptions`] selects; resolved to
-/// a boxed [`ExecutionBackend`] at execution time by [`BackendKind::build`].
+/// Which worker an [`crate::engine::EngineOptions`] selects: how
+/// [`BackendKind::execute`] runs one attempt of a spec.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum BackendKind {
-    /// [`ThreadPoolBackend`].
+    /// On the pool's own threads.
     #[default]
     Threads,
-    /// [`SubprocessBackend`] spawning `command` (argv) per worker.
+    /// Through one `command` child process per worker.
     Subprocess {
         /// Worker argv, e.g. `["/path/to/ltsim", "worker"]`.
         command: Vec<String>,
@@ -292,21 +267,65 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Builds the backend with `threads` workers supervised under
-    /// `fault`.
-    pub fn build(&self, threads: usize, fault: &FaultPolicy) -> Box<dyn ExecutionBackend> {
+    /// Short name for logs: the `--backend` value that selects it.
+    pub fn name(&self) -> &'static str {
         match self {
-            BackendKind::Threads => Box::new(ThreadPoolBackend { threads, fault: fault.clone() }),
-            BackendKind::Subprocess { command } => Box::new(SubprocessBackend {
-                command: command.clone(),
-                workers: threads,
-                fault: fault.clone(),
-            }),
+            BackendKind::Threads => "threads",
+            BackendKind::Subprocess { .. } => "subprocess",
         }
+    }
+
+    /// Executes every spec on `threads` workers (at least one, at most
+    /// one per spec) supervised under `fault`, returning results in
+    /// `specs` order.
+    ///
+    /// Every spec *completes* exactly once (failed attempts may precede
+    /// the completion), and [`RunObserver::finished`] fires for each
+    /// completed spec from the worker that produced it
+    /// (`crates/sim/tests/backends.rs` checks this contract).
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`BackendError`] when a spec's retry budget is
+    /// exhausted, a spec times out, every worker retires, or the
+    /// subprocess command is empty. Specs completed before the failure
+    /// have already been persisted through the observer.
+    pub fn execute(
+        &self,
+        threads: usize,
+        fault: &FaultPolicy,
+        specs: &[RunSpec],
+        observer: &dyn RunObserver,
+    ) -> Result<Vec<RunResult>, BackendError> {
+        if matches!(self, BackendKind::Subprocess { command } if command.is_empty()) {
+            return Err(BackendError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "subprocess backend needs a worker command",
+            )));
+        }
+        let n = specs.len();
+        if n == 0 {
+            return Ok(Vec::new());
+        }
+        let sup = Supervisor::new(specs, fault);
+        // Longest first, so every worker starts on a long run and the
+        // cheap tail fills the gaps. The sort is stable, so equal-cost
+        // specs keep request order.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(cost_estimate(&specs[i])));
+        let queue = Mutex::new(VecDeque::from(order));
+        let queued = Instant::now();
+        std::thread::scope(|scope| {
+            for me in 0..threads.max(1).min(n) {
+                let (sup, queue) = (&sup, &queue);
+                scope.spawn(move || drive(me, self, sup, queue, observer, queued));
+            }
+        });
+        sup.into_outcome()
     }
 }
 
-/// Opens the per-spec telemetry span all backends emit around execution.
+/// Opens the per-spec telemetry span every worker emits around an attempt.
 fn spec_span(spec: &RunSpec) -> ltc_telemetry::Span {
     if !ltc_telemetry::enabled() {
         return ltc_telemetry::span("spec", Vec::new());
@@ -350,7 +369,7 @@ fn end_spec_span(
 
 /// Supervision state shared by one `execute` call's workers: result
 /// slots, per-spec attempt counts, and the first fatal error. The
-/// requeue policy lives here so the two backends cannot drift.
+/// requeue policy lives here, so every worker applies the same one.
 struct Supervisor<'a> {
     specs: &'a [RunSpec],
     policy: &'a FaultPolicy,
@@ -401,16 +420,17 @@ impl<'a> Supervisor<'a> {
     /// `spec.retry` / `spec.timeout` telemetry point. Returns `true`
     /// when the spec should be requeued, `false` when its budget is
     /// spent and the corresponding fatal error has been recorded.
-    fn spec_failed(&self, idx: usize, reason: &str, timed_out: bool) -> bool {
+    fn spec_failed(&self, idx: usize, failure: &Failure) -> bool {
         let attempt = self.attempts[idx].fetch_add(1, Ordering::Relaxed) + 1;
         let spec = &self.specs[idx];
+        let timed_out = failure.outcome == "timeout";
         if ltc_telemetry::enabled() {
             ltc_telemetry::point(
                 if timed_out { "spec.timeout" } else { "spec.retry" },
                 vec![
                     ("label".to_string(), spec.label().into()),
                     ("attempt".to_string(), attempt.into()),
-                    ("reason".to_string(), reason.into()),
+                    ("reason".to_string(), failure.reason.as_str().into()),
                 ],
             );
         }
@@ -425,7 +445,7 @@ impl<'a> Supervisor<'a> {
                 BackendError::RetriesExhausted {
                     key: spec.key(),
                     attempts: attempt,
-                    last_error: reason.to_string(),
+                    last_error: failure.reason.clone(),
                 }
             });
             return false;
@@ -439,19 +459,9 @@ impl<'a> Supervisor<'a> {
         self.attempts[idx].load(Ordering::Relaxed) >= self.policy.retries
     }
 
-    /// Keys of specs that never completed (for [`BackendError::LostSpecs`]).
-    fn incomplete_keys(&self) -> Vec<String> {
-        self.specs
-            .iter()
-            .zip(&self.slots)
-            .filter(|(_, slot)| lock_recover(slot).is_none())
-            .map(|(spec, _)| spec.key())
-            .collect()
-    }
-
     /// Collects the final outcome: the recorded fatal error, a
-    /// [`BackendError::LostSpecs`] naming any silently missing specs, or
-    /// the results in input order.
+    /// [`BackendError::LostSpecs`] naming the specs that retired workers
+    /// left behind, or the results in input order.
     fn into_outcome(self) -> Result<Vec<RunResult>, BackendError> {
         if let Some(err) = lock_recover(&self.fatal).take() {
             return Err(err);
@@ -469,124 +479,45 @@ impl<'a> Supervisor<'a> {
         } else {
             Err(BackendError::LostSpecs {
                 keys: lost,
-                reason: "workers stopped before executing them".to_string(),
+                reason: "every worker retired before executing them".to_string(),
             })
         }
     }
 }
 
-/// Fires the `panic-once` injection when this spec is its victim.
-fn maybe_inject_panic(policy: &FaultPolicy, spec: &RunSpec) {
-    if let Some(FaultInject::PanicOnce { label, fired }) = &policy.inject {
-        if spec.label().contains(label.as_str()) && !fired.swap(true, Ordering::Relaxed) {
-            panic!("injected fault ({FAULT_INJECT_ENV}) in {}", spec.label());
-        }
-    }
+/// A failed attempt: why it failed, and the `outcome` its `spec` span
+/// end carries (`"panic"`, `"retry"` or `"timeout"`).
+struct Failure {
+    reason: String,
+    outcome: &'static str,
 }
 
-/// Renders a caught panic payload for error messages.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked with a non-string payload".to_string()
-    }
-}
-
-/// One supervised in-process attempt: runs the spec with observer and
-/// span instrumentation, converting a panic into a retry/fatal decision
-/// instead of poisoning the pool. Returns `true` when the caller should
-/// requeue the spec.
-fn attempt_in_process(
-    sup: &Supervisor<'_>,
-    idx: usize,
-    observer: &dyn RunObserver,
-    queued: Instant,
-) -> bool {
-    let spec = &sup.specs[idx];
-    let queue_wait = queued.elapsed();
-    let span = spec_span(spec);
-    let start = Instant::now();
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        maybe_inject_panic(sup.policy, spec);
-        spec.execute()
-    }));
-    let elapsed = start.elapsed();
-    match outcome {
-        Ok(result) => {
-            end_spec_span(span, spec, queue_wait, elapsed, None);
-            observer.finished(spec, &result);
-            sup.complete(idx, result);
-            false
-        }
-        Err(payload) => {
-            end_spec_span(span, spec, queue_wait, elapsed, Some("panic"));
-            sup.spec_failed(idx, &panic_message(payload), false)
-        }
-    }
-}
-
-/// The scoped-thread pool: workers claim specs from one shared queue,
-/// seeded longest-first by estimated cost (access budget weighted by
-/// mode; timing runs weigh most) so every worker starts on a long run
-/// and the cheap tail fills the gaps — the classic fix for a pool where
-/// one late-claimed timing run serializes the finish. The sort is
-/// stable, so equal-cost specs keep request order. A failed attempt
-/// requeues at the back.
-#[derive(Debug, Clone)]
-pub struct ThreadPoolBackend {
-    /// Worker thread count (clamped to at least 1).
-    pub threads: usize,
-    /// Supervision policy for panicking workers.
-    pub fault: FaultPolicy,
-}
-
-impl ExecutionBackend for ThreadPoolBackend {
-    fn name(&self) -> &'static str {
-        "threads"
-    }
-
-    fn execute(
-        &self,
-        specs: &[RunSpec],
-        observer: &dyn RunObserver,
-    ) -> Result<Vec<RunResult>, BackendError> {
-        let n = specs.len();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let sup = Supervisor::new(specs, &self.fault);
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(cost_estimate(&specs[i])));
-        let queue = Mutex::new(VecDeque::from(order));
-        let workers = self.threads.max(1).min(n);
-        let queued = Instant::now();
-        std::thread::scope(|scope| {
-            for me in 0..workers {
-                let (sup, queue) = (&sup, &queue);
-                scope.spawn(move || {
-                    if ltc_telemetry::enabled() {
-                        ltc_telemetry::set_worker(me as u64 + 1);
-                    }
-                    while !sup.aborted() {
-                        let Some(idx) = lock_recover(queue).pop_front() else { break };
-                        if attempt_in_process(sup, idx, observer, queued) {
-                            lock_recover(queue).push_back(idx);
-                        }
-                    }
-                });
+/// One in-process attempt on the calling thread: a panic (the
+/// `panic-once` injection included) becomes a [`Failure`] instead of
+/// unwinding the pool.
+fn run_in_process(policy: &FaultPolicy, spec: &RunSpec) -> Result<RunResult, Failure> {
+    std::panic::catch_unwind(AssertUnwindSafe(|| {
+        if let Some(FaultInject::PanicOnce { label, fired }) = &policy.inject {
+            if spec.label().contains(label.as_str()) && !fired.swap(true, Ordering::Relaxed) {
+                panic!("injected fault ({FAULT_INJECT_ENV}) in {}", spec.label());
             }
-        });
-        sup.into_outcome()
-    }
+        }
+        spec.execute()
+    }))
+    .map_err(|payload| Failure {
+        reason: payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "worker panicked with a non-string payload".to_string()),
+        outcome: "panic",
+    })
 }
 
-/// Relative cost estimate used to seed the [`ThreadPoolBackend`] queue
-/// longest-first. Timing runs simulate a full out-of-order machine per
-/// access and dominate real sweeps; a multi-programmed run with a partner
-/// doubles its access budget and runs two hierarchies.
+/// Relative cost estimate used to seed the pool's queue longest-first.
+/// Timing runs simulate a full out-of-order machine per access and
+/// dominate real sweeps; a multi-programmed run with a partner doubles
+/// its access budget and runs two hierarchies.
 fn cost_estimate(spec: &RunSpec) -> u64 {
     let weight = match &spec.mode {
         Mode::Timing => 10,
@@ -610,252 +541,97 @@ fn cost_estimate(spec: &RunSpec) -> u64 {
     spec.accesses.saturating_mul(weight).max(1)
 }
 
-/// A pool of worker child processes speaking the newline-delimited JSON
-/// protocol: one canonical [`RunSpec`] JSON line in on stdin, one
-/// [`RunResult`] JSON line out on stdout, repeated until stdin closes.
-///
-/// Each worker thread owns one child and feeds it specs from a shared
-/// requeue-capable queue; stderr is inherited so worker panics surface
-/// in the parent's output. A child that exits early, answers with
-/// unparsable JSON, or exceeds [`FaultPolicy::spec_timeout`] costs its
-/// spec one attempt; the spec requeues onto a surviving worker and the
-/// child is respawned with exponential backoff, up to the policy's
-/// budgets. A spec's *final* permitted attempt always runs on a freshly
-/// spawned child, so accumulated protocol state from a flaky child
-/// cannot doom it.
-#[derive(Debug, Clone)]
-pub struct SubprocessBackend {
-    /// Worker argv (program plus arguments), e.g. `["ltsim", "worker"]`.
-    pub command: Vec<String>,
-    /// Concurrent worker processes, clamped to at least 1.
-    pub workers: usize,
-    /// Supervision policy: respawn budget, per-spec timeout, backoff.
-    pub fault: FaultPolicy,
-}
-
-/// Shared state for one subprocess execution: the supervisor plus the
-/// requeue queue, live-worker count, and the timeout watchdog.
-struct ProcPool<'a> {
-    sup: Supervisor<'a>,
-    queue: Mutex<VecDeque<usize>>,
-    live: AtomicUsize,
-    watchdog: Watchdog,
-}
-
-/// One watchdog table entry: the attempt's deadline and the child to
-/// kill if it passes.
-type WatchEntry = (Instant, Arc<Mutex<Child>>);
-
-/// Kills children whose in-flight spec exceeded the timeout. Drive
-/// threads register a (deadline, child) entry per round trip and
-/// release it when the answer arrives; the watchdog thread scans the
-/// table and kills expired children, which surfaces to the drive thread
-/// as EOF on the child's stdout.
-#[derive(Default)]
-struct Watchdog {
-    entries: Mutex<HashMap<u64, WatchEntry>>,
-    killed: Mutex<HashSet<u64>>,
-    next_ticket: AtomicU64,
-    done: AtomicBool,
-}
-
-impl Watchdog {
-    fn register(&self, deadline: Instant, child: Arc<Mutex<Child>>) -> u64 {
-        let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        lock_recover(&self.entries).insert(ticket, (deadline, child));
-        ticket
-    }
-
-    /// Retires a ticket, reporting whether the watchdog killed its
-    /// child while the round trip was in flight.
-    fn release(&self, ticket: u64) -> bool {
-        lock_recover(&self.entries).remove(&ticket);
-        lock_recover(&self.killed).remove(&ticket)
-    }
-
-    fn run(&self) {
-        while !self.done.load(Ordering::Relaxed) {
-            std::thread::sleep(Duration::from_millis(10));
-            let now = Instant::now();
-            let expired: Vec<(u64, Arc<Mutex<Child>>)> = {
-                let mut entries = lock_recover(&self.entries);
-                let tickets: Vec<u64> = entries
-                    .iter()
-                    .filter(|(_, (deadline, _))| *deadline <= now)
-                    .map(|(&t, _)| t)
-                    .collect();
-                tickets
-                    .into_iter()
-                    .filter_map(|t| entries.remove(&t).map(|(_, child)| (t, child)))
-                    .collect()
-            };
-            for (ticket, child) in expired {
-                lock_recover(&self.killed).insert(ticket);
-                let _ = lock_recover(&child).kill();
-            }
-        }
-    }
-}
-
-impl ExecutionBackend for SubprocessBackend {
-    fn name(&self) -> &'static str {
-        "subprocess"
-    }
-
-    fn execute(
-        &self,
-        specs: &[RunSpec],
-        observer: &dyn RunObserver,
-    ) -> Result<Vec<RunResult>, BackendError> {
-        if self.command.is_empty() {
-            return Err(BackendError::Io(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "subprocess backend needs a worker command",
-            )));
-        }
-        let n = specs.len();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let workers = self.workers.max(1).min(n);
-        let pool = ProcPool {
-            sup: Supervisor::new(specs, &self.fault),
-            queue: Mutex::new((0..n).collect()),
-            live: AtomicUsize::new(workers),
-            watchdog: Watchdog::default(),
-        };
-        let queued = Instant::now();
-        std::thread::scope(|scope| {
-            if self.fault.spec_timeout.is_some() {
-                let watchdog = &pool.watchdog;
-                scope.spawn(move || watchdog.run());
-            }
-            for me in 0..workers {
-                let (pool, command) = (&pool, &self.command);
-                scope.spawn(move || drive_worker(me, command, pool, observer, queued));
-            }
-        });
-        pool.sup.into_outcome()
-    }
-}
-
-/// One supervised drive thread: keeps a child alive (respawning with
-/// backoff within the consecutive-failure budget), feeds it specs
-/// claimed from the shared queue, and requeues any spec whose attempt
-/// died. The last thread out performs the pool post-mortem.
-fn drive_worker(
+/// One worker of the pool: claims specs from the shared queue, runs one
+/// attempt of each — in process, or through its own child when `kind`
+/// is [`BackendKind::Subprocess`] — and requeues any spec whose attempt
+/// failed. A child is spawned on demand and respawned with backoff; the
+/// worker retires after more consecutive child failures (spawn failures
+/// included) than the retry budget.
+fn drive(
     me: usize,
-    command: &[String],
-    pool: &ProcPool<'_>,
+    kind: &BackendKind,
+    sup: &Supervisor<'_>,
+    queue: &Mutex<VecDeque<usize>>,
     observer: &dyn RunObserver,
     queued: Instant,
 ) {
     if ltc_telemetry::enabled() {
         ltc_telemetry::set_worker(me as u64 + 1);
     }
-    drive_worker_loop(me, command, pool, observer, queued);
-    let survivors = pool.live.fetch_sub(1, Ordering::Relaxed) - 1;
-    if survivors == 0 {
-        pool.watchdog.done.store(true, Ordering::Relaxed);
-        if !pool.sup.done() {
-            // Every worker is gone with work outstanding. fail() keeps
-            // the first error, so a recorded timeout/exhaustion wins
-            // over this collective post-mortem.
-            pool.sup.fail(BackendError::LostSpecs {
-                keys: pool.sup.incomplete_keys(),
-                reason: "every subprocess worker retired".to_string(),
-            });
-        }
-    }
-}
-
-/// The loop body of [`drive_worker`]; returning retires the worker (the
-/// caller handles the live-count bookkeeping on every exit path).
-fn drive_worker_loop(
-    me: usize,
-    command: &[String],
-    pool: &ProcPool<'_>,
-    observer: &dyn RunObserver,
-    queued: Instant,
-) {
-    let sup = &pool.sup;
-    let mut worker: Option<WorkerProcess> = None;
+    let command = match kind {
+        BackendKind::Threads => None,
+        BackendKind::Subprocess { command } => Some(command.as_slice()),
+    };
+    let mut child: Option<WorkerProcess> = None;
     let mut consecutive: u32 = 0;
     while !sup.aborted() && !sup.done() {
-        let Some(idx) = lock_recover(&pool.queue).pop_front() else {
-            // Peers may still fail and requeue their in-flight spec;
-            // wait for the batch to settle rather than retiring early.
+        let Some(idx) = lock_recover(queue).pop_front() else {
+            if command.is_none() {
+                // An in-process worker requeues its own failures, so
+                // whatever is left of the batch is in flight on peers
+                // that will finish it.
+                break;
+            }
+            // A peer may still fail, requeue its in-flight spec and
+            // retire; wait for the batch to settle rather than leaving
+            // that spec stranded.
             std::thread::sleep(Duration::from_millis(2));
             continue;
         };
         let spec = &sup.specs[idx];
-        // Final-attempt isolation: run a spec's last permitted attempt
-        // on a fresh child, so a child that deterministically dies
-        // after N answers (or any accumulated protocol damage) cannot
-        // doom the spec.
-        if sup.last_chance(idx) && worker.as_ref().is_some_and(|w| w.answered > 0) {
-            worker = None;
-        }
-        if worker.is_none() {
-            match WorkerProcess::spawn(command) {
-                Ok(fresh) => worker = Some(fresh),
-                Err(e) => {
-                    lock_recover(&pool.queue).push_front(idx);
-                    consecutive += 1;
-                    if consecutive > sup.policy.retries {
-                        retire(me, &e.to_string());
-                        return;
+        if let Some(command) = command {
+            // Final-attempt isolation: run a spec's last permitted
+            // attempt on a fresh child, so a child that deterministically
+            // dies after N answers (or any accumulated protocol damage)
+            // cannot doom the spec.
+            if sup.last_chance(idx) && child.as_ref().is_some_and(|c| c.answered > 0) {
+                child = None;
+            }
+            if child.is_none() {
+                match WorkerProcess::spawn(command) {
+                    Ok(fresh) => child = Some(fresh),
+                    Err(e) => {
+                        lock_recover(queue).push_front(idx);
+                        consecutive += 1;
+                        if !respawn_or_retire(me, sup.policy.retries, consecutive, &e.to_string()) {
+                            return;
+                        }
+                        continue;
                     }
-                    respawn_backoff(me, sup.policy, consecutive, &e.to_string());
-                    continue;
                 }
             }
         }
-        let child = worker.as_mut().expect("spawned above");
         let queue_wait = queued.elapsed();
         let span = spec_span(spec);
-        let ticket = sup
-            .policy
-            .spec_timeout
-            .map(|t| pool.watchdog.register(Instant::now() + t, child.child.clone()));
         let start = Instant::now();
-        let answer = child.round_trip(spec);
+        let attempt = match child.as_mut() {
+            Some(child) => child.round_trip(spec, sup.policy.spec_timeout),
+            None => run_in_process(sup.policy, spec),
+        };
         let elapsed = start.elapsed();
-        let timed_out = ticket.is_some_and(|t| pool.watchdog.release(t));
-        match answer {
-            Ok(result) if !timed_out => {
+        match attempt {
+            Ok(result) => {
                 end_spec_span(span, spec, queue_wait, elapsed, None);
                 observer.finished(spec, &result);
                 sup.complete(idx, result);
                 consecutive = 0;
             }
-            answer => {
-                // The attempt died: child exit/protocol error, or the
-                // watchdog killed it (a post-kill answer is discarded —
-                // the child is dead either way, and rerunning the spec
-                // is idempotent).
-                let reason = match answer {
-                    Err(e) => e.to_string(),
-                    Ok(_) => "answer arrived after the timeout kill".to_string(),
-                };
-                end_spec_span(
-                    span,
-                    spec,
-                    queue_wait,
-                    elapsed,
-                    Some(if timed_out { "timeout" } else { "retry" }),
-                );
-                worker = None; // Drop kills and reaps the dead child.
-                if !sup.spec_failed(idx, &reason, timed_out) {
+            Err(failure) => {
+                end_spec_span(span, spec, queue_wait, elapsed, Some(failure.outcome));
+                // A failed child is dead, hung or out of step with the
+                // protocol: dropping it kills and reaps it. Rerunning
+                // the spec is idempotent.
+                let lost_child = child.take().is_some();
+                if !sup.spec_failed(idx, &failure) {
                     return;
                 }
-                lock_recover(&pool.queue).push_back(idx);
-                consecutive += 1;
-                if consecutive > sup.policy.retries {
-                    retire(me, &reason);
-                    return;
+                lock_recover(queue).push_back(idx);
+                if lost_child {
+                    consecutive += 1;
+                    if !respawn_or_retire(me, sup.policy.retries, consecutive, &failure.reason) {
+                        return;
+                    }
                 }
-                respawn_backoff(me, sup.policy, consecutive, &reason);
             }
         }
     }
@@ -863,7 +639,7 @@ fn drive_worker_loop(
     // child gets the EOF handshake; one that already died mid-batch
     // only costs a warning here — its specs were requeued and completed
     // elsewhere, so a dirty exit must not fail the run.
-    if let Some(mut child) = worker.take() {
+    if let Some(mut child) = child {
         if let Err(e) = child.shutdown() {
             ltc_telemetry::warning(
                 "worker_shutdown",
@@ -874,20 +650,20 @@ fn drive_worker_loop(
     }
 }
 
-/// Marks a drive thread as giving up after exhausting its consecutive-
-/// failure budget.
-fn retire(me: usize, reason: &str) {
-    ltc_telemetry::warning(
-        "worker_retired",
-        &format!("worker {} retired: {reason}", me + 1),
-        vec![("worker".to_string(), (me as u64 + 1).into())],
-    );
-}
-
-/// Emits the `worker.respawn` telemetry point and sleeps the
-/// exponential backoff before the next spawn attempt.
-fn respawn_backoff(me: usize, policy: &FaultPolicy, consecutive: u32, reason: &str) {
-    let delay = policy.backoff_for(consecutive);
+/// Handles worker `me`'s `consecutive`-th child failure in a row: past
+/// the `retries` budget the worker retires (`false`); otherwise this
+/// emits the `worker.respawn` point and sleeps the exponential backoff
+/// before the next spawn (`true`).
+fn respawn_or_retire(me: usize, retries: u32, consecutive: u32, reason: &str) -> bool {
+    if consecutive > retries {
+        ltc_telemetry::warning(
+            "worker_retired",
+            &format!("worker {} retired: {reason}", me + 1),
+            vec![("worker".to_string(), (me as u64 + 1).into())],
+        );
+        return false;
+    }
+    let delay = backoff_for(consecutive);
     if ltc_telemetry::enabled() {
         ltc_telemetry::point(
             "worker.respawn",
@@ -900,15 +676,21 @@ fn respawn_backoff(me: usize, policy: &FaultPolicy, consecutive: u32, reason: &s
         );
     }
     std::thread::sleep(delay);
+    true
 }
 
-/// A spawned worker child with its protocol pipes.
+/// A spawned worker child with its protocol pipes. Stderr is inherited,
+/// so worker panics surface in the parent's output.
 struct WorkerProcess {
-    /// Shared with the timeout watchdog, which kills expired children.
-    child: Arc<Mutex<Child>>,
+    child: Child,
     /// `Option` so shutdown (and `Drop`) can close stdin to signal EOF.
     stdin: Option<ChildStdin>,
-    stdout: BufReader<ChildStdout>,
+    /// The child's stdout lines, read on a reader thread that ends at
+    /// the child's EOF, so an attempt can wait for its answer with a
+    /// deadline.
+    lines: Receiver<io::Result<String>>,
+    /// The reader thread, joined once the child is reaped.
+    reader: Option<JoinHandle<()>>,
     /// Child telemetry span ids → parent span ids. Children number spans
     /// from their own counters, so forwarded events are remapped into the
     /// parent's id space to stay collision-free across workers.
@@ -930,43 +712,77 @@ impl WorkerProcess {
         let mut child = cmd.spawn().map_err(|e| {
             io::Error::new(e.kind(), format!("spawning worker `{}`: {e}", command[0]))
         })?;
-        let stdin = child.stdin.take().expect("piped stdin");
-        let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
-        Ok(WorkerProcess {
-            child: Arc::new(Mutex::new(child)),
-            stdin: Some(stdin),
-            stdout,
+        let stdout = child.stdout.take().expect("piped stdout");
+        let (tx, lines) = mpsc::channel();
+        let mut worker = WorkerProcess {
+            stdin: child.stdin.take(),
+            child,
+            lines,
+            reader: None,
             span_map: HashMap::new(),
             answered: 0,
-        })
+        };
+        // Should the thread fail to start, `worker` drops: the child is
+        // killed and reaped.
+        let reader =
+            std::thread::Builder::new().name("ltc-worker-stdout".to_string()).spawn(move || {
+                for line in BufReader::new(stdout).lines() {
+                    let failed = line.is_err();
+                    if tx.send(line).is_err() || failed {
+                        return;
+                    }
+                }
+            })?;
+        worker.reader = Some(reader);
+        Ok(worker)
     }
 
-    /// Sends one spec line, then reads until the result line arrives,
-    /// forwarding any interleaved event lines into the parent's event
-    /// stream.
-    fn round_trip(&mut self, spec: &RunSpec) -> io::Result<RunResult> {
+    /// Sends one spec line, then waits for the result line — at most
+    /// `timeout`, when set — forwarding any interleaved event lines into
+    /// the parent's event stream.
+    fn round_trip(
+        &mut self,
+        spec: &RunSpec,
+        timeout: Option<Duration>,
+    ) -> Result<RunResult, Failure> {
+        let retry = |reason: String| Failure { reason, outcome: "retry" };
         let stdin = self.stdin.as_mut().expect("stdin open until shutdown");
-        writeln!(stdin, "{}", spec.key())?;
-        stdin.flush()?;
-        let mut line = String::new();
+        writeln!(stdin, "{}", spec.key())
+            .and_then(|()| stdin.flush())
+            .map_err(|e| retry(e.to_string()))?;
+        let deadline = timeout.map(|t| Instant::now() + t);
         loop {
-            line.clear();
-            if self.stdout.read_line(&mut line)? == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    format!("worker exited before answering spec {}", spec.key()),
-                ));
-            }
+            let line = match deadline {
+                Some(at) => self.lines.recv_timeout(at.saturating_duration_since(Instant::now())),
+                None => self.lines.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            let line = match line {
+                Ok(line) => line.map_err(|e| retry(e.to_string()))?,
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err(retry(format!(
+                        "worker exited before answering spec {}",
+                        spec.key()
+                    )))
+                }
+                // The caller drops this worker, which kills the child.
+                Err(RecvTimeoutError::Timeout) => {
+                    return Err(Failure {
+                        reason: format!(
+                            "no answer to spec {} within {:.3}s",
+                            spec.key(),
+                            timeout.unwrap_or_default().as_secs_f64()
+                        ),
+                        outcome: "timeout",
+                    })
+                }
+            };
             let trimmed = line.trim();
             if eventlog::is_event_line(trimmed) {
                 forward_event_line(&mut self.span_map, trimmed);
                 continue;
             }
             let result = serde_json::from_str(trimmed).map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("bad RunResult line from worker for spec {}: {e}", spec.key()),
-                )
+                retry(format!("bad RunResult line from worker for spec {}: {e}", spec.key()))
             })?;
             self.answered += 1;
             return Ok(result);
@@ -978,15 +794,14 @@ impl WorkerProcess {
     /// non-zero exit as an error.
     fn shutdown(&mut self) -> io::Result<()> {
         drop(self.stdin.take());
-        let mut line = String::new();
-        while self.stdout.read_line(&mut line)? > 0 {
+        for line in self.lines.iter() {
+            let line = line?;
             let trimmed = line.trim();
             if eventlog::is_event_line(trimmed) {
                 forward_event_line(&mut self.span_map, trimmed);
             }
-            line.clear();
         }
-        let status = lock_recover(&self.child).wait()?;
+        let status = self.child.wait()?;
         if status.success() {
             Ok(())
         } else {
@@ -1011,13 +826,16 @@ fn forward_event_line(span_map: &mut HashMap<u64, u64>, line: &str) {
 }
 
 impl Drop for WorkerProcess {
-    /// Error-path cleanup: don't leave a zombie if `shutdown` was never
-    /// reached (a successful `shutdown` makes both calls no-ops).
+    /// Kills and reaps the child if `shutdown` was never reached (after
+    /// a successful `shutdown` both calls are no-ops), then joins the
+    /// reader, which the reaped child's closed stdout has sent to EOF.
     fn drop(&mut self) {
         drop(self.stdin.take());
-        let mut child = lock_recover(&self.child);
-        let _ = child.kill();
-        let _ = child.wait();
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
+        }
     }
 }
 
@@ -1031,9 +849,8 @@ mod tests {
         RunSpec::coverage(bench, PredictorKind::Baseline, accesses, 1)
     }
 
-    /// A policy with a near-zero backoff so failure tests stay fast.
-    fn fast_policy(retries: u32) -> FaultPolicy {
-        FaultPolicy { retries, backoff: Duration::from_millis(1), ..FaultPolicy::default() }
+    fn policy(retries: u32) -> FaultPolicy {
+        FaultPolicy { retries, ..FaultPolicy::default() }
     }
 
     #[test]
@@ -1062,8 +879,7 @@ mod tests {
             RunSpec::timing("mesa", PredictorKind::Baseline, 2_000, 1),
         ];
         let order = Order::default();
-        let backend = ThreadPoolBackend { threads: 1, fault: FaultPolicy::default() };
-        backend.execute(&specs, &order).unwrap();
+        BackendKind::Threads.execute(1, &FaultPolicy::default(), &specs, &order).unwrap();
         // The timing runs go first, the longer one leading; the
         // equal-cost coverage runs keep their request order.
         let expected: Vec<String> = [3, 1, 0, 2].iter().map(|&i| specs[i].key()).collect();
@@ -1077,8 +893,8 @@ mod tests {
         let specs = vec![tiny("gzip", 2_000), tiny("mesa", 3_000), tiny("art", 4_000)];
         let fault = FaultPolicy::default();
         for threads in [1, 2] {
-            let backend = BackendKind::Threads.build(threads, &fault);
-            let results = backend.execute(&specs, &NullObserver).unwrap();
+            let results =
+                BackendKind::Threads.execute(threads, &fault, &specs, &NullObserver).unwrap();
             assert_eq!(results.len(), specs.len(), "{threads} threads");
             for (spec, result) in specs.iter().zip(&results) {
                 // run_coverage reserves a quarter of the budget as warmup.
@@ -1104,7 +920,7 @@ mod tests {
         let specs: Vec<RunSpec> =
             ["gzip", "mesa", "art", "mcf", "swim"].iter().map(|b| tiny(b, 2_000)).collect();
         let counter = Counter::default();
-        BackendKind::Threads.build(3, &FaultPolicy::default()).execute(&specs, &counter).unwrap();
+        BackendKind::Threads.execute(3, &FaultPolicy::default(), &specs, &counter).unwrap();
         assert_eq!(counter.0.load(Ordering::Relaxed), specs.len());
     }
 
@@ -1127,25 +943,22 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let policy = FaultPolicy { backoff: Duration::from_millis(100), ..Default::default() };
-        assert_eq!(policy.backoff_for(1), Duration::from_millis(100));
-        assert_eq!(policy.backoff_for(2), Duration::from_millis(200));
-        assert_eq!(policy.backoff_for(3), Duration::from_millis(400));
-        assert_eq!(policy.backoff_for(10), BACKOFF_CAP);
+        assert_eq!(backoff_for(1), Duration::from_millis(100));
+        assert_eq!(backoff_for(2), Duration::from_millis(200));
+        assert_eq!(backoff_for(3), Duration::from_millis(400));
+        assert_eq!(backoff_for(10), BACKOFF_CAP);
     }
 
     #[test]
     fn in_process_backends_survive_an_injected_panic() {
         let specs = vec![tiny("gzip", 2_000), tiny("mesa", 2_000), tiny("art", 2_000)];
         let clean = BackendKind::Threads
-            .build(2, &FaultPolicy::default())
-            .execute(&specs, &NullObserver)
+            .execute(2, &FaultPolicy::default(), &specs, &NullObserver)
             .unwrap();
         for threads in [1, 2] {
-            let fault =
-                FaultPolicy { inject: FaultInject::parse("panic-once:mesa"), ..fast_policy(1) };
+            let fault = FaultPolicy { inject: FaultInject::parse("panic-once:mesa"), ..policy(1) };
             let results =
-                BackendKind::Threads.build(threads, &fault).execute(&specs, &NullObserver).unwrap();
+                BackendKind::Threads.execute(threads, &fault, &specs, &NullObserver).unwrap();
             // The retried run completes and the results are identical to
             // a fault-free pass (simulation is deterministic per spec).
             assert_eq!(results, clean, "{threads} threads");
@@ -1155,8 +968,8 @@ mod tests {
     #[test]
     fn exhausted_retry_budget_names_the_spec() {
         let specs = vec![tiny("gzip", 2_000), tiny("mesa", 2_000)];
-        let fault = FaultPolicy { inject: FaultInject::parse("panic-once:mesa"), ..fast_policy(0) };
-        let err = BackendKind::Threads.build(2, &fault).execute(&specs, &NullObserver).unwrap_err();
+        let fault = FaultPolicy { inject: FaultInject::parse("panic-once:mesa"), ..policy(0) };
+        let err = BackendKind::Threads.execute(2, &fault, &specs, &NullObserver).unwrap_err();
         match err {
             BackendError::RetriesExhausted { key, attempts, .. } => {
                 assert!(key.contains("mesa"), "{key}");
@@ -1173,11 +986,11 @@ mod tests {
         // tests, which matters because install() is process-global and
         // sibling tests inject panics on "mesa" labels too.
         let specs = vec![tiny("gzip", 5_000), tiny("mesa", 5_000)];
-        let fault = FaultPolicy { inject: FaultInject::parse("panic-once:mesa"), ..fast_policy(1) };
+        let fault = FaultPolicy { inject: FaultInject::parse("panic-once:mesa"), ..policy(1) };
         // Global install: backend workers run on their own threads.
         let capture = Arc::new(Capture::new());
         let token = ltc_telemetry::install(capture.clone());
-        let results = BackendKind::Threads.build(2, &fault).execute(&specs, &NullObserver).unwrap();
+        let results = BackendKind::Threads.execute(2, &fault, &specs, &NullObserver).unwrap();
         ltc_telemetry::uninstall(token);
         assert_eq!(results.len(), 2);
         let mine: Vec<_> = capture
@@ -1238,9 +1051,10 @@ mod tests {
 
     #[test]
     fn subprocess_backend_rejects_an_empty_command() {
-        let backend =
-            SubprocessBackend { command: Vec::new(), workers: 2, fault: FaultPolicy::default() };
-        let err = backend.execute(&[tiny("gzip", 1_000)], &NullObserver).unwrap_err();
+        let backend = BackendKind::Subprocess { command: Vec::new() };
+        let err = backend
+            .execute(2, &FaultPolicy::default(), &[tiny("gzip", 1_000)], &NullObserver)
+            .unwrap_err();
         match err {
             BackendError::Io(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput),
             other => panic!("expected Io, got {other}"),
@@ -1249,12 +1063,11 @@ mod tests {
 
     #[test]
     fn subprocess_backend_surfaces_spawn_failure() {
-        let backend = SubprocessBackend {
+        let backend = BackendKind::Subprocess {
             command: vec!["/nonexistent/ltc-worker-binary".to_string(), "worker".to_string()],
-            workers: 1,
-            fault: fast_policy(0),
         };
-        let err = backend.execute(&[tiny("gzip", 1_000)], &NullObserver).unwrap_err();
+        let err =
+            backend.execute(1, &policy(0), &[tiny("gzip", 1_000)], &NullObserver).unwrap_err();
         // The pool collapses before any spec executes: a LostSpecs error
         // carrying the spawn failure and naming the unexecuted spec.
         match &err {
@@ -1269,14 +1082,12 @@ mod tests {
     #[test]
     fn spawn_failures_retry_within_the_budget() {
         use ltc_telemetry::Capture;
-        let backend = SubprocessBackend {
-            command: vec!["/nonexistent/ltc-worker-binary".to_string()],
-            workers: 1,
-            fault: fast_policy(2),
-        };
+        let backend =
+            BackendKind::Subprocess { command: vec!["/nonexistent/ltc-worker-binary".to_string()] };
         let capture = Arc::new(Capture::new());
         let token = ltc_telemetry::install(capture.clone());
-        let err = backend.execute(&[tiny("gzip", 1_003)], &NullObserver).unwrap_err();
+        let err =
+            backend.execute(1, &policy(2), &[tiny("gzip", 1_003)], &NullObserver).unwrap_err();
         ltc_telemetry::uninstall(token);
         assert!(matches!(err, BackendError::LostSpecs { .. }), "{err}");
         let respawns: Vec<_> = capture
@@ -1289,5 +1100,41 @@ mod tests {
             })
             .collect();
         assert_eq!(respawns.len(), 2, "two backoff respawns before retiring");
+    }
+
+    #[test]
+    fn silent_children_time_out_on_every_attempt() {
+        let backend =
+            BackendKind::Subprocess { command: vec!["sleep".to_string(), "30".to_string()] };
+        let fault = FaultPolicy { spec_timeout: Some(Duration::from_millis(200)), ..policy(1) };
+        let start = Instant::now();
+        let err = backend.execute(1, &fault, &[tiny("gzip", 1_000)], &NullObserver).unwrap_err();
+        match err {
+            BackendError::Timeout { attempts, timeout, .. } => {
+                assert_eq!(attempts, 2);
+                assert_eq!(timeout, Duration::from_millis(200));
+            }
+            other => panic!("expected Timeout, got {other}"),
+        }
+        // Each timed-out child is killed and then waited for before the
+        // next attempt, so finishing long before `sleep 30` could end
+        // shows that none was left running.
+        assert!(start.elapsed() < Duration::from_secs(10), "{:?}", start.elapsed());
+    }
+
+    #[test]
+    fn garbage_answers_exhaust_the_retry_budget() {
+        let script = "while read line; do echo nope; done";
+        let backend =
+            BackendKind::Subprocess { command: ["sh", "-c", script].map(String::from).to_vec() };
+        let err =
+            backend.execute(1, &policy(1), &[tiny("gzip", 1_000)], &NullObserver).unwrap_err();
+        match err {
+            BackendError::RetriesExhausted { attempts, last_error, .. } => {
+                assert_eq!(attempts, 2);
+                assert!(last_error.contains("bad RunResult line"), "{last_error}");
+            }
+            other => panic!("expected RetriesExhausted, got {other}"),
+        }
     }
 }

@@ -16,13 +16,13 @@
 //!    self-detect as stale.
 //! 2. [`scheduler`] — [`Scheduler`]: spec collection, dedup (first-seen
 //!    order), and artifact-cache consultation — the *plan*.
-//! 3. [`backend`] — [`ExecutionBackend`]: the *execution*, pluggable
-//!    behind the scheduler seam: a scoped-thread pool that runs the
-//!    longest specs first, or a pool of `ltsim worker` subprocesses
-//!    speaking JSON lines.
+//! 3. [`backend`] — [`BackendKind::execute`]: the *execution*, one
+//!    supervised worker pool that runs the longest specs first. Each
+//!    worker runs a spec on its own thread, or sends it to its own
+//!    `ltsim worker` subprocess speaking JSON lines.
 //! 4. [`progress`] — [`ProgressSubscriber`]: live completed/total,
 //!    per-spec timing and ETA, rendered from the telemetry stream every
-//!    backend emits.
+//!    worker emits.
 //! 5. [`result`] — [`RunResult`]/[`ResultSet`]: typed results keyed by
 //!    spec, with provenance counters (simulated vs served from cache).
 //! 6. [`artifact`] — the `results/` cache: one JSON line per run, named
@@ -46,12 +46,11 @@
 //!     encoder, one strict decoder and the log writer, shared by
 //!     `--events` logs, the worker protocol and `ltsim events summarize`.
 //!
-//! Execution is *supervised*: every backend runs under a [`FaultPolicy`]
-//! (retry budget, per-spec timeout, respawn backoff, and the
-//! `LTC_FAULT_INJECT` chaos knob). A panicking worker thread or a dead
-//! `ltsim worker` child costs the in-flight spec one attempt and
-//! requeues it onto a surviving worker; dead children are respawned
-//! with exponential backoff. Since artifacts persist as each spec
+//! Execution is *supervised*: every worker runs under a [`FaultPolicy`]
+//! (retry budget, per-spec timeout, and the `LTC_FAULT_INJECT` chaos
+//! knob). A panicking spec or a dead `ltsim worker` child costs the
+//! in-flight spec one attempt and requeues it; dead children are
+//! respawned with exponential backoff. Since artifacts persist as each spec
 //! completes and segment partials are mergeable, re-execution is
 //! idempotent — a fault-injected run produces byte-identical artifacts
 //! to a clean one. Exhausted budgets surface as typed [`BackendError`]s
@@ -59,8 +58,8 @@
 //!
 //! The whole pipeline is instrumented with `ltc_telemetry`: the
 //! scheduler emits planning spans, dedup/cache counters, and per-spec
-//! `cache_probe` points; every backend wraps each execution in a `spec`
-//! span carrying queue-wait vs run time and tags its workers with ids;
+//! `cache_probe` points; the pool wraps each attempt in a `spec` span
+//! carrying queue-wait vs run time and tags its workers with ids;
 //! subprocess children write their own events to stdout as plain
 //! [`eventlog`] lines interleaved with result lines, and the parent
 //! decodes them with the same decoder `ltsim events summarize` uses. With no
@@ -97,8 +96,8 @@ pub mod segmented;
 pub mod spec;
 
 pub use backend::{
-    BackendError, BackendKind, ExecutionBackend, FaultInject, FaultPolicy, NullObserver,
-    RunObserver, SubprocessBackend, ThreadPoolBackend, FAULT_INJECT_ENV,
+    BackendError, BackendKind, FaultInject, FaultPolicy, NullObserver, RunObserver,
+    FAULT_INJECT_ENV,
 };
 pub use progress::{ProgressMode, ProgressSubscriber, TextProgress};
 pub use result::{ResultSet, RunResult};

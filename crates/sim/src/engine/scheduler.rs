@@ -1,10 +1,10 @@
 //! Spec planning: collection, dedup, and cache probing.
 //!
 //! The [`Scheduler`] owns the *plan* — what must run — and delegates the
-//! *execution* to whichever [`crate::engine::backend::ExecutionBackend`]
-//! the [`EngineOptions`] select. Artifact persistence hooks into
+//! *execution* to the worker pool ([`BackendKind::execute`]) on the
+//! backend the [`EngineOptions`] select. Artifact persistence hooks into
 //! execution through a [`RunObserver`] implemented here, and progress is
-//! rendered from the telemetry stream every backend emits, so both behave
+//! rendered from the telemetry stream every worker emits, so both behave
 //! identically across backends.
 
 use std::collections::{BTreeMap, HashSet};
@@ -38,7 +38,7 @@ pub struct EngineOptions {
     /// installs a [`ProgressSubscriber`] in this mode while it runs.
     pub progress: ProgressMode,
     /// How worker faults are handled: retry budget, per-spec timeout,
-    /// respawn backoff (see [`FaultPolicy`]).
+    /// fault injection (see [`FaultPolicy`]).
     pub fault: FaultPolicy,
 }
 
@@ -70,11 +70,6 @@ impl EngineOptions {
     /// The same options running on `backend`.
     pub fn with_backend(self, backend: BackendKind) -> Self {
         EngineOptions { backend, ..self }
-    }
-
-    /// The same options supervised under `fault`.
-    pub fn with_fault(self, fault: FaultPolicy) -> Self {
-        EngineOptions { fault, ..self }
     }
 }
 
@@ -273,19 +268,18 @@ impl Scheduler {
             // died between write and rename (once per dir per process).
             fsutil::sweep_once(dir);
         }
-        let backend = opts.backend.build(opts.threads, &opts.fault);
         ltc_telemetry::point(
             "run_begin",
             vec![
                 ("total".to_string(), (to_run.len() as u64).into()),
-                ("backend".to_string(), backend.name().into()),
+                ("backend".to_string(), opts.backend.name().into()),
             ],
         );
         let execute_span = ltc_telemetry::span("scheduler.execute", Vec::new());
         let store_error: Mutex<Option<io::Error>> = Mutex::new(None);
         let observer =
             PersistingObserver { cache_dir: opts.cache_dir.as_deref(), store_error: &store_error };
-        let outcomes = backend.execute(&to_run, &observer);
+        let outcomes = opts.backend.execute(opts.threads, &opts.fault, &to_run, &observer);
         execute_span.end_with(vec![("specs".to_string(), (to_run.len() as u64).into())]);
         let outcomes = outcomes.map_err(io::Error::from)?;
         ltc_telemetry::point(
@@ -502,8 +496,10 @@ mod tests {
         // scheduler really dispatched to the selected backend.
         let broken =
             BackendKind::Subprocess { command: vec!["/nonexistent/ltc-worker-binary".to_string()] };
-        let fault = FaultPolicy { retries: 0, ..FaultPolicy::default() };
-        let opts = EngineOptions::in_memory(1).with_backend(broken).with_fault(fault);
+        let opts = EngineOptions {
+            fault: FaultPolicy { retries: 0, ..FaultPolicy::default() },
+            ..EngineOptions::in_memory(1).with_backend(broken)
+        };
         assert!(s.execute(&opts).is_err());
         let results = s.execute(&EngineOptions::in_memory(2)).unwrap();
         assert_eq!(results.simulated(), 2);

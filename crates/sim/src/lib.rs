@@ -7,10 +7,11 @@
 //! * [`experiment`] — named predictor configurations ([`PredictorKind`])
 //!   and the coverage, timing and multi-programmed experiment drivers.
 //! * [`engine`] — the unified experiment engine: declarative [`RunSpec`]
-//!   keys, a deduplicating [`engine::Scheduler`] planning over pluggable
-//!   [`engine::ExecutionBackend`]s (thread pool, subprocess workers),
-//!   spec-keyed [`engine::ResultSet`]s and the serialized `results/`
-//!   artifact cache.
+//!   keys, a deduplicating [`engine::Scheduler`] planning for one
+//!   supervised worker pool whose workers run specs on threads or in
+//!   `ltsim worker` subprocesses ([`engine::BackendKind`]), spec-keyed
+//!   [`engine::ResultSet`]s and the serialized `results/` artifact
+//!   cache.
 //! * [`report`] — fixed-width table formatting for paper-style output.
 //!
 //! # Example
@@ -27,8 +28,7 @@ pub mod experiment;
 pub mod report;
 
 pub use engine::{
-    BackendKind, EngineOptions, ExecutionBackend, Mode, ProgressMode, ResultSet, RunResult,
-    RunSpec, Scheduler,
+    BackendKind, EngineOptions, Mode, ProgressMode, ResultSet, RunResult, RunSpec, Scheduler,
 };
 pub use experiment::{run_coverage, run_multiprog, run_timing, MultiProgReport, PredictorKind};
 pub use report::Table;

@@ -284,15 +284,11 @@ pub fn next_span_id() -> u64 {
 }
 
 /// Assigns the calling thread's worker id; subsequently emitted events
-/// carry it. Backends tag their worker threads, `ltsim worker` drive
-/// threads tag themselves with the child's id.
+/// carry it. The engine's pool tags each worker thread, and events
+/// forwarded from a subprocess worker carry the id of the thread that
+/// drives it.
 pub fn set_worker(id: u64) {
     WORKER_ID.with(|cell| cell.set(Some(id)));
-}
-
-/// Clears the calling thread's worker id.
-pub fn clear_worker() {
-    WORKER_ID.with(|cell| cell.set(None));
 }
 
 /// The calling thread's worker id, if one was assigned.
@@ -849,7 +845,6 @@ mod tests {
         let capture = Arc::new(Capture::new());
         set_worker(9);
         with_subscriber(capture.clone(), || point("p", Vec::new()));
-        clear_worker();
         assert_eq!(capture.events()[0].worker, Some(9));
         let handle = std::thread::spawn(current_worker);
         assert_eq!(handle.join().unwrap(), None);

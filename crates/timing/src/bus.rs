@@ -59,12 +59,6 @@ impl Bus {
         start
     }
 
-    /// Whether any channel would be free at time `at`.
-    pub fn is_free_at(&self, at: f64) -> bool {
-        let ch = self.best_channel();
-        at >= self.channels[ch]
-    }
-
     /// Total cycles of occupancy accumulated.
     pub fn busy_cycles(&self) -> f64 {
         self.busy_cycles
@@ -91,6 +85,7 @@ mod tests {
         let mut b = Bus::new();
         b.acquire(10.0, 3.0);
         assert_eq!(b.acquire(11.0, 3.0), 13.0, "second request waits");
+        assert_eq!(b.acquire(16.0, 3.0), 16.0, "a request at the release time is granted at once");
         assert_eq!(b.acquire(100.0, 3.0), 100.0, "later request sees idle bus");
     }
 
@@ -101,13 +96,5 @@ mod tests {
         b.acquire(0.0, 2.0);
         assert_eq!(b.busy_cycles(), 4.0);
         assert_eq!(b.transactions(), 2);
-    }
-
-    #[test]
-    fn is_free_reflects_schedule() {
-        let mut b = Bus::new();
-        b.acquire(0.0, 5.0);
-        assert!(!b.is_free_at(4.0));
-        assert!(b.is_free_at(5.0));
     }
 }

@@ -10,11 +10,11 @@
 //!
 //! Two decoders share the format. [`read_trace_per_record`] walks a
 //! cursor field by field — the original, obviously-correct reference.
-//! [`TraceBatch::decode`] decodes block-wise into a struct-of-arrays
-//! batch (`chunks_exact` over whole records, `from_be_bytes` per field),
-//! which the public [`read_trace`] and the streaming [`BatchReader`]
-//! build on; it is several times faster and asserted record-for-record
-//! identical to the reference by `tests/decode_parity.rs`.
+//! [`BatchReader`] streams the payload in fixed-size batches, each
+//! decoded block-wise by [`TraceBatch::decode`] into struct-of-arrays
+//! form (`chunks_exact` over whole records, `from_be_bytes` per field);
+//! it is asserted record-for-record identical to the reference by
+//! `tests/decode_parity.rs`.
 
 use std::io::{self, Read, Write};
 
@@ -42,15 +42,16 @@ const HEADER_BYTES: usize = 16;
 /// # Example
 ///
 /// ```
-/// use ltc_trace::io::{write_trace, read_trace};
+/// use ltc_trace::io::{write_trace, BatchReader};
 /// use ltc_trace::{Replay, MemoryAccess, Pc, Addr, TraceSource};
 ///
 /// # fn main() -> std::io::Result<()> {
 /// let trace = vec![MemoryAccess::load(Pc(1), Addr(64))];
 /// let mut buf = Vec::new();
 /// write_trace(&mut Replay::once(trace.clone()), &mut buf, 100)?;
-/// let mut replay = read_trace(&mut buf.as_slice())?;
+/// let mut replay = BatchReader::new(buf.as_slice())?;
 /// assert_eq!(replay.next_access(), Some(trace[0]));
+/// assert!(replay.error().is_none());
 /// # Ok(())
 /// # }
 /// ```
@@ -114,8 +115,7 @@ fn check_header(header: &[u8]) -> io::Result<()> {
 /// `Vec<MemoryAccess>`: each field decodes with one `from_be_bytes` from
 /// a fixed offset inside a 21-byte `chunks_exact` window, which the
 /// compiler turns into straight-line loads — no per-field cursor
-/// bookkeeping. Records reassemble on demand via [`TraceBatch::get`] or
-/// the [`BatchCursor`] source.
+/// bookkeeping. Records reassemble on demand via [`TraceBatch::get`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceBatch {
     /// Program counters, one per record.
@@ -129,16 +129,6 @@ pub struct TraceBatch {
 }
 
 impl TraceBatch {
-    /// An empty batch with room for `n` records.
-    pub fn with_capacity(n: usize) -> Self {
-        TraceBatch {
-            pc: Vec::with_capacity(n),
-            addr: Vec::with_capacity(n),
-            gap: Vec::with_capacity(n),
-            flags: Vec::with_capacity(n),
-        }
-    }
-
     /// Decodes a record payload (no header; length must be a whole
     /// number of records) block-wise into a batch.
     ///
@@ -149,7 +139,13 @@ impl TraceBatch {
         if payload.len() % RECORD_BYTES != 0 {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "truncated trace record"));
         }
-        let mut batch = TraceBatch::with_capacity(payload.len() / RECORD_BYTES);
+        let n = payload.len() / RECORD_BYTES;
+        let mut batch = TraceBatch {
+            pc: Vec::with_capacity(n),
+            addr: Vec::with_capacity(n),
+            gap: Vec::with_capacity(n),
+            flags: Vec::with_capacity(n),
+        };
         for rec in payload.chunks_exact(RECORD_BYTES) {
             batch.pc.push(u64::from_be_bytes(rec[0..8].try_into().unwrap()));
             batch.addr.push(u64::from_be_bytes(rec[8..16].try_into().unwrap()));
@@ -185,130 +181,16 @@ impl TraceBatch {
             dependent: flags & 2 != 0,
         }
     }
-
-    /// Appends one record.
-    pub fn push(&mut self, a: &MemoryAccess) {
-        self.pc.push(a.pc.0);
-        self.addr.push(a.addr.0);
-        self.gap.push(a.gap);
-        let mut flags = 0u8;
-        if !a.kind.is_load() {
-            flags |= 1;
-        }
-        if a.dependent {
-            flags |= 2;
-        }
-        self.flags.push(flags);
-    }
-
-    /// Iterates the records in order.
-    pub fn iter(&self) -> impl Iterator<Item = MemoryAccess> + '_ {
-        (0..self.len()).map(|i| self.get(i))
-    }
-
-    /// Materializes the batch as a `Vec<MemoryAccess>`.
-    pub fn to_accesses(&self) -> Vec<MemoryAccess> {
-        self.iter().collect()
-    }
-
-    /// Consumes the batch into a cursor [`TraceSource`] that reassembles
-    /// records lazily (no intermediate `Vec<MemoryAccess>`).
-    pub fn into_source(self) -> BatchCursor {
-        BatchCursor { batch: self, pos: 0 }
-    }
-
-    /// Resident bytes of the four field arrays (allocated capacity, not
-    /// just length) plus the struct itself — the honest footprint the
-    /// size-accounting tests audit.
-    pub fn memory_bytes(&self) -> u64 {
-        (self.pc.capacity() * std::mem::size_of::<u64>()
-            + self.addr.capacity() * std::mem::size_of::<u64>()
-            + self.gap.capacity() * std::mem::size_of::<u32>()
-            + self.flags.capacity() * std::mem::size_of::<u8>()
-            + std::mem::size_of::<Self>()) as u64
-    }
 }
 
-/// A [`TraceSource`] replaying an owned [`TraceBatch`] once.
-///
-/// Produced by [`TraceBatch::into_source`].
-#[derive(Debug, Clone)]
-pub struct BatchCursor {
-    batch: TraceBatch,
-    pos: usize,
-}
-
-impl TraceSource for BatchCursor {
-    fn next_access(&mut self) -> Option<MemoryAccess> {
-        if self.pos >= self.batch.len() {
-            return None;
-        }
-        let a = self.batch.get(self.pos);
-        self.pos += 1;
-        Some(a)
-    }
-}
-
-/// Reads a complete serialized trace into a [`Replay`] source, decoding
-/// block-wise (same `chunks_exact` scheme as [`TraceBatch::decode`], but
-/// assembling each [`MemoryAccess`] in the single pass over the payload
-/// — no intermediate struct-of-arrays detour).
+/// The original per-record cursor decoder, kept as the oracle the
+/// batched path is property-tested against (`tests/decode_parity.rs`).
+/// Prefer [`BatchReader`] everywhere else.
 ///
 /// # Errors
 ///
 /// Returns `InvalidData` when the magic or version does not match or the
 /// payload is truncated mid-record, and any underlying I/O error.
-pub fn read_trace<R: Read>(mut reader: R) -> io::Result<Replay> {
-    let mut raw = Vec::new();
-    reader.read_to_end(&mut raw)?;
-    if raw.len() < HEADER_BYTES {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "truncated trace header"));
-    }
-    check_header(&raw[..HEADER_BYTES])?;
-    let payload = &raw[HEADER_BYTES..];
-    if payload.len() % RECORD_BYTES != 0 {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "truncated trace record"));
-    }
-    // `ChunksExact` knows its length, so `collect` sizes the vector once
-    // and skips the per-record capacity check a `push` loop would pay.
-    let accesses: Vec<MemoryAccess> = payload
-        .chunks_exact(RECORD_BYTES)
-        .map(|rec| {
-            let flags = rec[20];
-            MemoryAccess {
-                pc: Pc(u64::from_be_bytes(rec[0..8].try_into().unwrap())),
-                addr: Addr(u64::from_be_bytes(rec[8..16].try_into().unwrap())),
-                kind: if flags & 1 != 0 { AccessKind::Store } else { AccessKind::Load },
-                gap: u32::from_be_bytes(rec[16..20].try_into().unwrap()),
-                dependent: flags & 2 != 0,
-            }
-        })
-        .collect();
-    Ok(Replay::once(accesses))
-}
-
-/// Reads a complete serialized trace into one [`TraceBatch`].
-///
-/// # Errors
-///
-/// Same conditions as [`read_trace`].
-pub fn read_trace_batch<R: Read>(mut reader: R) -> io::Result<TraceBatch> {
-    let mut raw = Vec::new();
-    reader.read_to_end(&mut raw)?;
-    if raw.len() < HEADER_BYTES {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "truncated trace header"));
-    }
-    check_header(&raw[..HEADER_BYTES])?;
-    TraceBatch::decode(&raw[HEADER_BYTES..])
-}
-
-/// The original per-record cursor decoder, kept as the oracle the
-/// batched path is property-tested against (`tests/decode_parity.rs`).
-/// Prefer [`read_trace`]/[`read_trace_batch`] everywhere else.
-///
-/// # Errors
-///
-/// Same conditions as [`read_trace`].
 pub fn read_trace_per_record<R: Read>(mut reader: R) -> io::Result<Replay> {
     let mut raw = Vec::new();
     reader.read_to_end(&mut raw)?;
@@ -484,9 +366,10 @@ mod tests {
         let mut buf = Vec::new();
         let n = write_trace(&mut Replay::once(original.clone()), &mut buf, u64::MAX).unwrap();
         assert_eq!(n, 5_000);
-        let mut replay = read_trace(&mut buf.as_slice()).unwrap();
+        let mut replay = BatchReader::new(buf.as_slice()).unwrap();
         let restored = replay.collect_accesses(10_000);
         assert_eq!(restored, original);
+        assert!(replay.error().is_none());
     }
 
     #[test]
@@ -528,8 +411,6 @@ mod tests {
     #[test]
     fn rejects_bad_magic() {
         let buf = vec![0u8; 32];
-        let err = read_trace(&mut buf.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let err = read_trace_per_record(&mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(BatchReader::new(buf.as_slice()).is_err());
@@ -541,8 +422,6 @@ mod tests {
         let mut buf = Vec::new();
         write_trace(&mut src, &mut buf, 10).unwrap();
         buf.pop(); // corrupt the tail
-        let err = read_trace(&mut buf.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let err = read_trace_per_record(&mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let mut reader = BatchReader::new(buf.as_slice()).unwrap();
@@ -563,8 +442,6 @@ mod tests {
     fn empty_trace_round_trips() {
         let mut buf = Vec::new();
         write_trace(&mut Replay::once(vec![]), &mut buf, 10).unwrap();
-        let mut replay = read_trace(&mut buf.as_slice()).unwrap();
-        assert!(replay.next_access().is_none());
         let mut reader = BatchReader::new(buf.as_slice()).unwrap();
         assert!(reader.next_batch().unwrap().is_none());
         assert!(reader.next_access().is_none());
@@ -578,25 +455,8 @@ mod tests {
         ];
         let mut buf = Vec::new();
         write_trace(&mut Replay::once(trace.clone()), &mut buf, 10).unwrap();
-        let mut replay = read_trace(&mut buf.as_slice()).unwrap();
+        let mut replay = BatchReader::new(buf.as_slice()).unwrap();
         assert_eq!(replay.collect_accesses(10), trace);
-    }
-
-    #[test]
-    fn batch_push_get_round_trips() {
-        let trace = vec![
-            MemoryAccess::store(Pc(1), Addr(0)).with_dependent(true).with_gap(7),
-            MemoryAccess::load(Pc(2), Addr(64)),
-        ];
-        let mut batch = TraceBatch::default();
-        for a in &trace {
-            batch.push(a);
-        }
-        assert_eq!(batch.len(), 2);
-        assert!(!batch.is_empty());
-        assert_eq!(batch.to_accesses(), trace);
-        let mut cursor = batch.into_source();
-        assert_eq!(cursor.collect_accesses(10), trace);
     }
 
     #[test]
@@ -613,13 +473,5 @@ mod tests {
         assert_eq!(restored, original);
         assert!(reader.error().is_none(), "the end of a whole recording is clean");
         assert!(reader.next_batch().unwrap().is_none());
-    }
-
-    #[test]
-    fn batch_memory_bytes_tracks_capacity() {
-        let batch = TraceBatch::with_capacity(100);
-        // 8 + 8 + 4 + 1 = 21 bytes per record of capacity, plus the
-        // struct header.
-        assert_eq!(batch.memory_bytes(), (100 * 21 + std::mem::size_of::<TraceBatch>()) as u64);
     }
 }

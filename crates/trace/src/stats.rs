@@ -65,15 +65,6 @@ impl TraceStats {
     pub fn footprint_bytes(&self) -> u64 {
         self.distinct_lines * 64
     }
-
-    /// Fraction of accesses that are stores.
-    pub fn store_fraction(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.stores as f64 / self.accesses as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -87,7 +78,6 @@ mod tests {
         let mut r = Replay::once(vec![]);
         let s = TraceStats::measure(&mut r, 100);
         assert_eq!(s, TraceStats::default());
-        assert_eq!(s.store_fraction(), 0.0);
     }
 
     #[test]

@@ -1,19 +1,17 @@
-//! Decode-parity property tests (ISSUE 6 satellite a).
+//! Decode-parity property tests.
 //!
-//! The batched struct-of-arrays decoder (`TraceBatch::decode`, used by
-//! `read_trace`/`read_trace_batch`/`BatchReader`) must agree
-//! record-for-record with the original per-record cursor decoder
-//! (`read_trace_per_record`) on every well-formed trace, and both must
-//! round-trip what `write_trace` produced. Proptest generates arbitrary
-//! record mixes — extreme PCs/addresses, all four flag combinations,
-//! full-range gaps — so any drift in field offsets, endianness, or flag
-//! unpacking between the two decoders fails here.
+//! The streaming batched decoder (`BatchReader`, decoding each batch
+//! with `TraceBatch::decode`) must agree record-for-record with the
+//! original per-record cursor decoder (`read_trace_per_record`) on every
+//! well-formed trace, and both must round-trip what `write_trace`
+//! produced. Proptest generates arbitrary record mixes — extreme
+//! PCs/addresses, all four flag combinations, full-range gaps — so any
+//! drift in field offsets, endianness, or flag unpacking between the two
+//! decoders fails here.
 
 use proptest::prelude::*;
 
-use ltc_trace::io::{
-    read_trace, read_trace_batch, read_trace_per_record, write_trace, BatchReader,
-};
+use ltc_trace::io::{read_trace_per_record, write_trace, BatchReader};
 use ltc_trace::{AccessKind, Addr, MemoryAccess, Pc, Replay, TraceSource};
 
 /// Strategy for one arbitrary record covering the whole field space.
@@ -38,8 +36,8 @@ fn encode(trace: &[MemoryAccess]) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Batched decode == per-record decode == the original records, for
-    /// every decoder entry point, on arbitrary traces.
+    /// Batched decode == per-record decode == the original records, on
+    /// arbitrary traces.
     #[test]
     fn batched_decode_matches_per_record_reference(
         trace in prop::collection::vec(arb_access(), 0..512),
@@ -49,13 +47,6 @@ proptest! {
         let mut per_record = read_trace_per_record(buf.as_slice()).unwrap();
         let reference = per_record.collect_accesses(trace.len() + 1);
         prop_assert_eq!(&reference, &trace);
-
-        let batch = read_trace_batch(buf.as_slice()).unwrap();
-        prop_assert_eq!(batch.len(), trace.len());
-        prop_assert_eq!(batch.to_accesses(), trace.clone());
-
-        let mut replay = read_trace(buf.as_slice()).unwrap();
-        prop_assert_eq!(replay.collect_accesses(trace.len() + 1), trace.clone());
 
         let mut streaming = BatchReader::new(buf.as_slice()).unwrap();
         prop_assert_eq!(streaming.collect_accesses(trace.len() + 1), trace);
@@ -69,12 +60,13 @@ proptest! {
         trace in prop::collection::vec(arb_access(), 0..256),
     ) {
         let buf = encode(&trace);
-        let batch = read_trace_batch(buf.as_slice()).unwrap();
-        let reencoded = encode(&batch.to_accesses());
+        let mut streaming = BatchReader::new(buf.as_slice()).unwrap();
+        let reencoded = encode(&streaming.collect_accesses(trace.len() + 1));
         prop_assert_eq!(reencoded, buf);
     }
 
-    /// A trace truncated mid-record is rejected by both decoders alike.
+    /// A trace truncated mid-record is rejected by both decoders alike:
+    /// the streaming one after yielding every whole record.
     #[test]
     fn truncation_rejected_by_both_decoders(
         trace in prop::collection::vec(arb_access(), 1..64),
@@ -83,6 +75,8 @@ proptest! {
         let mut buf = encode(&trace);
         buf.truncate(buf.len() - cut);
         prop_assert!(read_trace_per_record(buf.as_slice()).is_err());
-        prop_assert!(read_trace_batch(buf.as_slice()).is_err());
+        let mut streaming = BatchReader::new(buf.as_slice()).unwrap();
+        prop_assert_eq!(streaming.collect_accesses(trace.len()), &trace[..trace.len() - 1]);
+        prop_assert!(streaming.error().is_some());
     }
 }
