@@ -369,17 +369,7 @@ impl Cache {
     /// is outside the stamp range.
     pub fn from_image(image: &CacheImage) -> Result<Cache, ImageError> {
         let mut c = Cache::try_new(image.config).map_err(ImageError::Geometry)?;
-        let slots = c.tags.len();
-        for (field, found) in [
-            ("tags", image.tags.len()),
-            ("state", image.state.len()),
-            ("fill", image.fill.len()),
-            ("touch", image.touch.len()),
-        ] {
-            if found != slots {
-                return Err(ImageError::Shape { field, expected: slots, found });
-            }
-        }
+        image.check_slots(c.tags.len())?;
         if image.seq > u64::from(u32::MAX) {
             return Err(ImageError::Invalid(format!(
                 "sequence counter {} exceeds the u32 stamp range",

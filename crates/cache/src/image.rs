@@ -11,8 +11,14 @@
 //! buildable geometry, the restore target's config must match it, and
 //! every state vector must have exactly one entry per slot. A failed
 //! validation is a typed [`ImageError`] — never silent drift.
+//!
+//! A [`CacheImage`] serializes its four per-slot vectors as
+//! [`ltc_trace::packed`] strings, and deserializing one applies the
+//! geometry and slot-count checks too, so a damaged on-disk image is
+//! refused when it is read.
 
-use serde::{Deserialize, Serialize};
+use ltc_trace::packed;
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::cache::Cache;
 use crate::config::{CacheConfig, GeometryError};
@@ -67,7 +73,7 @@ impl std::error::Error for ImageError {}
 /// (one entry per `set * ways + way` slot); the private replacement
 /// stamps are split into `fill`/`touch` halves so the image stays a
 /// plain named-field struct.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheImage {
     /// Geometry the donor was built with (restore targets must match).
     pub config: CacheConfig,
@@ -91,6 +97,56 @@ impl CacheImage {
     /// sequence counter and the eight `u64` counters).
     pub fn image_bytes(&self) -> u64 {
         self.tags.len() as u64 * 17 + 96
+    }
+
+    /// Checks that every per-slot vector has exactly `slots` entries.
+    pub(crate) fn check_slots(&self, slots: usize) -> Result<(), ImageError> {
+        for (field, found) in [
+            ("tags", self.tags.len()),
+            ("state", self.state.len()),
+            ("fill", self.fill.len()),
+            ("touch", self.touch.len()),
+        ] {
+            if found != slots {
+                return Err(ImageError::Shape { field, expected: slots, found });
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Serialize for CacheImage {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("config".to_string(), self.config.to_value()),
+            ("tags".to_string(), packed::to_value(&self.tags)),
+            ("state".to_string(), packed::to_value(&self.state)),
+            ("fill".to_string(), packed::to_value(&self.fill)),
+            ("touch".to_string(), packed::to_value(&self.touch)),
+            ("seq".to_string(), self.seq.to_value()),
+            ("stats".to_string(), self.stats.to_value()),
+        ])
+    }
+}
+
+impl<'de> Deserialize<'de> for CacheImage {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        const TY: &str = "CacheImage";
+        let config: CacheConfig = serde::field(value, "config", TY)?;
+        let geometry = config.try_validate().map_err(|e| DeError(format!("{TY}.config: {e}")))?;
+        let image = CacheImage {
+            config,
+            tags: packed::field(value, "tags", TY)?,
+            state: packed::field(value, "state", TY)?,
+            fill: packed::field(value, "fill", TY)?,
+            touch: packed::field(value, "touch", TY)?,
+            seq: serde::field(value, "seq", TY)?,
+            stats: serde::field(value, "stats", TY)?,
+        };
+        let slots = usize::try_from(geometry.sets * u64::from(config.ways))
+            .map_err(|_| DeError(format!("{TY}.config: too many slots to address")))?;
+        image.check_slots(slots).map_err(|e| DeError(format!("{TY}: {e}")))?;
+        Ok(image)
     }
 }
 
@@ -186,6 +242,24 @@ mod tests {
         let text = serde_json::to_string(&image);
         let back = HierarchyImage::from_value(&serde_json::parse(&text).unwrap()).unwrap();
         assert_eq!(image, back);
+    }
+
+    #[test]
+    fn per_slot_vectors_serialize_packed_and_are_checked_on_read() {
+        let image = warmed(HierarchyConfig::paper(), 2_000).to_image();
+        let value = image.l1.to_value();
+        for field in ["tags", "state", "fill", "touch"] {
+            assert!(value.get(field).and_then(Value::as_str).is_some(), "{field} is packed");
+        }
+        // One slot short of the geometry, in a vector that otherwise
+        // decodes cleanly, is refused when read, not only on restore.
+        let mut short = image.l1.clone();
+        short.touch.pop();
+        let err = CacheImage::from_value(&short.to_value()).unwrap_err();
+        assert!(err.0.contains("touch"), "{err}");
+        let mut bad_geometry = image.l1.clone();
+        bad_geometry.config.line_bytes = 48;
+        assert!(CacheImage::from_value(&bad_geometry.to_value()).is_err());
     }
 
     #[test]

@@ -54,6 +54,11 @@ pub struct GhbPrefetcher {
     ring: Vec<GhbEntry>,
     /// Absolute id of the next entry to insert (ids start at 1).
     next_id: u64,
+    /// Scratch for one miss's PC chain, oldest first, reused across
+    /// misses so the hot path does not allocate.
+    chain: Vec<u64>,
+    /// Scratch for the chain's deltas, reused likewise.
+    deltas: Vec<i64>,
 }
 
 impl GhbPrefetcher {
@@ -69,6 +74,8 @@ impl GhbPrefetcher {
             index: vec![ItEntry::default(); cfg.index_entries.next_power_of_two()],
             ring: vec![GhbEntry::default(); cfg.ghb_entries.next_power_of_two()],
             next_id: 1,
+            chain: Vec::with_capacity(cfg.max_chain),
+            deltas: Vec::with_capacity(cfg.max_chain),
         }
     }
 
@@ -82,21 +89,20 @@ impl GhbPrefetcher {
         id != 0 && id + (self.ring.len() as u64) > self.next_id
     }
 
-    /// Walks the per-PC chain, returning miss addresses oldest-first
-    /// (including the newest entry `head_id`).
-    fn chain_oldest_first(&self, head_id: u64) -> Vec<u64> {
-        let mut rev = Vec::with_capacity(16);
+    /// Walks the per-PC chain into `self.chain`, miss addresses
+    /// oldest-first (including the newest entry `head_id`).
+    fn chain_oldest_first(&mut self, head_id: u64) {
+        self.chain.clear();
         let mut id = head_id;
-        while self.id_live(id) && rev.len() < self.cfg.max_chain {
+        while self.id_live(id) && self.chain.len() < self.cfg.max_chain {
             let e = self.ring[self.ring_slot(id)];
-            rev.push(e.addr);
+            self.chain.push(e.addr);
             id = e.prev_id;
             if id >= head_id {
                 break; // stale pointer re-using a newer slot
             }
         }
-        rev.reverse();
-        rev
+        self.chain.reverse();
     }
 }
 
@@ -127,11 +133,13 @@ impl Prefetcher for GhbPrefetcher {
         self.index[it_idx] = ItEntry { pc_tag: access.pc.0, last_id: id, valid: true };
 
         // Delta correlation over the PC-localized history.
-        let addrs = self.chain_oldest_first(id);
-        if addrs.len() < 3 {
+        self.chain_oldest_first(id);
+        if self.chain.len() < 3 {
             return;
         }
-        let deltas: Vec<i64> = addrs.windows(2).map(|w| w[1] as i64 - w[0] as i64).collect();
+        let deltas = &mut self.deltas;
+        deltas.clear();
+        deltas.extend(self.chain.windows(2).map(|w| w[1] as i64 - w[0] as i64));
         let m = deltas.len();
         let key = (deltas[m - 2], deltas[m - 1]);
         // Search backwards (most recent occurrence first) for the key pair.

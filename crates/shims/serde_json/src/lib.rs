@@ -6,10 +6,11 @@
 //! line (JSON-lines friendly — the experiment engine's `results/`
 //! artifacts are one object per line).
 //!
-//! The parser runs in time linear in its input: each escape-free run
-//! of a string is copied in one piece. Like the real crate, it refuses
-//! input nested deeper than 128 arrays/objects with an [`Error`]
-//! rather than recursing until the stack overflows.
+//! The writer and the parser run in time linear in their input: each
+//! escape-free run of a string is copied in one piece. Like the real
+//! crate, the parser refuses input nested deeper than 128
+//! arrays/objects with an [`Error`] rather than recursing until the
+//! stack overflows.
 //!
 //! Deviations from the real crate, all irrelevant to the workspace's
 //! artifacts: no pretty printer, non-finite floats serialize as `null`
@@ -107,19 +108,24 @@ fn write_value(out: &mut String, v: &Value) {
 
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut rest = s;
+    // Copy each escape-free run in one piece; every byte that needs an
+    // escape is ASCII, so each run ends on a char boundary.
+    while let Some(at) = rest.bytes().position(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        rest = &rest[at + 1..];
     }
+    out.push_str(rest);
     out.push('"');
 }
 
@@ -344,6 +350,17 @@ mod tests {
         assert!(!text.contains('\n'));
         // Canonical: serializing twice gives identical bytes.
         assert_eq!(text, to_string(&v));
+    }
+
+    #[test]
+    fn writer_escapes_exactly_what_needs_escaping() {
+        let s = "run \"q\" \\ \n\r\t\u{1}\u{1f} \u{7f}\u{e9}\u{1f600} end";
+        assert_eq!(
+            to_string(&Value::Str(s.into())),
+            "\"run \\\"q\\\" \\\\ \\n\\r\\t\\u0001\\u001f \u{7f}\u{e9}\u{1f600} end\""
+        );
+        let long = "AZaz09+/".repeat(50_000);
+        assert_eq!(to_string(&Value::Str(long.clone())), format!("\"{long}\""));
     }
 
     #[test]

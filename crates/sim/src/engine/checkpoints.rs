@@ -33,7 +33,7 @@
 //! thread count. A corrupt or truncated on-disk store is ignored with a
 //! warning; its workers replay instead of failing the run.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -183,28 +183,34 @@ fn walk_starts<S: TraceSource + ?Sized>(
     let mut sorted: Vec<u64> = starts.iter().copied().filter(|&s| s > 0).collect();
     sorted.sort_unstable();
     sorted.dedup();
-    let mut active: Vec<(u64, Hierarchy)> = Vec::new();
+    // Windows open and close in start order, so the open ones form a
+    // queue: the front closes next, and `sorted[next]` opens next.
+    let mut active: VecDeque<(u64, Hierarchy)> = VecDeque::new();
     let mut next = 0usize;
     let mut pos = 0u64;
     loop {
-        // Window starts are non-decreasing along `sorted`, so each opens
-        // exactly when the walk reaches it.
         while next < sorted.len() && sorted[next] - sorted[next].min(warmup) <= pos {
-            active.push((sorted[next], Hierarchy::new(HierarchyConfig::paper())));
+            active.push_back((sorted[next], Hierarchy::new(HierarchyConfig::paper())));
             next += 1;
         }
-        while let Some(i) = active.iter().position(|(start, _)| *start == pos) {
-            let (start, hierarchy) = active.swap_remove(i);
+        while active.front().is_some_and(|(start, _)| *start == pos) {
+            let (start, hierarchy) = active.pop_front().expect("front checked");
             at_start(source, start, hierarchy);
         }
         if next >= sorted.len() && active.is_empty() {
             break;
         }
-        let Some(a) = source.next_access() else { break };
-        for (_, hierarchy) in &mut active {
-            hierarchy.access(a.addr, a.kind);
+        // Run straight to the next event: a window opening or closing.
+        let opens = sorted.get(next).map_or(u64::MAX, |&s| s - s.min(warmup));
+        let closes = active.front().map_or(u64::MAX, |(start, _)| *start);
+        let until = opens.min(closes);
+        for _ in pos..until {
+            let Some(a) = source.next_access() else { return };
+            for (_, hierarchy) in &mut active {
+                hierarchy.access(a.addr, a.kind);
+            }
         }
-        pos += 1;
+        pos = until;
     }
 }
 
@@ -318,25 +324,33 @@ pub fn lookup(benchmark: &str, seed: u64, warmup: u64) -> Option<Arc<SegmentStor
     Some(stores)
 }
 
+/// The encoding of the stores' bulk vectors, tagged into their file
+/// stems: little-endian bytes in base64 ([`ltc_trace::packed`]). Stores
+/// written in another encoding (the decimal arrays of earlier builds)
+/// sit under other names, so a reused directory never offers them.
+const STORE_ENCODING: &str = "b64le";
+
 /// The on-disk path of the checkpoint store for `(benchmark, seed)`
 /// under `dir`. Generator state does not depend on the warm-up, so
 /// every warm-up of a trace shares this file.
 ///
-/// The stem hashes benchmark, seed **and** model version, so stores
-/// recorded under older generator behaviour can never be restored into
-/// a newer model.
+/// The stem carries a tag naming the stores' encoding (`b64le`: bulk
+/// vectors as [`ltc_trace::packed`] strings) and hashes benchmark, seed
+/// **and** model version, so stores recorded under older generator
+/// behaviour or in another encoding are never read.
 pub fn store_path(dir: &Path, benchmark: &str, seed: u64) -> PathBuf {
     let id = format!("{benchmark}|{seed}|v{MODEL_VERSION}");
-    dir.join(format!("ckpt_{:016x}.json", fnv1a64(id.as_bytes())))
+    dir.join(format!("ckpt_{STORE_ENCODING}_{:016x}.json", fnv1a64(id.as_bytes())))
 }
 
 /// The on-disk path of the warm-image store for `(benchmark, seed,
 /// warmup)` under `dir`. The warm-up length is part of the identity: it
 /// changes the captured window, so differently-configured runs must
-/// never share images.
+/// never share images. The stem carries the encoding tag as
+/// [`store_path`]'s does.
 pub fn warm_store_path(dir: &Path, benchmark: &str, seed: u64, warmup: u64) -> PathBuf {
     let id = format!("{benchmark}|{seed}|w{warmup}|v{MODEL_VERSION}");
-    dir.join(format!("warm_{:016x}.json", fnv1a64(id.as_bytes())))
+    dir.join(format!("warm_{STORE_ENCODING}_{:016x}.json", fnv1a64(id.as_bytes())))
 }
 
 /// Reads and parses a JSON store file, tolerating damage: a missing
@@ -593,6 +607,42 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// `full` with the packed string that follows the first `"key":`
+    /// replaced by `damage` of it.
+    fn damage_packed(full: &str, key: &str, damage: impl Fn(&str) -> String) -> String {
+        let at = full.find(&format!("\"{key}\":\"")).expect("packed field present") + key.len() + 4;
+        let end = at + full[at..].find('"').expect("closing quote");
+        format!("{}{}{}", &full[..at], damage(&full[at..end]), &full[end..])
+    }
+
+    /// The ways a packed vector can be damaged: a length that is not
+    /// whole quads, a byte outside the alphabet, bytes that do not split
+    /// into whole `T` elements, and one element too few.
+    fn packed_damage<T: ltc_trace::packed::Packed>(
+        full: &str,
+        key: &str,
+    ) -> Vec<(&'static str, String)> {
+        use ltc_trace::packed;
+        vec![
+            ("bad length", damage_packed(full, key, |p| p[..p.len() - 1].to_string())),
+            ("non-alphabet byte", damage_packed(full, key, |p| format!("-{}", &p[1..]))),
+            (
+                "partial element",
+                damage_packed(full, key, |p| {
+                    let bytes: Vec<u8> = packed::decode(p).unwrap();
+                    packed::encode(&bytes[..bytes.len() - 1])
+                }),
+            ),
+            (
+                "one element short",
+                damage_packed(full, key, |p| {
+                    let values: Vec<T> = packed::decode(p).unwrap();
+                    packed::encode(&values[..values.len() - 1])
+                }),
+            ),
+        ]
+    }
+
     #[test]
     fn corrupt_store_warns_exactly_once_and_replay_fallback_succeeds() {
         use ltc_analysis::{StreamAnalysis, StreamConfig};
@@ -601,44 +651,121 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("ltc-ckpt-warn-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
-        let entry = suite::by_name("gcc").unwrap();
+        // mcf mutates its traversal order, so its checkpoints carry one
+        // packed vector and its warm images four per level.
+        let entry = suite::by_name("mcf").unwrap();
         let warmup = 500u64;
         let start = 1_200u64;
-        let store = record_warm_images(&mut entry.build(1), warmup, &[start]);
-        let full = serde_json::to_string(&store);
-        let warm_path = warm_store_path(&dir, "gcc", 1, warmup);
-        fs::write(&warm_path, &full[..full.len() / 2]).unwrap();
+        let stores = record_stores(&mut entry.build(1), warmup, &[start]);
+        let images = serde_json::to_string(&stores.images);
+        let checkpoints = serde_json::to_string(&stores.checkpoints);
+        let warm_path = warm_store_path(&dir, "mcf", 1, warmup);
+        let ckpt_path = store_path(&dir, "mcf", 1);
 
-        // The corrupt store is one miss and exactly one structured
-        // warning event (no stderr-only path once a subscriber exists).
-        let capture = std::sync::Arc::new(Capture::new());
-        let loaded = ltc_telemetry::with_subscriber(capture.clone(), || {
-            load_disk_store::<WarmStore>(&warm_path, "warm-image")
-        });
-        assert!(loaded.is_none());
-        let warnings = capture.named("corrupt_store");
-        assert_eq!(warnings.len(), 1, "exactly one warning event per corrupt load");
-        assert_eq!(warnings[0].kind, EventKind::Warning);
-        assert_eq!(warnings[0].field("store"), Some(&FieldValue::Str("warm-image".into())));
-        match warnings[0].field("message") {
-            Some(FieldValue::Str(m)) => assert!(m.contains("corrupt warm-image store")),
-            other => panic!("missing message field: {other:?}"),
-        }
-
-        // The miss degrades to the replay path, which still produces the
-        // byte-identical partial the intact pair would have.
+        // A torn write, and each damage to a packed vector: `tags` is the
+        // first of the first image, where one element short disagrees
+        // with the geometry's slot count. A short traversal order is
+        // refused on restore, not on load, so it is left out.
+        let mut cases = vec![("torn write", "warm-image", images[..images.len() / 2].to_string())];
+        cases.extend(
+            packed_damage::<u64>(&images, "tags").into_iter().map(|(w, t)| (w, "warm-image", t)),
+        );
+        cases.extend(
+            packed_damage::<u32>(&checkpoints, "order")
+                .into_iter()
+                .take(3)
+                .map(|(w, t)| (w, "checkpoint", t)),
+        );
         let cfg = StreamConfig::with_budget(32 << 10).with_warmup(warmup);
         let seg = TraceSegment { index: 1, segments: 2, start, len: 400 };
-        let checkpoints = record_targets(&mut entry.build(1), &[start]);
-        let via_image = StreamAnalysis::run_segment_with(
+        let via_pair = StreamAnalysis::run_segment_with(
             &mut entry.build(1),
             seg,
             cfg,
-            checkpoints.at(start),
-            store.at(start),
+            stores.checkpoints.at(start),
+            stores.images.at(start),
         );
-        let fallback = StreamAnalysis::run_segment_with(&mut entry.build(1), seg, cfg, None, None);
-        assert_eq!(fallback, via_image, "replay fallback diverged from the warm image");
+        for (what, store, text) in cases {
+            fs::write(&warm_path, &images).unwrap();
+            fs::write(&ckpt_path, &checkpoints).unwrap();
+            fs::write(if store == "checkpoint" { &ckpt_path } else { &warm_path }, text).unwrap();
+
+            // The corrupt store is one miss and exactly one structured
+            // warning event (no stderr-only path once a subscriber
+            // exists), and the miss degrades to the replay path, which
+            // still produces the byte-identical partial the intact pair
+            // would have.
+            let capture = Arc::new(Capture::new());
+            let partial = ltc_telemetry::with_subscriber(capture.clone(), || {
+                let checkpoints = load_disk_store::<CheckpointStore>(&ckpt_path, "checkpoint");
+                let images = load_disk_store::<WarmStore>(&warm_path, "warm-image");
+                assert!(checkpoints.zip(images).is_none(), "{what}: a damaged store loaded");
+                StreamAnalysis::run_segment_with(&mut entry.build(1), seg, cfg, None, None)
+            });
+            let warnings = capture.named("corrupt_store");
+            assert_eq!(warnings.len(), 1, "{what}: exactly one warning event per corrupt load");
+            assert_eq!(warnings[0].kind, EventKind::Warning);
+            assert_eq!(warnings[0].field("store"), Some(&FieldValue::Str(store.into())), "{what}");
+            match warnings[0].field("message") {
+                Some(FieldValue::Str(m)) => assert!(m.contains(&format!("corrupt {store} store"))),
+                other => panic!("missing message field: {other:?}"),
+            }
+            let restores = capture.named("segment_restore");
+            assert_eq!(restores[0].field("outcome"), Some(&FieldValue::Str("replay".into())));
+            assert_eq!(partial, via_pair, "{what}: replay fallback diverged from the pair");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_decimal_array_store_from_an_earlier_build_is_never_read() {
+        use ltc_telemetry::Capture;
+
+        let dir = std::env::temp_dir().join(format!("ltc-ckpt-decimal-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let entry = suite::by_name("gzip").unwrap();
+        let store = record_warm_images(&mut entry.build(1), 400, &[900]);
+        // The store as earlier builds wrote it: every per-slot vector a
+        // decimal array, under a stem without the encoding tag.
+        let image = &store.iter().next().unwrap().image;
+        let decimal = |c: &ltc_cache::CacheImage| {
+            format!(
+                "{{\"config\":{},\"tags\":{},\"state\":{},\"fill\":{},\"touch\":{},\"seq\":{},\"stats\":{}}}",
+                serde_json::to_string(&c.config),
+                serde_json::to_string(&c.tags),
+                serde_json::to_string(&c.state),
+                serde_json::to_string(&c.fill),
+                serde_json::to_string(&c.touch),
+                c.seq,
+                serde_json::to_string(&c.stats),
+            )
+        };
+        let text = format!(
+            "{{\"images\":[{{\"pos\":900,\"image\":{{\"l1\":{},\"l2\":{}}}}}]}}",
+            decimal(&image.l1),
+            decimal(&image.l2)
+        );
+        let id = format!("gzip|1|w400|v{MODEL_VERSION}");
+        let old_path = dir.join(format!("warm_{:016x}.json", fnv1a64(id.as_bytes())));
+        fs::write(&old_path, &text).unwrap();
+        let path = warm_store_path(&dir, "gzip", 1, 400);
+        assert_ne!(path, old_path, "the encoding tag moves the stem");
+
+        let capture = Arc::new(Capture::new());
+        let loaded = ltc_telemetry::with_subscriber(capture.clone(), || {
+            load_disk_store::<WarmStore>(&path, "warm-image")
+        });
+        assert!(loaded.is_none(), "nothing at the tagged stem");
+        assert!(capture.named("corrupt_store").is_empty(), "the old stem is not even opened");
+
+        // Even under the new stem the decimal form is refused, loudly.
+        fs::write(&path, &text).unwrap();
+        let capture = Arc::new(Capture::new());
+        let loaded = ltc_telemetry::with_subscriber(capture.clone(), || {
+            load_disk_store::<WarmStore>(&path, "warm-image")
+        });
+        assert!(loaded.is_none());
+        assert_eq!(capture.named("corrupt_store").len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

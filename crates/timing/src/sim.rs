@@ -208,18 +208,21 @@ impl TimingSim {
                 let elapsed = (drain_clock - last_drain).max(0.0);
                 let budget = ((elapsed / f64::from(cfg.l2_bus_occupancy)) as usize + 2).min(32);
                 last_drain = drain_clock;
-                self.issue_prefetches(
-                    &mut queue,
-                    &hierarchy,
-                    &mut l2_bus,
-                    &mut mem_bus,
-                    &mut mshr,
-                    &mut pending_fill,
-                    &mut in_flight,
-                    drain_clock,
-                    budget,
-                    &mut report,
-                );
+                // An empty queue issues nothing; most accesses find it so.
+                if !queue.is_empty() {
+                    self.issue_prefetches(
+                        &mut queue,
+                        &hierarchy,
+                        &mut l2_bus,
+                        &mut mem_bus,
+                        &mut mshr,
+                        &mut pending_fill,
+                        &mut in_flight,
+                        drain_clock,
+                        budget,
+                        &mut report,
+                    );
+                }
                 // LT-cords metadata traffic occupies the memory bus in
                 // 32-byte beats.
                 let t = predictor.traffic().total();

@@ -23,6 +23,8 @@ use std::fmt;
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
+use crate::packed;
+
 /// The serializable mid-stream state of a trace source.
 ///
 /// Each variant holds only what the matching generator mutates while
@@ -32,7 +34,9 @@ use serde::{DeError, Deserialize, Serialize, Value};
 /// [`TraceSource::restore`](crate::TraceSource::restore). Mutable
 /// derived data (a chase order under mutation, an indirect index array
 /// under churn) is carried only when the configuration can actually
-/// have perturbed it, keeping common checkpoints a few dozen bytes.
+/// have perturbed it, keeping common checkpoints a few dozen bytes; when
+/// it is carried, it serializes as one [`packed`] string rather than a
+/// decimal array.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SourceState {
     /// [`crate::gen::SweepGen`] state.
@@ -204,6 +208,18 @@ impl fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
+/// A bulk vector that travels only sometimes: packed, or `null`.
+fn packed_option(values: &Option<Vec<u32>>) -> Value {
+    values.as_deref().map_or(Value::Null, packed::to_value)
+}
+
+fn packed_option_field(body: &Value, name: &str, ctx: &str) -> Result<Option<Vec<u32>>, DeError> {
+    match body.get(name) {
+        Some(Value::Null) => Ok(None),
+        _ => packed::field(body, name, ctx).map(Some),
+    }
+}
+
 fn rng_value(words: &[u64; 4]) -> Value {
     Value::Seq(words.iter().map(|&w| Value::U64(w)).collect())
 }
@@ -237,7 +253,7 @@ impl Serialize for SourceState {
             } => (
                 "chase",
                 Value::Map(vec![
-                    ("order".to_string(), order.to_value()),
+                    ("order".to_string(), packed_option(order)),
                     ("pos".to_string(), pos.to_value()),
                     ("hot_pos".to_string(), hot_pos.to_value()),
                     ("fields_left".to_string(), fields_left.to_value()),
@@ -275,7 +291,7 @@ impl Serialize for SourceState {
             SourceState::Indirect { idx, pos, stage, rng } => (
                 "indirect",
                 Value::Map(vec![
-                    ("idx".to_string(), idx.to_value()),
+                    ("idx".to_string(), packed_option(idx)),
                     ("pos".to_string(), pos.to_value()),
                     ("stage".to_string(), stage.to_value()),
                     ("rng".to_string(), rng_value(rng)),
@@ -329,7 +345,7 @@ impl<'de> Deserialize<'de> for SourceState {
                 rng: rng_field(body, "SourceState::Sweep")?,
             }),
             "chase" => Ok(SourceState::Chase {
-                order: serde::field(body, "order", "SourceState::Chase")?,
+                order: packed_option_field(body, "order", "SourceState::Chase")?,
                 pos: serde::field(body, "pos", "SourceState::Chase")?,
                 hot_pos: serde::field(body, "hot_pos", "SourceState::Chase")?,
                 fields_left: serde::field(body, "fields_left", "SourceState::Chase")?,
@@ -355,7 +371,7 @@ impl<'de> Deserialize<'de> for SourceState {
                 rng: rng_field(body, "SourceState::HashWindow")?,
             }),
             "indirect" => Ok(SourceState::Indirect {
-                idx: serde::field(body, "idx", "SourceState::Indirect")?,
+                idx: packed_option_field(body, "idx", "SourceState::Indirect")?,
                 pos: serde::field(body, "pos", "SourceState::Indirect")?,
                 stage: serde::field(body, "stage", "SourceState::Indirect")?,
                 rng: rng_field(body, "SourceState::Indirect")?,

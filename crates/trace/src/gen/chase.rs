@@ -4,7 +4,7 @@ use rand::{rngs::StdRng, seq::SliceRandom, Rng, SeedableRng};
 
 use crate::checkpoint::{RestoreError, SourceState};
 use crate::gen::gap::GapModel;
-use crate::gen::LINE_BYTES;
+use crate::gen::{wrap, LINE_BYTES};
 use crate::record::{AccessKind, Addr, MemoryAccess, Pc};
 use crate::source::TraceSource;
 
@@ -99,6 +99,12 @@ pub struct ChaseGen {
     current_node: u32,
     /// Deterministic per-visit counter deciding hot vs cold visits.
     visit_no: u64,
+    /// One visit in `cold_period` goes to the full order (`u64::MAX`
+    /// when every visit is hot).
+    cold_period: u64,
+    /// `visit_no % cold_period`, advanced by compare and wrap (kept only
+    /// while there is a hot subset to interleave).
+    cold_phase: u64,
     rng: StdRng,
 }
 
@@ -141,6 +147,8 @@ impl ChaseGen {
             Vec::new()
         };
 
+        let cold = 1.0 - cfg.hot_fraction;
+        let cold_period = if cold <= 0.0 { u64::MAX } else { (1.0 / cold).round().max(1.0) as u64 };
         ChaseGen {
             cfg,
             order,
@@ -151,6 +159,8 @@ impl ChaseGen {
             fields_left: 0,
             current_node: 0,
             visit_no: 0,
+            cold_period,
+            cold_phase: 0,
             rng,
         }
     }
@@ -176,12 +186,16 @@ impl ChaseGen {
         if !self.hot_order.is_empty() {
             // One cold (full-order) visit every `cold_period` visits; the
             // rest hit the hot subset.
-            let cold = 1.0 - self.cfg.hot_fraction;
-            let cold_period =
-                if cold <= 0.0 { u64::MAX } else { (1.0 / cold).round().max(1.0) as u64 };
-            if self.visit_no % cold_period != 0 {
+            self.cold_phase += 1;
+            if self.cold_phase == self.cold_period {
+                self.cold_phase = 0;
+            }
+            if self.cold_phase != 0 {
                 let node = self.hot_order[self.hot_pos];
-                self.hot_pos = (self.hot_pos + 1) % self.hot_order.len();
+                self.hot_pos += 1;
+                if self.hot_pos == self.hot_order.len() {
+                    self.hot_pos = 0;
+                }
                 return node;
             }
         }
@@ -206,7 +220,7 @@ impl TraceSource for ChaseGen {
             self.fields_left -= 1;
             let field_no = u64::from(self.cfg.fields_per_node - self.fields_left);
             let node_addr = self.place[self.current_node as usize];
-            let off = (field_no * 8) % self.cfg.node_bytes;
+            let off = wrap(field_no * 8, self.cfg.node_bytes);
             return Some(MemoryAccess {
                 pc: Pc(self.cfg.pc_base + 16 + field_no * 4),
                 addr: Addr(node_addr + off),
@@ -288,6 +302,7 @@ impl TraceSource for ChaseGen {
         self.fields_left = *fields_left;
         self.current_node = *current_node;
         self.visit_no = *visit_no;
+        self.cold_phase = *visit_no % self.cold_period;
         self.rng = StdRng::from_state(*rng);
         Ok(())
     }

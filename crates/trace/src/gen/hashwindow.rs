@@ -110,7 +110,11 @@ impl TraceSource for HashWindowGen {
         }
         self.since_probe += 1;
         // Dense sequential walk: 16-byte steps, four accesses per line.
-        self.window_cursor = (self.window_cursor + 16) % self.cfg.window_bytes;
+        // The window holds at least one line, so one subtraction wraps.
+        self.window_cursor += 16;
+        if self.window_cursor >= self.cfg.window_bytes {
+            self.window_cursor -= self.cfg.window_bytes;
+        }
         Some(MemoryAccess {
             pc: Pc(self.cfg.pc_base),
             addr: Addr(self.cfg.base + self.window_cursor),

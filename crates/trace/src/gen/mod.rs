@@ -48,3 +48,14 @@ pub use tree::{Traversal, TreeConfig, TreeGen, TreeLayout};
 /// geometry is configured independently, but generators use this constant to
 /// reason about spatial locality.
 pub const LINE_BYTES: u64 = 64;
+
+/// `x % m`, skipping the division when `x` is already below `m` (the
+/// common case for the per-access offsets it wraps).
+#[inline]
+fn wrap(x: u64, m: u64) -> u64 {
+    if x < m {
+        x
+    } else {
+        x % m
+    }
+}

@@ -98,7 +98,10 @@ impl TraceSource for RandomGen {
                 self.cursor = self.rng.gen_range(0..self.lines);
                 self.run_left = self.cfg.run_lines;
             } else {
-                self.cursor = (self.cursor + 1) % self.lines;
+                self.cursor += 1;
+                if self.cursor == self.lines {
+                    self.cursor = 0;
+                }
             }
             self.run_left -= 1;
             self.touches_left = self.cfg.touches_per_line;

@@ -69,15 +69,31 @@ impl Default for SweepConfig {
 #[derive(Debug, Clone)]
 pub struct SweepGen {
     cfg: SweepConfig,
-    bases: Vec<u64>,
-    /// Per-array element cursor (bytes within the array).
-    cursors: Vec<u64>,
+    /// One lane per array, in configuration order.
+    lanes: Vec<Lane>,
+    /// The lane whose wrap ends a pass: the first of the largest arrays.
+    largest: usize,
     /// Which array receives the next access in the round-robin.
     turn: usize,
     /// Pass counter (selects the stride).
     pass: u64,
+    /// The current pass's stride, `strides[pass % strides.len()]`.
+    stride: u64,
     access_no: u64,
     rng: StdRng,
+}
+
+/// One swept array and its position in the current pass.
+#[derive(Debug, Clone)]
+struct Lane {
+    base: u64,
+    size: u64,
+    /// Element cursor (bytes within the array).
+    cursor: u64,
+    /// Elements before the next store, 0 when the next element is one:
+    /// the test `(offset / stride) % store_every == 0`, counted down
+    /// instead of divided out on every access.
+    store_in: u32,
 }
 
 impl SweepGen {
@@ -90,21 +106,23 @@ impl SweepGen {
         assert!(!cfg.arrays.is_empty(), "sweep requires at least one array");
         assert!(!cfg.strides.is_empty(), "sweep requires at least one stride");
         assert!(cfg.strides.iter().all(|&s| s > 0), "strides must be non-zero");
-        let mut bases = Vec::with_capacity(cfg.arrays.len());
+        let mut lanes = Vec::with_capacity(cfg.arrays.len());
         let mut next = cfg.base;
         for (idx, &size) in cfg.arrays.iter().enumerate() {
             // Stagger bases by a non-power-of-two page count so equally
             // sized arrays do not alias into the same cache sets (real
             // allocators and array dimensioning break such alignment too).
-            bases.push(next + (idx as u64) * 0x11000);
+            lanes.push(Lane { base: next + (idx as u64) * 0x11000, size, cursor: 0, store_in: 0 });
             next = (next + size + (idx as u64) * 0x11000 + 0xfff) & !0xfff;
         }
-        let n = cfg.arrays.len();
+        let max_size = *cfg.arrays.iter().max().expect("non-empty");
+        let largest = cfg.arrays.iter().position(|&s| s == max_size).expect("exists");
         let seed = cfg.seed;
         SweepGen {
+            stride: cfg.strides[0],
             cfg,
-            bases,
-            cursors: vec![0; n],
+            lanes,
+            largest,
             turn: 0,
             pass: 0,
             access_no: 0,
@@ -117,8 +135,18 @@ impl SweepGen {
         self.cfg.arrays.iter().sum()
     }
 
-    fn stride(&self) -> u64 {
-        self.cfg.strides[(self.pass as usize) % self.cfg.strides.len()]
+    /// `strides[pass % strides.len()]`.
+    fn pass_stride(&self) -> u64 {
+        self.cfg.strides[(self.pass % self.cfg.strides.len() as u64) as usize]
+    }
+
+    /// The [`Lane::store_in`] of a lane whose next element is at `cursor`.
+    fn store_countdown(&self, cursor: u64) -> u32 {
+        let every = u64::from(self.cfg.store_every);
+        if every == 0 {
+            return 0;
+        }
+        ((every - (cursor / self.stride) % every) % every) as u32
     }
 }
 
@@ -127,35 +155,40 @@ impl TraceSource for SweepGen {
         // Round-robin across the arrays. Arrays smaller than the largest
         // wrap and are re-swept (the way a solver reads its small coefficient
         // arrays every timestep); the pass ends when the largest array does.
-        let n = self.cfg.arrays.len();
-        let max_size = *self.cfg.arrays.iter().max().expect("non-empty");
-        let largest = self.cfg.arrays.iter().position(|&s| s == max_size).expect("exists");
-        if self.cursors[self.turn] >= self.cfg.arrays[self.turn] {
-            if self.turn == largest {
+        let idx = self.turn;
+        if self.lanes[idx].cursor >= self.lanes[idx].size {
+            if idx == self.largest {
                 // Pass complete: reset all cursors and advance the stride.
-                for c in &mut self.cursors {
-                    *c = 0;
+                for lane in &mut self.lanes {
+                    lane.cursor = 0;
+                    lane.store_in = 0;
                 }
                 self.pass += 1;
+                self.stride = self.pass_stride();
             } else {
                 // A smaller array wraps and is re-swept within the pass.
-                self.cursors[self.turn] = 0;
+                self.lanes[idx].cursor = 0;
+                self.lanes[idx].store_in = 0;
             }
         }
-        let stride = self.stride();
-        let idx = self.turn;
-        let offset = self.cursors[idx];
-        self.cursors[idx] = offset + stride;
-        let addr = Addr(self.bases[idx] + offset);
-        self.turn = (self.turn + 1) % n;
-
-        self.access_no += 1;
+        let store_every = self.cfg.store_every;
+        let lane = &mut self.lanes[idx];
+        let offset = lane.cursor;
+        lane.cursor = offset + self.stride;
+        let addr = Addr(lane.base + offset);
         // Stores are a function of the *element position* (as in real loop
         // bodies that update every k-th element), so the load/store pattern
         // of a given line recurs identically every pass regardless of how
         // the pass length divides by `store_every`.
-        let is_store =
-            self.cfg.store_every != 0 && (offset / stride) % u64::from(self.cfg.store_every) == 0;
+        let is_store = store_every != 0 && lane.store_in == 0;
+        if store_every != 0 {
+            lane.store_in = if is_store { store_every - 1 } else { lane.store_in - 1 };
+        }
+        self.turn += 1;
+        if self.turn == self.lanes.len() {
+            self.turn = 0;
+        }
+        self.access_no += 1;
         let kind = if is_store { AccessKind::Store } else { AccessKind::Load };
         let pc_off = if is_store { 8 } else { 0 };
         let pc = Pc(self.cfg.pc_base + (idx as u64) * 16 + pc_off);
@@ -165,7 +198,7 @@ impl TraceSource for SweepGen {
 
     fn checkpoint(&self) -> Option<SourceState> {
         Some(SourceState::Sweep {
-            cursors: self.cursors.clone(),
+            cursors: self.lanes.iter().map(|lane| lane.cursor).collect(),
             turn: self.turn as u64,
             pass: self.pass,
             access_no: self.access_no,
@@ -177,19 +210,24 @@ impl TraceSource for SweepGen {
         let SourceState::Sweep { cursors, turn, pass, access_no, rng } = state else {
             return Err(RestoreError::mismatch("sweep", state));
         };
-        if cursors.len() != self.cursors.len() {
+        if cursors.len() != self.lanes.len() {
             return Err(RestoreError::invalid(format!(
                 "sweep state has {} cursors, configuration has {} arrays",
                 cursors.len(),
-                self.cursors.len()
+                self.lanes.len()
             )));
         }
-        if *turn >= self.cursors.len() as u64 {
+        if *turn >= self.lanes.len() as u64 {
             return Err(RestoreError::invalid(format!("sweep turn {turn} out of range")));
         }
-        self.cursors.clone_from(cursors);
         self.turn = *turn as usize;
         self.pass = *pass;
+        self.stride = self.pass_stride();
+        for (i, &cursor) in cursors.iter().enumerate() {
+            let store_in = self.store_countdown(cursor);
+            self.lanes[i].cursor = cursor;
+            self.lanes[i].store_in = store_in;
+        }
         self.access_no = *access_no;
         self.rng = StdRng::from_state(*rng);
         Ok(())
@@ -273,6 +311,68 @@ mod tests {
         assert_eq!(v[7].addr.0, 0x1c0);
         assert_eq!(v[8].addr.0, 0x0);
         assert_eq!(v[9].addr.0, 0x80);
+    }
+
+    /// `(address, is_store)` of the first `n` accesses, by the per-access
+    /// divisions and scans the generator's cached stride and countdowns
+    /// replace.
+    fn reference(cfg: &SweepConfig, n: usize) -> Vec<(u64, bool)> {
+        let bases: Vec<u64> = SweepGen::new(cfg.clone()).lanes.iter().map(|l| l.base).collect();
+        let mut cursors = vec![0u64; cfg.arrays.len()];
+        let (mut turn, mut pass) = (0usize, 0usize);
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            let max_size = *cfg.arrays.iter().max().unwrap();
+            let largest = cfg.arrays.iter().position(|&s| s == max_size).unwrap();
+            if cursors[turn] >= cfg.arrays[turn] {
+                if turn == largest {
+                    cursors.iter_mut().for_each(|c| *c = 0);
+                    pass += 1;
+                } else {
+                    cursors[turn] = 0;
+                }
+            }
+            let stride = cfg.strides[pass % cfg.strides.len()];
+            let offset = cursors[turn];
+            cursors[turn] = offset + stride;
+            let every = u64::from(cfg.store_every);
+            out.push((bases[turn] + offset, every != 0 && (offset / stride) % every == 0));
+            turn = (turn + 1) % cfg.arrays.len();
+        }
+        out
+    }
+
+    #[test]
+    fn countdowns_match_the_per_access_arithmetic_across_passes() {
+        // Two small arrays that wrap inside each pass (one not a whole
+        // number of strides), two equally large ones of which the first
+        // ends the pass, several strides, and restores mid-pass.
+        for (store_every, strides) in [(3, vec![8, 24, 64]), (0, vec![16]), (1, vec![40, 8])] {
+            let cfg = SweepConfig {
+                arrays: vec![520, 2048, 200, 2048],
+                strides,
+                store_every,
+                ..SweepConfig::default()
+            };
+            let want = reference(&cfg, 4_000);
+            let got: Vec<(u64, bool)> = collect(cfg.clone(), 4_000)
+                .iter()
+                .map(|a| (a.addr.0, a.kind == AccessKind::Store))
+                .collect();
+            assert_eq!(got, want, "store_every {store_every}");
+            for cut in [1, 37, 255, 256, 1_001, 2_999] {
+                let mut g = SweepGen::new(cfg.clone());
+                g.collect_accesses(cut);
+                let mut resumed = SweepGen::new(cfg.clone());
+                resumed.restore(&g.checkpoint().unwrap()).unwrap();
+                let tail: Vec<(u64, bool)> = resumed
+                    .collect_accesses(600)
+                    .iter()
+                    .map(|a| (a.addr.0, a.kind == AccessKind::Store))
+                    .collect();
+                assert_eq!(tail, want[cut..cut + 600], "store_every {store_every}, cut {cut}");
+            }
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::checkpoint::{RestoreError, SourceState};
 use crate::gen::gap::GapModel;
+use crate::gen::wrap;
 use crate::record::{AccessKind, Addr, MemoryAccess, Pc};
 use crate::source::TraceSource;
 
@@ -191,14 +192,17 @@ impl TraceSource for TreeGen {
                 self.cfg.base + u64::from(self.place[self.current as usize]) * self.cfg.node_bytes;
             return Some(MemoryAccess {
                 pc: Pc(self.cfg.pc_base + 8 + field_no * 4),
-                addr: Addr(node_addr + (field_no * 8) % self.cfg.node_bytes),
+                addr: Addr(node_addr + wrap(field_no * 8, self.cfg.node_bytes)),
                 kind: if field_no % 4 == 3 { AccessKind::Store } else { AccessKind::Load },
                 gap,
                 dependent: false,
             });
         }
         let node = self.visit[self.pos];
-        self.pos = (self.pos + 1) % self.visit.len();
+        self.pos += 1;
+        if self.pos == self.visit.len() {
+            self.pos = 0;
+        }
         self.current = node;
         self.fields_left = self.cfg.accesses_per_node - 1;
         Some(MemoryAccess {

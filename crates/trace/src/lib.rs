@@ -31,6 +31,7 @@ pub mod checkpoint;
 pub mod gen;
 pub mod interleave;
 pub mod io;
+pub mod packed;
 pub mod record;
 pub mod segment;
 pub mod source;
