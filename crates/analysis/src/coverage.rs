@@ -1,7 +1,7 @@
 //! The trace-driven coverage simulator (Figure 8's methodology).
 
-use ltc_cache::{Hierarchy, HierarchyConfig, MemLevel};
-use ltc_predictors::{PredictorTraffic, PrefetchLevel, Prefetcher};
+use ltc_cache::{Hierarchy, HierarchyConfig, MemLevel, PrefetchLevel};
+use ltc_predictors::{PredictorTraffic, Prefetcher};
 use ltc_trace::TraceSource;
 use serde::{Deserialize, Serialize};
 
@@ -189,17 +189,6 @@ where
     S: TraceSource,
     P: Prefetcher + ?Sized,
 {
-    // A passive predictor never prefetches, so its shadow hierarchy would
-    // replay the baseline exactly: run the dedicated single-hierarchy loop
-    // that also mirrors every (base, pf) pair of counters without stepping
-    // or copying a second outcome. The report stays byte-identical (the
-    // golden wall and `passive_fast_path_mirrors_two_hierarchy_run` assert
-    // this); baseline runs cost one hierarchy instead of two.
-    if predictor.is_passive() {
-        let report = run_coverage_passive(source, predictor, cfg);
-        emit_run_point(&report);
-        return report;
-    }
     let mut base = Hierarchy::new(cfg.hierarchy);
     let mut pf = Hierarchy::new(cfg.hierarchy);
     let mut report =
@@ -265,24 +254,10 @@ where
 
         predictor.on_access(&a, &pf_out, &mut requests);
         for req in requests.drain(..) {
-            match req.level {
-                PrefetchLevel::L1 => {
-                    if pf.l1().contains(req.target) {
-                        continue;
-                    }
-                    let (out, src) = pf.prefetch_into_l1(req.target, req.victim);
-                    report.prefetch_fills += 1;
-                    l1_fills += 1;
-                    predictor.on_prefetch_applied(&req, &out, src);
-                }
-                PrefetchLevel::L2 => {
-                    if pf.l2().contains(req.target) {
-                        continue;
-                    }
-                    let (out, src) = pf.prefetch_into_l2(req.target);
-                    report.prefetch_fills += 1;
-                    predictor.on_prefetch_applied(&req, &out, src);
-                }
+            if let Some(out) = pf.prefetch(&req) {
+                report.prefetch_fills += 1;
+                l1_fills += u64::from(req.level == PrefetchLevel::L1);
+                predictor.on_prefetch_applied(&req, &out);
             }
         }
     }
@@ -313,87 +288,6 @@ where
     report
 }
 
-/// The single-hierarchy loop for passive predictors: the (base, pf)
-/// outcome pair is always identical, so `correct`, `early`, and every
-/// prefetch counter are structurally zero and each remaining pair of
-/// counters mirrors the baseline. Must produce byte-for-byte the report
-/// [`run_coverage`]'s two-hierarchy loop would.
-fn run_coverage_passive<S, P>(
-    source: &mut S,
-    predictor: &mut P,
-    cfg: CoverageConfig,
-) -> CoverageReport
-where
-    S: TraceSource,
-    P: Prefetcher + ?Sized,
-{
-    let mut base = Hierarchy::new(cfg.hierarchy);
-    let mut report =
-        CoverageReport { predictor: predictor.name().to_string(), ..Default::default() };
-    let mut requests = Vec::new();
-    let line_bytes = cfg.hierarchy.l1.line_bytes;
-    let initial_traffic = predictor.traffic();
-
-    // Warm-up prefix: state advances, nothing is counted. Splitting it
-    // out keeps the measured loop free of per-access warm-up compares.
-    for _ in 0..cfg.warmup.min(cfg.limit) {
-        let Some(a) = source.next_access() else { break };
-        let out = base.access(a.addr, a.kind);
-        predictor.on_access(&a, &out, &mut requests);
-        debug_assert!(
-            requests.is_empty(),
-            "passive predictor {} pushed a prefetch request",
-            predictor.name()
-        );
-        requests.clear();
-    }
-    // The warm-up traffic baseline is re-captured only once the measured
-    // phase actually begins (access #warmup exists), mirroring the
-    // two-hierarchy loop's reset-at-the-boundary behaviour exactly.
-    let mut traffic_before = initial_traffic;
-    let mut pending_reset = cfg.warmup > 0;
-
-    for _ in cfg.warmup.min(cfg.limit)..cfg.limit {
-        let Some(a) = source.next_access() else { break };
-        if pending_reset {
-            traffic_before = predictor.traffic();
-            pending_reset = false;
-        }
-        let out = base.access(a.addr, a.kind);
-        report.accesses += 1;
-        report.instructions += a.instructions();
-        if out.level == MemLevel::Memory {
-            report.base_data_bytes += line_bytes;
-            report.base_l2_misses += 1;
-            report.pf_l2_misses += 1;
-        }
-        if out.l2_writeback {
-            report.base_data_bytes += line_bytes;
-        }
-        if !out.l1.hit {
-            report.base_l1_misses += 1;
-            report.pf_l1_misses += 1;
-        }
-        predictor.on_access(&a, &out, &mut requests);
-        debug_assert!(
-            requests.is_empty(),
-            "passive predictor {} pushed a prefetch request",
-            predictor.name()
-        );
-        requests.clear();
-    }
-
-    let t = predictor.traffic();
-    report.traffic = PredictorTraffic {
-        sequence_write_bytes: t.sequence_write_bytes - traffic_before.sequence_write_bytes,
-        sequence_read_bytes: t.sequence_read_bytes - traffic_before.sequence_read_bytes,
-        confidence_update_bytes: t.confidence_update_bytes - traffic_before.confidence_update_bytes,
-    };
-    report.storage_bytes = predictor.storage_bytes();
-    report.memory_bytes = predictor.memory_bytes();
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,43 +308,6 @@ mod tests {
             }
         }
         Replay::once(v)
-    }
-
-    /// A NullPrefetcher that denies being passive, forcing the
-    /// two-hierarchy slow path so the shadow-skip can be differenced.
-    struct DeclaredActive(NullPrefetcher);
-
-    impl Prefetcher for DeclaredActive {
-        fn name(&self) -> &'static str {
-            self.0.name()
-        }
-        fn on_access(
-            &mut self,
-            access: &ltc_trace::MemoryAccess,
-            outcome: &ltc_cache::HierarchyOutcome,
-            out: &mut Vec<ltc_predictors::PrefetchRequest>,
-        ) {
-            self.0.on_access(access, outcome, out)
-        }
-        fn storage_bytes(&self) -> u64 {
-            self.0.storage_bytes()
-        }
-    }
-
-    /// The passive shadow-skip must be invisible in the report: running
-    /// the baseline with and without the second hierarchy produces the
-    /// exact same CoverageReport (the golden wall asserts the same at
-    /// the engine level).
-    #[test]
-    fn passive_fast_path_mirrors_two_hierarchy_run() {
-        let cfg = CoverageConfig::paper(u64::MAX).with_warmup(500);
-        let fast = run_coverage(&mut conflict_loop(4, 64, 10), &mut NullPrefetcher::new(), cfg);
-        let slow = run_coverage(
-            &mut conflict_loop(4, 64, 10),
-            &mut DeclaredActive(NullPrefetcher::new()),
-            cfg,
-        );
-        assert_eq!(fast, slow);
     }
 
     #[test]

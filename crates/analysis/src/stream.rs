@@ -27,11 +27,6 @@ pub struct StreamConfig {
     /// it changes segmented results, so engine runs key their artifact
     /// cache on it.
     pub warmup: u64,
-    /// Misses between sketch-occupancy telemetry samples (defaults to
-    /// [`SKETCH_SAMPLE_EVERY`]; 0 disables periodic sampling). Telemetry
-    /// only — never affects the report, so it is deliberately **not**
-    /// part of any artifact cache key.
-    pub sample_every: u64,
 }
 
 /// Heavy hitters reported per summary (fixed so the report — and with it
@@ -49,22 +44,18 @@ pub const REPORT_TOP: usize = 8;
 /// non-default value caches separately instead of colliding.
 pub const SEGMENT_WARMUP: u64 = 150_000;
 
-/// Default for [`StreamConfig::sample_every`]: misses between the
-/// sketch-occupancy gauge samples the stream loop emits when telemetry
-/// is enabled. Occupancy scans are O(sketch size), so the interval
-/// keeps sampling cost far below the replay itself; one final sample is
-/// always emitted per segment regardless.
-pub const SKETCH_SAMPLE_EVERY: u64 = 65_536;
+/// Misses between the sketch-occupancy gauge samples the stream loop
+/// emits when telemetry is enabled. Occupancy scans are O(sketch size),
+/// so the interval keeps sampling cost far below the replay itself; one
+/// final sample is always emitted per segment regardless. Telemetry
+/// only: it never affects the report, so it is part of no artifact
+/// cache key. A power of two, so the per-miss check is a mask.
+pub const SKETCH_SAMPLE_EVERY: u64 = 1 << 16;
 
 impl StreamConfig {
     /// A run with the given summary budget.
     pub fn with_budget(budget_bytes: u64) -> Self {
-        StreamConfig {
-            budget_bytes,
-            seed: 1,
-            warmup: SEGMENT_WARMUP,
-            sample_every: SKETCH_SAMPLE_EVERY,
-        }
+        StreamConfig { budget_bytes, seed: 1, warmup: SEGMENT_WARMUP }
     }
 
     /// Same budget, explicit seed.
@@ -76,13 +67,6 @@ impl StreamConfig {
     /// Same budget, explicit segment warm-up length.
     pub fn with_warmup(mut self, warmup: u64) -> Self {
         self.warmup = warmup;
-        self
-    }
-
-    /// Same budget, explicit sketch-telemetry sampling interval
-    /// (0 disables periodic samples).
-    pub fn with_sample_every(mut self, sample_every: u64) -> Self {
-        self.sample_every = sample_every;
         self
     }
 }
@@ -399,7 +383,6 @@ impl StreamAnalysis {
         // Captured once: the hot loop pays one branch per miss when
         // telemetry is off, never a hub probe.
         let telemetry = ltc_telemetry::enabled();
-        let sample_every = cfg.sample_every;
         let mut sampled_evictions = 0u64;
 
         for _ in 0..segment.len {
@@ -418,7 +401,7 @@ impl StreamAnalysis {
                 partial.first_miss = Some(line);
             }
             last_miss = Some(line);
-            if telemetry && sample_every > 0 && partial.misses % sample_every == 0 {
+            if telemetry && partial.misses % SKETCH_SAMPLE_EVERY == 0 {
                 sample_sketches(&heavy, &pairs, &mut sampled_evictions);
             }
         }
@@ -458,7 +441,7 @@ fn restore_start<S: TraceSource + ?Sized>(
 /// Space-Saving and CHH fill levels, the nested Count-Min's non-zero
 /// counters, and the eviction count accumulated since the last sample
 /// (as a counter delta). Occupancy scans are O(sketch size) — callers
-/// rate-limit via [`StreamConfig::sample_every`].
+/// rate-limit to one sample every [`SKETCH_SAMPLE_EVERY`] misses.
 fn sample_sketches(heavy: &SpaceSaving<u64>, pairs: &ChhSummary, sampled_evictions: &mut u64) {
     let field = |name: &str, v: u64| (name.to_string(), ltc_telemetry::FieldValue::U64(v));
     ltc_telemetry::gauge(
@@ -818,20 +801,18 @@ mod tests {
         use ltc_telemetry::Capture;
         use std::sync::Arc;
 
-        let seg = TraceSegment { index: 0, segments: 1, start: 0, len: 800 };
-        // Every miss in this trace reaches the sketches; ~800 misses at
-        // interval 100 → 8 periodic samples plus the final one.
-        let run = |sample_every: u64| {
-            let capture = Arc::new(Capture::new());
-            let cfg = StreamConfig::with_budget(32 << 10).with_sample_every(sample_every);
-            ltc_telemetry::with_subscriber(capture.clone(), || {
-                StreamAnalysis::run_segment(&mut conflict_loop(4, 200), seg, cfg)
-            });
-            capture.named("sketch.memory_bytes").len()
-        };
-        assert_eq!(run(0), 1, "interval 0 keeps only the final sample");
-        let sampled = run(100);
-        assert!((8..=10).contains(&sampled), "expected ~9 samples, got {sampled}");
+        // The conflict loop misses on every access, so 2.5 intervals of
+        // accesses are 2.5 intervals of misses: 2 periodic samples plus
+        // the final one.
+        let len = SKETCH_SAMPLE_EVERY * 5 / 2;
+        let seg = TraceSegment { index: 0, segments: 1, start: 0, len };
+        let capture = Arc::new(Capture::new());
+        let cfg = StreamConfig::with_budget(32 << 10);
+        let report = ltc_telemetry::with_subscriber(capture.clone(), || {
+            StreamAnalysis::run_segment(&mut conflict_loop(4, len as usize / 4), seg, cfg)
+        });
+        assert_eq!(report.misses, len);
+        assert_eq!(capture.named("sketch.memory_bytes").len(), 3);
     }
 
     #[test]
@@ -839,11 +820,14 @@ mod tests {
         use ltc_telemetry::Capture;
         use std::sync::Arc;
 
-        let cfg = StreamConfig::with_budget(32 << 10).with_sample_every(50);
-        let seg = TraceSegment { index: 0, segments: 1, start: 0, len: 600 };
-        let quiet = StreamAnalysis::run_segment(&mut conflict_loop(4, 200), seg, cfg);
+        // Two sampling intervals, so periodic samples fire mid-run.
+        let cfg = StreamConfig::with_budget(32 << 10);
+        let len = 2 * SKETCH_SAMPLE_EVERY;
+        let seg = TraceSegment { index: 0, segments: 1, start: 0, len };
+        let passes = len as usize / 4;
+        let quiet = StreamAnalysis::run_segment(&mut conflict_loop(4, passes), seg, cfg);
         let observed = ltc_telemetry::with_subscriber(Arc::new(Capture::new()), || {
-            StreamAnalysis::run_segment(&mut conflict_loop(4, 200), seg, cfg)
+            StreamAnalysis::run_segment(&mut conflict_loop(4, passes), seg, cfg)
         });
         assert_eq!(quiet, observed);
     }

@@ -5,9 +5,10 @@
 //! report — are committed under `tests/golden/` and asserted
 //! **byte-identical** on every run. The snapshots were captured before
 //! the hot-path optimizations (batched trace decode, mask/shift cache
-//! geometry, passive-shadow elision), so any behavioural drift those
-//! changes introduce fails here: a speedup must be provably
-//! behaviour-preserving.
+//! geometry), so any behavioural drift those changes introduce fails
+//! here: a speedup must be provably behaviour-preserving. The `table2`
+//! slice runs the baseline through the same two-hierarchy coverage loop
+//! as every predictor, so it also pins that loop's baseline bytes.
 //!
 //! Golden lines serialize `{label, result}` — deliberately *not* the
 //! full spec key — so a `MODEL_VERSION` bump alone does not invalidate

@@ -37,8 +37,6 @@ pub struct AccessOutcome {
     /// Block evicted by the fill, if the access missed and displaced a
     /// valid block.
     pub evicted: Option<EvictedBlock>,
-    /// Set index of the access (used by predictors).
-    pub set: u64,
 }
 
 /// Result of a prefetch fill.
@@ -193,12 +191,7 @@ impl Cache {
             self.stats.accesses += 1;
             self.stats.stores += u64::from(is_store);
             self.stats.prefetch_hits += u64::from(first_use);
-            return AccessOutcome {
-                hit: true,
-                first_use_of_prefetch: first_use,
-                evicted: None,
-                set,
-            };
+            return AccessOutcome { hit: true, first_use_of_prefetch: first_use, evicted: None };
         }
         // Miss: select a victim and fill.
         let i = start + self.select_victim(start);
@@ -213,7 +206,7 @@ impl Cache {
         if let Some(ev) = &evicted {
             self.stats.useless_prefetches += u64::from(ev.prefetched_unused);
         }
-        AccessOutcome { hit: false, first_use_of_prefetch: false, evicted, set }
+        AccessOutcome { hit: false, first_use_of_prefetch: false, evicted }
     }
 
     /// Picks the way a fill of the set starting at `start` replaces:

@@ -42,14 +42,48 @@ impl HierarchyConfig {
 pub struct HierarchyOutcome {
     /// Level that served the access.
     pub level: MemLevel,
-    /// L1 access detail (always present).
+    /// L1 access detail.
     pub l1: AccessOutcome,
-    /// L2 access detail (present only when L1 missed).
-    pub l2: Option<AccessOutcome>,
     /// Dirty write-back from L1 to L2 occurred.
     pub l1_writeback: bool,
     /// Dirty write-back from L2 to memory occurred.
     pub l2_writeback: bool,
+}
+
+/// Which cache level a prefetch fills.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PrefetchLevel {
+    /// Fill directly into the L1 data cache, replacing a predicted-dead
+    /// block (the DBCP/LT-cords policy — safe because the victim is dead,
+    /// paper Section 2).
+    L1,
+    /// Fill into the L2 only (the GHB/stride policy — L1 fills would risk
+    /// pollution, Section 5.7).
+    L2,
+}
+
+/// One prefetch fill: a predictor's request, applied by
+/// [`Hierarchy::prefetch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PrefetchRequest {
+    /// Line to fetch.
+    pub target: Addr,
+    /// Predicted-dead block to displace (L1 prefetches only).
+    pub victim: Option<Addr>,
+    /// Destination level.
+    pub level: PrefetchLevel,
+}
+
+impl PrefetchRequest {
+    /// An L1 prefetch replacing `victim` (last-touch style).
+    pub fn into_l1(target: Addr, victim: Addr) -> Self {
+        PrefetchRequest { target, victim: Some(victim), level: PrefetchLevel::L1 }
+    }
+
+    /// An L2 prefetch with policy-chosen placement.
+    pub fn into_l2(target: Addr) -> Self {
+        PrefetchRequest { target, victim: None, level: PrefetchLevel::L2 }
+    }
 }
 
 /// A write-back two-level hierarchy: 64 KB L1D backed by a unified L2.
@@ -58,7 +92,9 @@ pub struct HierarchyOutcome {
 /// always allocate in both levels, L2 evictions do not invalidate L1 (the
 /// paper's SimpleScalar baseline behaves the same way). Dirty L1 victims are
 /// written back into L2, keeping write-back traffic observable for the
-/// bandwidth study (Figure 12).
+/// bandwidth study (Figure 12). Demand accesses go through
+/// [`Hierarchy::access`] and prefetch fills through [`Hierarchy::prefetch`],
+/// which every simulator shares.
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
     l1: Cache,
@@ -111,13 +147,7 @@ impl Hierarchy {
         let mut l1_writeback = false;
         let mut l2_writeback = false;
         if l1.hit {
-            return HierarchyOutcome {
-                level: MemLevel::L1,
-                l1,
-                l2: None,
-                l1_writeback,
-                l2_writeback,
-            };
+            return HierarchyOutcome { level: MemLevel::L1, l1, l1_writeback, l2_writeback };
         }
         // L1 victim write-back allocates/updates in L2.
         if let Some(ev) = &l1.evicted {
@@ -134,36 +164,44 @@ impl Hierarchy {
             l2_writeback |= l2ev.dirty;
         }
         let level = if l2.hit { MemLevel::L2 } else { MemLevel::Memory };
-        HierarchyOutcome { level, l1, l2: Some(l2), l1_writeback, l2_writeback }
+        HierarchyOutcome { level, l1, l1_writeback, l2_writeback }
     }
 
-    /// Installs a prefetch into the L1 (and L2, where the data necessarily
-    /// passes through), optionally displacing a predicted-dead victim.
-    /// Returns the L1 outcome and whether the data had to come from memory.
-    pub fn prefetch_into_l1(
-        &mut self,
-        addr: Addr,
-        intended_victim: Option<Addr>,
-    ) -> (PrefetchOutcome, MemLevel) {
-        let from = if self.l2.contains(addr) { MemLevel::L2 } else { MemLevel::Memory };
-        if from == MemLevel::Memory {
-            let _ = self.l2.fill_prefetch(addr, None);
-        }
-        let out = self.l1.fill_prefetch(addr, intended_victim);
-        // A dirty victim displaced by the prefetch is written back to L2.
-        if let PrefetchOutcome::Filled { evicted: Some(ev), .. } = &out {
-            if ev.dirty {
-                let _ = self.l2.access(ev.addr, AccessKind::Store);
+    /// Applies one prefetch fill, returning the fill's outcome at
+    /// `req.level`, or `None` (with nothing changed) when the target
+    /// already sits there.
+    ///
+    /// An L1 prefetch displaces `req.victim` when it is resident in the
+    /// target's set. Data coming from memory passes through, and fills,
+    /// the L2 on the way, and a dirty L1 victim is written back to the L2.
+    /// An L2 prefetch fills the L2 only (the GHB/stride policy; the paper
+    /// notes GHB cannot prefetch into L1 without risking pollution,
+    /// Section 5.7).
+    pub fn prefetch(&mut self, req: &PrefetchRequest) -> Option<PrefetchOutcome> {
+        let addr = req.target;
+        match req.level {
+            PrefetchLevel::L1 => {
+                if self.l1.contains(addr) {
+                    return None;
+                }
+                if !self.l2.contains(addr) {
+                    let _ = self.l2.fill_prefetch(addr, None);
+                }
+                let out = self.l1.fill_prefetch(addr, req.victim);
+                if let PrefetchOutcome::Filled { evicted: Some(ev), .. } = &out {
+                    if ev.dirty {
+                        let _ = self.l2.access(ev.addr, AccessKind::Store);
+                    }
+                }
+                Some(out)
+            }
+            PrefetchLevel::L2 => {
+                if self.l2.contains(addr) {
+                    return None;
+                }
+                Some(self.l2.fill_prefetch(addr, None))
             }
         }
-        (out, from)
-    }
-
-    /// Installs a prefetch into the L2 only (the GHB policy; the paper notes
-    /// GHB cannot prefetch into L1 without risking pollution, Section 5.7).
-    pub fn prefetch_into_l2(&mut self, addr: Addr) -> (PrefetchOutcome, MemLevel) {
-        let from = if self.l2.contains(addr) { MemLevel::L2 } else { MemLevel::Memory };
-        (self.l2.fill_prefetch(addr, None), from)
     }
 }
 
@@ -209,7 +247,6 @@ mod tests {
         hh.access(Addr(0x1000), AccessKind::Load);
         let out = hh.access(Addr(0x1010), AccessKind::Load);
         assert_eq!(out.level, MemLevel::L1);
-        assert!(out.l2.is_none());
     }
 
     #[test]
@@ -234,10 +271,15 @@ mod tests {
         assert!(out.l1_writeback, "dirty LRU victim must write back");
     }
 
+    /// An L1 prefetch with policy-chosen placement.
+    fn into_l1(target: Addr) -> PrefetchRequest {
+        PrefetchRequest { target, victim: None, level: PrefetchLevel::L1 }
+    }
+
     #[test]
     fn prefetch_into_l1_satisfies_next_access() {
         let mut hh = h();
-        hh.prefetch_into_l1(Addr(0x2000), None);
+        hh.prefetch(&into_l1(Addr(0x2000)));
         let out = hh.access(Addr(0x2000), AccessKind::Load);
         assert_eq!(out.level, MemLevel::L1);
         assert!(out.l1.first_use_of_prefetch);
@@ -246,22 +288,35 @@ mod tests {
     #[test]
     fn prefetch_into_l2_leaves_l1_cold() {
         let mut hh = h();
-        hh.prefetch_into_l2(Addr(0x3000));
+        hh.prefetch(&PrefetchRequest::into_l2(Addr(0x3000)));
         let out = hh.access(Addr(0x3000), AccessKind::Load);
         assert_eq!(out.level, MemLevel::L2, "first touch still misses L1");
     }
 
     #[test]
-    fn prefetch_source_level_reported() {
+    fn prefetch_fills_through_l2_and_skips_resident_targets() {
+        let line = Addr(0x4000);
+        let fills =
+            |hh: &Hierarchy| (hh.l1().stats().prefetch_fills, hh.l2().stats().prefetch_fills);
         let mut hh = h();
-        let (_, from_mem) = hh.prefetch_into_l1(Addr(0x4000), None);
-        assert_eq!(from_mem, MemLevel::Memory);
-        // Once in L2, a later prefetch of the same line is L2-sourced.
+        // From memory: the line fills both levels.
+        assert!(matches!(hh.prefetch(&into_l1(line)), Some(PrefetchOutcome::Filled { .. })));
+        assert!(hh.l1().contains(line) && hh.l2().contains(line));
+        assert_eq!(fills(&hh), (1, 1));
+        // Already at its level: `None`, and neither level's stats move.
+        let before = (*hh.l1().stats(), *hh.l2().stats());
+        assert_eq!(hh.prefetch(&into_l1(line)), None);
+        assert_eq!(hh.prefetch(&PrefetchRequest::into_l2(line)), None);
+        assert_eq!((*hh.l1().stats(), *hh.l2().stats()), before);
+        // Pushed out of L1 but still in L2: the L1 fill comes from L2,
+        // which takes no second prefetch fill.
         let span = 512 * 64;
-        hh.access(Addr(0x4000 + span), AccessKind::Load);
-        hh.access(Addr(0x4000 + 2 * span), AccessKind::Load); // push 0x4000 out of L1
-        let (_, from) = hh.prefetch_into_l1(Addr(0x4000), None);
-        assert_eq!(from, MemLevel::L2);
+        hh.access(Addr(line.0 + span), AccessKind::Load);
+        hh.access(Addr(line.0 + 2 * span), AccessKind::Load);
+        assert!(!hh.l1().contains(line) && hh.l2().contains(line));
+        assert!(hh.prefetch(&into_l1(line)).is_some());
+        assert_eq!(fills(&hh), (2, 1));
+        assert_eq!(hh.l2().stats().prefetch_already_present, 0);
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! by every experiment in the LT-cords reproduction: a configurable
 //! set-associative [`Cache`] with LRU or FIFO replacement, prefetch fills
 //! with block provenance tracking, and a two-level [`Hierarchy`] matching the
-//! paper's 64 KB 2-way L1D + 1 MB 8-way unified L2 (Table 1).
+//! paper's 64 KB 2-way L1D + 1 MB 8-way unified L2 (Table 1). Predictors
+//! describe the fills they want as [`PrefetchRequest`]s; the coverage,
+//! multi-programmed and timing simulators all apply them through
+//! [`Hierarchy::prefetch`].
 //!
 //! The cache reports rich eviction information on every fill because the
 //! last-touch predictors built on top of it (DBCP and LT-cords) train on
@@ -32,6 +35,8 @@ pub mod stats;
 
 pub use cache::{AccessOutcome, Cache, EvictedBlock, PrefetchOutcome};
 pub use config::{CacheConfig, Geometry, GeometryError, ReplacementPolicy};
-pub use hierarchy::{Hierarchy, HierarchyConfig, HierarchyOutcome, MemLevel};
+pub use hierarchy::{
+    Hierarchy, HierarchyConfig, HierarchyOutcome, MemLevel, PrefetchLevel, PrefetchRequest,
+};
 pub use image::{CacheImage, HierarchyImage, ImageError};
 pub use stats::CacheStats;

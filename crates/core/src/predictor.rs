@@ -1,6 +1,6 @@
 //! The LT-cords predictor: history, streaming and prediction wired together.
 
-use ltc_cache::{HierarchyOutcome, MemLevel, PrefetchOutcome};
+use ltc_cache::{HierarchyOutcome, PrefetchOutcome};
 use ltc_lasttouch::{HistoryTable, Signature};
 use ltc_predictors::{FoldMap, PredictorTraffic, PrefetchRequest, Prefetcher};
 use ltc_trace::{Addr, MemoryAccess};
@@ -194,12 +194,7 @@ impl Prefetcher for LtCords {
         }
     }
 
-    fn on_prefetch_applied(
-        &mut self,
-        req: &PrefetchRequest,
-        outcome: &PrefetchOutcome,
-        _source: MemLevel,
-    ) {
+    fn on_prefetch_applied(&mut self, req: &PrefetchRequest, outcome: &PrefetchOutcome) {
         // Train on the prefetch-induced eviction: the displaced block's last
         // touch is final, and its replacement is the prefetched line.
         if let PrefetchOutcome::Filled { evicted: Some(ev), .. } = outcome {
@@ -261,11 +256,9 @@ mod tests {
                     misses += u64::from(!o.l1.hit);
                     lt.on_access(&a, &o, &mut out);
                     for req in out.drain(..) {
-                        if h.l1().contains(req.target) {
-                            continue;
+                        if let Some(po) = h.prefetch(&req) {
+                            lt.on_prefetch_applied(&req, &po);
                         }
-                        let (po, src) = h.prefetch_into_l1(req.target, req.victim);
-                        lt.on_prefetch_applied(&req, &po, src);
                     }
                 }
             }
@@ -368,11 +361,9 @@ mod tests {
                     let o = h.access(a.addr, AccessKind::Load);
                     lt.on_access(&a, &o, &mut out);
                     for req in out.drain(..) {
-                        if h.l1().contains(req.target) {
-                            continue;
+                        if let Some(po) = h.prefetch(&req) {
+                            lt.on_prefetch_applied(&req, &po);
                         }
-                        let (po, src) = h.prefetch_into_l1(req.target, req.victim);
-                        lt.on_prefetch_applied(&req, &po, src);
                     }
                 }
             }

@@ -6,12 +6,12 @@
 //! collapses for applications whose signature working set exceeds the table
 //! (Figure 4), which is the motivation for LT-cords.
 
-use ltc_cache::{CacheConfig, HierarchyOutcome, MemLevel, PrefetchOutcome};
+use ltc_cache::{CacheConfig, HierarchyOutcome, PrefetchOutcome, PrefetchRequest};
 use ltc_lasttouch::{HistoryTable, Signature, SignatureScheme};
 use ltc_stream::hash::FoldMap;
 use ltc_trace::{Addr, MemoryAccess};
 
-use crate::prefetcher::{PrefetchRequest, Prefetcher};
+use crate::prefetcher::Prefetcher;
 use crate::table::{CorrelationTable, TableConfig};
 
 /// Configuration for [`DbcpPrefetcher`].
@@ -126,12 +126,7 @@ impl Prefetcher for DbcpPrefetcher {
         }
     }
 
-    fn on_prefetch_applied(
-        &mut self,
-        req: &PrefetchRequest,
-        outcome: &PrefetchOutcome,
-        _source: MemLevel,
-    ) {
+    fn on_prefetch_applied(&mut self, req: &PrefetchRequest, outcome: &PrefetchOutcome) {
         if let PrefetchOutcome::Filled { evicted, .. } = outcome {
             // Track for confidence feedback.
             if let Some(victim) = req.victim {
@@ -184,11 +179,9 @@ mod tests {
                 misses += u64::from(!o.l1.hit);
                 p.on_access(&a, &o, &mut out);
                 for req in out.drain(..) {
-                    if h.l1().contains(req.target) {
-                        continue;
+                    if let Some(po) = h.prefetch(&req) {
+                        p.on_prefetch_applied(&req, &po);
                     }
-                    let (po, src) = h.prefetch_into_l1(req.target, req.victim);
-                    p.on_prefetch_applied(&req, &po, src);
                 }
             }
         }
@@ -243,11 +236,9 @@ mod tests {
                         misses += u64::from(!o.l1.hit);
                         p.on_access(&a, &o, &mut out);
                         for req in out.drain(..) {
-                            if h.l1().contains(req.target) {
-                                continue;
+                            if let Some(po) = h.prefetch(&req) {
+                                p.on_prefetch_applied(&req, &po);
                             }
-                            let (po, src) = h.prefetch_into_l1(req.target, req.victim);
-                            p.on_prefetch_applied(&req, &po, src);
                         }
                     }
                 }

@@ -6,10 +6,10 @@
 //! configures it with a 256-entry index table, a 256-entry history buffer
 //! and prefetch depth 4 (Table 1), "as recommended for SPEC applications".
 
-use ltc_cache::HierarchyOutcome;
+use ltc_cache::{HierarchyOutcome, PrefetchRequest};
 use ltc_trace::{Addr, MemoryAccess};
 
-use crate::prefetcher::{PrefetchRequest, Prefetcher};
+use crate::prefetcher::Prefetcher;
 
 /// Configuration for [`GhbPrefetcher`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,9 +1,9 @@
 //! The do-nothing predictor (the paper's baseline configuration).
 
-use ltc_cache::HierarchyOutcome;
+use ltc_cache::{HierarchyOutcome, PrefetchRequest};
 use ltc_trace::MemoryAccess;
 
-use crate::prefetcher::{PrefetchRequest, Prefetcher};
+use crate::prefetcher::Prefetcher;
 
 /// A predictor that never prefetches: the baseline processor of Table 1.
 ///
@@ -40,10 +40,6 @@ impl Prefetcher for NullPrefetcher {
 
     fn storage_bytes(&self) -> u64 {
         0
-    }
-
-    fn is_passive(&self) -> bool {
-        true
     }
 }
 

@@ -1,43 +1,8 @@
 //! The prefetcher interface shared by all predictors.
 
-use ltc_cache::{HierarchyOutcome, MemLevel, PrefetchOutcome};
-use ltc_trace::{Addr, MemoryAccess};
+use ltc_cache::{HierarchyOutcome, PrefetchOutcome, PrefetchRequest};
+use ltc_trace::MemoryAccess;
 use serde::{Deserialize, Serialize};
-
-/// Which cache level a prefetch fills.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PrefetchLevel {
-    /// Fill directly into the L1 data cache, replacing a predicted-dead
-    /// block (the DBCP/LT-cords policy — safe because the victim is dead,
-    /// paper Section 2).
-    L1,
-    /// Fill into the L2 only (the GHB/stride policy — L1 fills would risk
-    /// pollution, Section 5.7).
-    L2,
-}
-
-/// One prefetch the predictor wants performed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefetchRequest {
-    /// Line to fetch.
-    pub target: Addr,
-    /// Predicted-dead block to displace (L1 prefetches only).
-    pub victim: Option<Addr>,
-    /// Destination level.
-    pub level: PrefetchLevel,
-}
-
-impl PrefetchRequest {
-    /// An L1 prefetch replacing `victim` (last-touch style).
-    pub fn into_l1(target: Addr, victim: Addr) -> Self {
-        PrefetchRequest { target, victim: Some(victim), level: PrefetchLevel::L1 }
-    }
-
-    /// An L2 prefetch with policy-chosen placement.
-    pub fn into_l2(target: Addr) -> Self {
-        PrefetchRequest { target, victim: None, level: PrefetchLevel::L2 }
-    }
-}
 
 /// Off-chip metadata traffic generated by a predictor, in bytes.
 ///
@@ -67,8 +32,10 @@ impl PredictorTraffic {
 /// [`Prefetcher::on_access`] after every demand access with the hierarchy's
 /// outcome. The predictor pushes any desired prefetches into `out`; the
 /// driver decides when to apply them (immediately in trace-driven mode,
-/// through the request queue and busses in timing mode) and reports each
-/// applied fill back via [`Prefetcher::on_prefetch_applied`].
+/// when the data arrives in timing mode), applies each through
+/// [`ltc_cache::Hierarchy::prefetch`], and reports every fill that changed
+/// the hierarchy back via [`Prefetcher::on_prefetch_applied`]. A request
+/// whose target already sits at its level is dropped unreported.
 pub trait Prefetcher {
     /// Short stable identifier (`"dbcp"`, `"ghb"`, `"lt-cords"`, ...).
     fn name(&self) -> &'static str;
@@ -81,14 +48,10 @@ pub trait Prefetcher {
         out: &mut Vec<PrefetchRequest>,
     );
 
-    /// Observes the completion of a previously requested prefetch.
-    fn on_prefetch_applied(
-        &mut self,
-        req: &PrefetchRequest,
-        outcome: &PrefetchOutcome,
-        source: MemLevel,
-    ) {
-        let _ = (req, outcome, source);
+    /// Observes a previously requested prefetch being filled, with the
+    /// fill's outcome at the request's level.
+    fn on_prefetch_applied(&mut self, req: &PrefetchRequest, outcome: &PrefetchOutcome) {
+        let _ = (req, outcome);
     }
 
     /// Metadata traffic accumulated so far.
@@ -110,65 +73,13 @@ pub trait Prefetcher {
     fn memory_bytes(&self) -> u64 {
         self.storage_bytes()
     }
-
-    /// Whether this predictor never issues prefetch requests.
-    ///
-    /// A passive predictor's shadow hierarchy is provably identical to
-    /// the baseline, so the coverage simulator runs one hierarchy
-    /// instead of two and mirrors the fields — roughly halving baseline
-    /// run cost. Only return `true` when `on_access` can never push a
-    /// request; the simulator debug-asserts the promise.
-    fn is_passive(&self) -> bool {
-        false
-    }
-}
-
-/// A boxed prefetcher, as handled by the experiment runner.
-pub type BoxedPrefetcher = Box<dyn Prefetcher + Send>;
-
-impl Prefetcher for BoxedPrefetcher {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn on_access(
-        &mut self,
-        access: &MemoryAccess,
-        outcome: &HierarchyOutcome,
-        out: &mut Vec<PrefetchRequest>,
-    ) {
-        (**self).on_access(access, outcome, out)
-    }
-
-    fn on_prefetch_applied(
-        &mut self,
-        req: &PrefetchRequest,
-        outcome: &PrefetchOutcome,
-        source: MemLevel,
-    ) {
-        (**self).on_prefetch_applied(req, outcome, source)
-    }
-
-    fn traffic(&self) -> PredictorTraffic {
-        (**self).traffic()
-    }
-
-    fn storage_bytes(&self) -> u64 {
-        (**self).storage_bytes()
-    }
-
-    fn memory_bytes(&self) -> u64 {
-        (**self).memory_bytes()
-    }
-
-    fn is_passive(&self) -> bool {
-        (**self).is_passive()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ltc_cache::PrefetchLevel;
+    use ltc_trace::Addr;
 
     #[test]
     fn request_constructors_set_levels() {

@@ -7,7 +7,7 @@
 
 use std::collections::VecDeque;
 
-use crate::prefetcher::PrefetchRequest;
+use ltc_cache::PrefetchRequest;
 
 /// A bounded circular prefetch request queue.
 ///

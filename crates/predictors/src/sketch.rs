@@ -16,12 +16,12 @@
 //! [`SketchDbcpConfig::dominance`] — the sketch analogue of "confident
 //! and not flapping between targets".
 
-use ltc_cache::{CacheConfig, HierarchyOutcome, MemLevel, PrefetchOutcome};
+use ltc_cache::{CacheConfig, HierarchyOutcome, PrefetchOutcome, PrefetchRequest};
 use ltc_lasttouch::{HistoryTable, SignatureScheme};
 use ltc_stream::{ChhConfig, ChhSummary};
 use ltc_trace::{Addr, MemoryAccess};
 
-use crate::prefetcher::{PrefetchRequest, Prefetcher};
+use crate::prefetcher::Prefetcher;
 
 /// Configuration for [`SketchDbcp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,12 +141,7 @@ impl Prefetcher for SketchDbcp {
         }
     }
 
-    fn on_prefetch_applied(
-        &mut self,
-        req: &PrefetchRequest,
-        outcome: &PrefetchOutcome,
-        _source: MemLevel,
-    ) {
+    fn on_prefetch_applied(&mut self, req: &PrefetchRequest, outcome: &PrefetchOutcome) {
         // Prefetch-induced evictions train the summary like demand ones;
         // there is no per-entry confidence to feed back — mispredictions
         // decay naturally because the true pairs outnumber them.
@@ -188,11 +183,9 @@ mod tests {
                 misses += u64::from(!o.l1.hit);
                 p.on_access(&a, &o, &mut out);
                 for req in out.drain(..) {
-                    if h.l1().contains(req.target) {
-                        continue;
+                    if let Some(po) = h.prefetch(&req) {
+                        p.on_prefetch_applied(&req, &po);
                     }
-                    let (po, src) = h.prefetch_into_l1(req.target, req.victim);
-                    p.on_prefetch_applied(&req, &po, src);
                 }
             }
         }

@@ -1,9 +1,9 @@
 //! A classic per-PC stride prefetcher (Baer & Chen style).
 
-use ltc_cache::HierarchyOutcome;
+use ltc_cache::{HierarchyOutcome, PrefetchRequest};
 use ltc_trace::{Addr, MemoryAccess, Pc};
 
-use crate::prefetcher::{PrefetchRequest, Prefetcher};
+use crate::prefetcher::Prefetcher;
 
 /// Configuration for [`StridePrefetcher`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,7 +167,7 @@ mod tests {
     fn prefetches_go_to_l2() {
         let seq: Vec<(u64, u64)> = (0..8).map(|i| (0x400, 0x1000 + i * 256)).collect();
         for r in run(&seq) {
-            assert_eq!(r.level, crate::prefetcher::PrefetchLevel::L2);
+            assert_eq!(r.level, ltc_cache::PrefetchLevel::L2);
         }
     }
 }

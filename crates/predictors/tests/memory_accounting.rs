@@ -123,5 +123,4 @@ fn null_prefetcher_holds_nothing() {
     let p = NullPrefetcher::new();
     assert_eq!(p.storage_bytes(), 0);
     assert_eq!(p.memory_bytes(), 0);
-    assert!(p.is_passive());
 }

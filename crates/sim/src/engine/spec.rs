@@ -402,7 +402,9 @@ impl RunSpec {
         self
     }
 
-    /// A multi-programmed coverage run.
+    /// A multi-programmed coverage run ([`crate::experiment::run_multiprog`]).
+    /// Only L1 prefetch requests are applied, so GHB and stride requests,
+    /// which fill the L2, are dropped.
     pub fn multiprog(
         focus: &str,
         partner: Option<&str>,

@@ -174,6 +174,9 @@ fn multiprog_quantum(name: &str) -> u64 {
 /// without aliasing; with a partner the access budget is doubled so the
 /// focus program sees a comparable number of its own accesses.
 ///
+/// Only L1 prefetch requests are applied: the L2 requests of GHB and
+/// stride are dropped, so those predictors eliminate no misses here.
+///
 /// # Panics
 ///
 /// Panics if `focus` or `partner` is not in the suite.
@@ -210,10 +213,9 @@ pub fn run_multiprog(
             report.eliminated += u64::from(!b_out.l1.hit && p_out.l1.hit);
         }
         predictor.on_access(&acc, &p_out, &mut requests);
-        for req in requests.drain(..) {
-            if req.level == PrefetchLevel::L1 && !pf.l1().contains(req.target) {
-                let (out, src) = pf.prefetch_into_l1(req.target, req.victim);
-                predictor.on_prefetch_applied(&req, &out, src);
+        for req in requests.drain(..).filter(|r| r.level == PrefetchLevel::L1) {
+            if let Some(out) = pf.prefetch(&req) {
+                predictor.on_prefetch_applied(&req, &out);
             }
         }
     }

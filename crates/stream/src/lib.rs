@@ -59,4 +59,4 @@ pub use chh::{ChhConfig, ChhPair, ChhState, ChhSummary};
 pub use countmin::{CountMin, CountMinState};
 pub use hash::{FoldHasher, FoldMap};
 pub use merge::{MergeError, SketchShape};
-pub use spacesaving::{Estimate, Observed, SpaceSaving, SpaceSavingState};
+pub use spacesaving::{Estimate, SpaceSaving, SpaceSavingState};

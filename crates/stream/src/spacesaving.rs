@@ -15,30 +15,6 @@ use serde::{Deserialize, Serialize};
 use crate::hash::FoldMap;
 use crate::merge::{MergeError, SketchShape};
 
-/// What [`SpaceSaving::observe`] did with the key.
-///
-/// Exposed so composite summaries (the nested CHH of [`crate::chh`]) can
-/// maintain per-slot companion state: `slot` indices are stable for the
-/// lifetime of a monitored key and recycled on replacement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Observed {
-    /// The key was already monitored; its counter grew.
-    Incremented(u32),
-    /// The key took a fresh slot (summary not yet full).
-    Inserted(u32),
-    /// The key displaced the minimum-count key from `slot`.
-    Replaced(u32),
-}
-
-impl Observed {
-    /// The slot now holding the observed key.
-    pub fn slot(self) -> u32 {
-        match self {
-            Observed::Incremented(s) | Observed::Inserted(s) | Observed::Replaced(s) => s,
-        }
-    }
-}
-
 /// A monitored key's estimate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Estimate {
@@ -180,7 +156,7 @@ impl<K: Eq + Hash + Copy> SpaceSaving<K> {
     }
 
     /// Records `n` occurrences of `key`.
-    pub fn observe_n(&mut self, key: K, n: u64) -> Observed {
+    pub fn observe_n(&mut self, key: K, n: u64) {
         self.total += n;
         if let Some(&slot) = self.index.get(&key) {
             let e = &mut self.entries[slot as usize];
@@ -189,14 +165,14 @@ impl<K: Eq + Hash + Copy> SpaceSaving<K> {
             if !self.tree.is_empty() {
                 self.raise(slot, rank(count - n, slot), rank(count, slot));
             }
-            return Observed::Incremented(slot);
+            return;
         }
         if self.entries.len() < self.capacity {
             let slot = self.entries.len() as u32;
             self.entries.push(Entry { key, count: n, overestimate: 0 });
             self.index.insert(key, slot);
             self.build_tree_if_full();
-            return Observed::Inserted(slot);
+            return;
         }
         // Displace the minimum-count key (deterministic: lowest slot on
         // count ties) and inherit its counter as the overestimate.
@@ -208,12 +184,11 @@ impl<K: Eq + Hash + Copy> SpaceSaving<K> {
         self.index.insert(key, slot);
         self.raise(slot, min, rank(min_count + n, slot));
         self.evictions += 1;
-        Observed::Replaced(slot)
     }
 
     /// Records one occurrence of `key`.
-    pub fn observe(&mut self, key: K) -> Observed {
-        self.observe_n(key, 1)
+    pub fn observe(&mut self, key: K) {
+        self.observe_n(key, 1);
     }
 
     /// The estimate for `key`, or `None` if it is not monitored (its true
@@ -223,12 +198,6 @@ impl<K: Eq + Hash + Copy> SpaceSaving<K> {
             let e = &self.entries[slot as usize];
             Estimate { count: e.count, overestimate: e.overestimate }
         })
-    }
-
-    /// The slot holding `key`, if monitored. Slots are stable while the
-    /// key stays monitored and recycled on replacement (see [`Observed`]).
-    pub fn slot(&self, key: &K) -> Option<u32> {
-        self.index.get(key).copied()
     }
 
     /// Iterates monitored `(key, estimate)` pairs in slot order.
@@ -454,8 +423,8 @@ mod tests {
         let mut ss = SpaceSaving::new(2);
         ss.observe_n(1u64, 5);
         ss.observe_n(2, 3);
-        let o = ss.observe(9); // displaces key 2 (count 3)
-        assert_eq!(o, Observed::Replaced(1));
+        ss.observe(9); // displaces key 2 (count 3), taking its slot
+        assert_eq!(ss.to_state().keys, [1, 9]);
         let e = ss.estimate(&9).unwrap();
         assert_eq!(e.count, 4);
         assert_eq!(e.overestimate, 3);

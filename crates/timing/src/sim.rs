@@ -46,7 +46,7 @@ impl TimingSim {
         // Issued prefetches waiting for their data: applied to the
         // functional hierarchy at *arrival* time, not issue time — filling
         // early would evict the victim before its true last touch.
-        let mut in_flight: VecDeque<(f64, PrefetchRequest, MemLevel)> = VecDeque::new();
+        let mut in_flight: VecDeque<(f64, PrefetchRequest)> = VecDeque::new();
         // In-order retirement bookkeeping: completions of memory ops.
         let mut mem_ops: VecDeque<(u64, f64)> = VecDeque::new();
         let mut retire_frontier = 0.0f64;
@@ -86,28 +86,15 @@ impl TimingSim {
             }
 
             // Apply prefetch fills whose data has arrived by now.
-            while let Some(&(ready, req, src)) = in_flight.front() {
+            while let Some(&(ready, req)) = in_flight.front() {
                 if ready > drain_clock {
                     break;
                 }
                 in_flight.pop_front();
-                let outcome = match req.level {
-                    PrefetchLevel::L1 => {
-                        if hierarchy.l1().contains(req.target) {
-                            continue;
-                        }
-                        report.prefetch_fills += 1;
-                        hierarchy.prefetch_into_l1(req.target, req.victim).0
-                    }
-                    PrefetchLevel::L2 => {
-                        if hierarchy.l2().contains(req.target) {
-                            continue;
-                        }
-                        report.prefetch_fills += 1;
-                        hierarchy.prefetch_into_l2(req.target).0
-                    }
-                };
-                predictor.on_prefetch_applied(&req, &outcome, src);
+                if let Some(outcome) = hierarchy.prefetch(&req) {
+                    report.prefetch_fills += 1;
+                    predictor.on_prefetch_applied(&req, &outcome);
+                }
             }
 
             // Non-memory gap instructions consume issue slots.
@@ -274,7 +261,7 @@ impl TimingSim {
         mem_bus: &mut Bus,
         mshr: &mut MshrFile,
         pending_fill: &mut HashMap<u64, f64>,
-        in_flight: &mut VecDeque<(f64, PrefetchRequest, MemLevel)>,
+        in_flight: &mut VecDeque<(f64, PrefetchRequest)>,
         now: f64,
         budget: usize,
         report: &mut TimingReport,
@@ -301,26 +288,21 @@ impl TimingSim {
             if resident || in_flight_already {
                 continue;
             }
-            let source_level =
-                if hierarchy.l2().contains(req.target) { MemLevel::L2 } else { MemLevel::Memory };
             let start = mshr.admit(now);
             let grant = l2_bus.acquire(start, f64::from(cfg.l2_bus_occupancy));
-            let ready = match source_level {
-                MemLevel::Memory => {
-                    let mem_grant = mem_bus.acquire(
-                        grant + f64::from(cfg.l2_latency),
-                        f64::from(cfg.mem_bus_occupancy),
-                    );
-                    // The line moves over the memory bus here instead of on
-                    // the (now eliminated) demand miss: it is base data.
-                    report.bandwidth.base_data_bytes += line_bytes;
-                    mem_grant + f64::from(cfg.mem_latency)
-                }
-                _ => grant + f64::from(cfg.l2_latency),
+            let ready = if hierarchy.l2().contains(req.target) {
+                grant + f64::from(cfg.l2_latency)
+            } else {
+                let mem_grant = mem_bus
+                    .acquire(grant + f64::from(cfg.l2_latency), f64::from(cfg.mem_bus_occupancy));
+                // The line moves over the memory bus here instead of on
+                // the (now eliminated) demand miss: it is base data.
+                report.bandwidth.base_data_bytes += line_bytes;
+                mem_grant + f64::from(cfg.mem_latency)
             };
             mshr.track(ready);
             pending_fill.insert(target_line, ready);
-            in_flight.push_back((ready, req, source_level));
+            in_flight.push_back((ready, req));
         }
     }
 }

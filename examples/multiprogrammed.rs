@@ -8,47 +8,7 @@
 //! cargo run --release --example multiprogrammed [benchA] [benchB] [accesses]
 //! ```
 
-use ltc_sim::analysis::{run_coverage, CoverageConfig};
-use ltc_sim::core::{LtCords, LtCordsConfig};
-use ltc_sim::trace::{suite, MultiProgram};
-
-/// The paper alternates 60 M-instruction quanta for integer codes and 120 M
-/// for floating point (4 GHz, assumed IPC 1.5/3.0); we scale both down by
-/// 100x to keep the example fast while preserving many context switches.
-fn quantum(entry: &ltc_sim::trace::SuiteEntry) -> u64 {
-    if entry.is_fp() {
-        1_200_000
-    } else {
-        600_000
-    }
-}
-
-fn coverage_of(bench: &str, accesses: u64, with: Option<&str>) -> f64 {
-    let entry = suite::by_name(bench).expect("benchmark exists");
-    let mut lt = LtCords::new(LtCordsConfig::paper());
-    match with {
-        None => {
-            let mut src = entry.build(3);
-            run_coverage(&mut src, &mut lt, CoverageConfig::paper(accesses)).coverage()
-        }
-        Some(other) => {
-            let other_entry = suite::by_name(other).expect("benchmark exists");
-            // Shift the second program into a disjoint physical range, as
-            // the paper does.
-            let programs = vec![
-                (entry.build(3), quantum(&entry), 0u64),
-                (other_entry.build(4), quantum(&other_entry), 1u64 << 40),
-            ];
-            let mut multi = MultiProgram::new(programs);
-            // Run enough combined accesses that the focus program still sees
-            // roughly `accesses` of its own references.
-            let report = run_coverage(&mut multi, &mut lt, CoverageConfig::paper(accesses * 2));
-            // Note: this measures combined coverage over both programs; the
-            // integration tests also split it per program.
-            report.coverage()
-        }
-    }
-}
+use ltc_sim::experiment::{run_multiprog, PredictorKind};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -57,10 +17,14 @@ fn main() {
     let accesses: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(4_000_000);
 
     println!("LT-cords coverage, standalone vs context-switched (Section 5.5)\n");
-    let standalone = coverage_of(a, accesses, None);
-    println!("{a} standalone : {:.1}% coverage", standalone * 100.0);
-    let shared = coverage_of(a, accesses, Some(b));
-    println!("{a} + {b}      : {:.1}% combined coverage", shared * 100.0);
+    // Both runs report the focus program's own misses, as Figure 11 does;
+    // context-switched, the pair runs twice the budget so the focus
+    // program still sees about `accesses` of its own references.
+    for partner in [None, Some(b)] {
+        let r = run_multiprog(a, partner, PredictorKind::LtCords, accesses, 3);
+        let label = partner.map_or(format!("{a} standalone"), |p| format!("{a} w/ {p}"));
+        println!("{label:<20}: {:.1}% of {a}'s misses eliminated", r.coverage() * 100.0);
+    }
     println!();
     println!("Predictor state persists across context switches (the paper's");
     println!("requirement); with ample sequence storage, sharing costs little.");

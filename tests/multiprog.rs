@@ -1,9 +1,8 @@
 //! Multi-programmed execution (paper Section 5.5, Figure 11).
 
 use ltc_sim::analysis::{CoverageConfig, CoverageReport};
-use ltc_sim::cache::Hierarchy;
 use ltc_sim::core::{LtCords, LtCordsConfig};
-use ltc_sim::predictors::{PrefetchLevel, Prefetcher};
+use ltc_sim::experiment::{run_multiprog, PredictorKind};
 use ltc_sim::trace::{suite, MultiProgram};
 
 /// Scaled LT-cords configuration for the multi-programmed tests: the paper's
@@ -18,38 +17,15 @@ fn multiprog_config() -> LtCordsConfig {
 /// Runs two context-switched programs over one shared LT-cords instance and
 /// returns the focus program's (program 0) coverage.
 fn multiprog_coverage(a: &str, b: &str, total_accesses: u64) -> f64 {
-    let ea = suite::by_name(a).expect("benchmark exists");
-    let eb = suite::by_name(b).expect("benchmark exists");
-    let qa = if ea.is_fp() { 1_200_000 } else { 600_000 };
-    let qb = if eb.is_fp() { 1_200_000 } else { 600_000 };
-    let mut multi = MultiProgram::new(vec![(ea.build(1), qa, 0), (eb.build(2), qb, 1 << 40)]);
-
-    // A per-program shadow-baseline coverage run (the generic driver cannot
-    // attribute misses to programs, so this test drives the loop itself).
-    let cfg = CoverageConfig::paper(total_accesses);
-    let mut base = Hierarchy::new(cfg.hierarchy);
-    let mut pf = Hierarchy::new(cfg.hierarchy);
-    let mut lt = LtCords::new(multiprog_config());
-    let mut requests = Vec::new();
-    let (mut base_misses_a, mut eliminated_a) = (0u64, 0u64);
-    for _ in 0..total_accesses {
-        let Some((prog, acc)) = multi.next_tagged() else { break };
-        let b_out = base.access(acc.addr, acc.kind);
-        let p_out = pf.access(acc.addr, acc.kind);
-        if prog == 0 {
-            base_misses_a += u64::from(!b_out.l1.hit);
-            eliminated_a += u64::from(!b_out.l1.hit && p_out.l1.hit);
-        }
-        lt.on_access(&acc, &p_out, &mut requests);
-        for req in requests.drain(..) {
-            if req.level == PrefetchLevel::L1 && !pf.l1().contains(req.target) {
-                let (out, src) = pf.prefetch_into_l1(req.target, req.victim);
-                lt.on_prefetch_applied(&req, &out, src);
-            }
-        }
-    }
-    assert!(base_misses_a > 0, "focus program must miss");
-    eliminated_a as f64 / base_misses_a as f64
+    let r = run_multiprog(
+        a,
+        Some(b),
+        PredictorKind::LtCordsWith(multiprog_config()),
+        total_accesses / 2,
+        1,
+    );
+    assert!(r.focus_misses > 0, "focus program must miss");
+    r.coverage()
 }
 
 fn standalone_coverage(name: &str, accesses: u64) -> f64 {
