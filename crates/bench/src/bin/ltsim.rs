@@ -223,9 +223,13 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
     let accesses: u64 = arg(args, 2, "1000000").parse().map_err(|_| "accesses must be a number")?;
     let seed: u64 = arg(args, 3, "1").parse().map_err(|_| "seed must be a number")?;
     let mut src = entry.build(seed);
-    let file = std::fs::File::create(path).map_err(|e| e.to_string())?;
+    let in_path = |e: std::io::Error| format!("{path}: {e}");
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    }
+    let file = std::fs::File::create(path).map_err(in_path)?;
     let n = ltc_sim::trace::io::write_trace(&mut src, std::io::BufWriter::new(file), accesses)
-        .map_err(|e| e.to_string())?;
+        .map_err(in_path)?;
     println!("recorded {n} accesses of {bench} to {path}");
     Ok(())
 }
@@ -234,15 +238,16 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     use ltc_sim::analysis::{run_coverage as run_cov, CoverageConfig};
     let path = args.first().ok_or("replay needs a trace file")?;
     let kind = parse_kind(arg(args, 1, "lt-cords"))?;
-    let file = std::fs::File::open(path).map_err(|e| e.to_string())?;
-    // Stream batches instead of materializing the whole trace, so
-    // arbitrarily long recordings replay in bounded memory.
-    let mut replay = ltc_sim::trace::io::BatchReader::new(std::io::BufReader::new(file))
-        .map_err(|e| e.to_string())?;
+    let in_path = |e: std::io::Error| format!("{path}: {e}");
+    let file = std::fs::File::open(path).map_err(in_path)?;
+    // Decode record by record instead of materializing the whole trace,
+    // so arbitrarily long recordings replay in bounded memory.
+    let mut replay =
+        ltc_sim::trace::io::TraceReader::new(std::io::BufReader::new(file)).map_err(in_path)?;
     let mut predictor = kind.build();
     let r = run_cov(&mut replay, predictor.as_mut(), CoverageConfig::paper(u64::MAX));
     if let Some(err) = replay.error() {
-        return Err(format!("trace stream ended early: {err}"));
+        return Err(format!("{path}: trace stream ended early: {err}"));
     }
     println!("replayed {} accesses under {}", r.accesses, kind.name());
     println!("coverage {}", pct1(r.coverage()));

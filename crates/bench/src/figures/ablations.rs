@@ -13,7 +13,6 @@ use ltc_sim::engine::{ResultSet, RunSpec};
 use ltc_sim::experiment::PredictorKind;
 use ltc_sim::report::Table;
 
-use crate::harness;
 use crate::scale::Scale;
 
 /// Workloads used for the ablations: a recurring sweep, a pointer chase
@@ -102,12 +101,6 @@ pub fn points(scale: Scale, results: &ResultSet) -> Vec<Point> {
         }
     }
     out
-}
-
-/// Runs all ablations (engine, in memory).
-pub fn run(scale: Scale) -> Vec<Point> {
-    let results = harness::compute(harness::by_name("ablations").expect("registered"), scale);
-    points(scale, &results)
 }
 
 /// Renders the ablation grid.

@@ -5,7 +5,6 @@ use ltc_sim::experiment::PredictorKind;
 use ltc_sim::report::Table;
 use ltc_sim::trace::suite;
 
-use crate::harness;
 use crate::scale::Scale;
 
 /// Table sizes swept (bytes). The paper sweeps 160 KB → 320 MB against
@@ -75,12 +74,6 @@ pub fn sensitivity(scale: Scale, results: &ResultSet) -> Sensitivity {
         points.push((size, avg, worst));
     }
     Sensitivity { points, benchmarks }
-}
-
-/// Runs the sweep (engine, in memory).
-pub fn run(scale: Scale) -> Sensitivity {
-    let results = harness::compute(harness::by_name("fig04").expect("registered"), scale);
-    sensitivity(scale, &results)
 }
 
 /// Renders the Figure 4 series.

@@ -6,7 +6,6 @@ use ltc_sim::experiment::PredictorKind;
 use ltc_sim::report::Table;
 use ltc_sim::trace::suite;
 
-use crate::harness;
 use crate::scale::Scale;
 
 /// The paired breakdowns for one benchmark.
@@ -49,12 +48,6 @@ pub fn rows(scale: Scale, results: &ResultSet) -> Vec<Row> {
                 .clone(),
         })
         .collect()
-}
-
-/// Runs both predictors over the whole suite (engine, in memory).
-pub fn run(scale: Scale) -> Vec<Row> {
-    let results = harness::compute(harness::by_name("fig08").expect("registered"), scale);
-    rows(scale, &results)
 }
 
 /// Renders the stacked-bar data of Figure 8 (A = LT-cords, B = oracle DBCP).

@@ -5,7 +5,6 @@ use ltc_sim::engine::{ResultSet, RunSpec};
 use ltc_sim::experiment::PredictorKind;
 use ltc_sim::report::Table;
 
-use crate::harness;
 use crate::scale::Scale;
 
 /// Signature cache sizes swept (entries), as in the paper's x axis.
@@ -48,12 +47,6 @@ pub fn sensitivity(scale: Scale, results: &ResultSet) -> Sensitivity {
         points.push((entries, sum / BENCHMARKS.len() as f64));
     }
     Sensitivity { points }
-}
-
-/// Runs the sweep (engine, in memory).
-pub fn run(scale: Scale) -> Sensitivity {
-    let results = harness::compute(harness::by_name("fig09").expect("registered"), scale);
-    sensitivity(scale, &results)
 }
 
 /// Renders the Figure 9 curve.

@@ -5,7 +5,6 @@ use ltc_sim::engine::{ResultSet, RunSpec};
 use ltc_sim::experiment::PredictorKind;
 use ltc_sim::report::Table;
 
-use crate::harness;
 use crate::scale::Scale;
 
 /// Storage sizes swept, in signatures (the paper's 2M→32M series).
@@ -47,12 +46,6 @@ pub fn storage_demand(scale: Scale, results: &ResultSet) -> StorageDemand {
         rows.push((bench, per.iter().map(|c| (c / best).clamp(0.0, 1.0)).collect()));
     }
     StorageDemand { rows }
-}
-
-/// Runs the sweep (engine, in memory).
-pub fn run(scale: Scale) -> StorageDemand {
-    let results = harness::compute(harness::by_name("fig10").expect("registered"), scale);
-    storage_demand(scale, &results)
 }
 
 /// Renders Figure 10 as the percentage of potential predictions achieved.

@@ -5,7 +5,6 @@ use ltc_sim::engine::{ResultSet, RunSpec};
 use ltc_sim::experiment::{run_multiprog, PredictorKind};
 use ltc_sim::report::Table;
 
-use crate::harness;
 use crate::scale::Scale;
 
 /// The paper's Figure 11 pairings: each focus benchmark standalone and with
@@ -71,12 +70,6 @@ pub fn bars(scale: Scale, results: &ResultSet) -> Vec<Bar> {
 pub fn coverage_bar(focus: &'static str, with: Option<&'static str>, accesses: u64) -> Bar {
     let r = run_multiprog(focus, with, PredictorKind::LtCordsWith(config()), accesses, 1);
     Bar { focus, with, coverage: r.coverage() }
-}
-
-/// Runs all Figure 11 bars (engine, in memory).
-pub fn run(scale: Scale) -> Vec<Bar> {
-    let results = harness::compute(harness::by_name("fig11").expect("registered"), scale);
-    bars(scale, &results)
 }
 
 /// Renders the Figure 11 bars.

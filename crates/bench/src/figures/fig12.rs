@@ -6,7 +6,6 @@ use ltc_sim::report::Table;
 use ltc_sim::timing::BandwidthBreakdown;
 use ltc_sim::trace::suite;
 
-use crate::harness;
 use crate::scale::Scale;
 
 /// One benchmark's bus utilization in bytes per instruction.
@@ -56,12 +55,6 @@ pub fn rows(scale: Scale, results: &ResultSet) -> Vec<Row> {
             Row { name: e.name, breakdown: r.bandwidth, instructions: r.instructions }
         })
         .collect()
-}
-
-/// Runs LT-cords timing over the whole suite (engine, in memory).
-pub fn run(scale: Scale) -> Vec<Row> {
-    let results = harness::compute(harness::by_name("fig12").expect("registered"), scale);
-    rows(scale, &results)
 }
 
 /// Renders Figure 12's stacked bars as bytes/instruction columns.

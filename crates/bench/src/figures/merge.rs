@@ -19,7 +19,6 @@ use ltc_sim::engine::{ResultSet, RunSpec};
 use ltc_sim::report::Table;
 use ltc_sim::trace::suite;
 
-use crate::harness;
 use crate::scale::Scale;
 
 /// Summary byte budget every run uses (the `ltsim stream` default:
@@ -106,12 +105,6 @@ pub fn points(scale: Scale, results: &ResultSet) -> Vec<MergePoint> {
             p
         })
         .collect()
-}
-
-/// Runs the sweep (engine, in memory).
-pub fn run(scale: Scale) -> Vec<MergePoint> {
-    let results = harness::compute(harness::by_name("merge").expect("registered"), scale);
-    points(scale, &results)
 }
 
 /// Renders the merge-scaling table plus a summary line.

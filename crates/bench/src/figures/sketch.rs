@@ -14,7 +14,6 @@ use ltc_sim::experiment::PredictorKind;
 use ltc_sim::report::Table;
 use ltc_sim::trace::suite;
 
-use crate::harness;
 use crate::scale::Scale;
 
 /// The exact table the sweep is judged against (the paper's 2 MB DBCP).
@@ -108,12 +107,6 @@ pub fn points(scale: Scale, results: &ResultSet) -> Vec<BudgetPoint> {
             p
         })
         .collect()
-}
-
-/// Runs the sweep (engine, in memory).
-pub fn run(scale: Scale) -> Vec<BudgetPoint> {
-    let results = harness::compute(harness::by_name("sketch").expect("registered"), scale);
-    points(scale, &results)
 }
 
 /// Renders the budget table plus the headline 1/8-budget summary line.

@@ -5,7 +5,6 @@ use ltc_sim::experiment::PredictorKind;
 use ltc_sim::report::Table;
 use ltc_sim::trace::{suite, WorkloadClass};
 
-use crate::harness;
 use crate::scale::Scale;
 
 /// The Table 3 comparison columns, in paper order.
@@ -60,12 +59,6 @@ pub fn rows(scale: Scale, results: &ResultSet) -> Vec<Row> {
             Row { name: entry.name, class: entry.class, speedups }
         })
         .collect()
-}
-
-/// Runs the full Table 3 grid (engine, in memory).
-pub fn run(scale: Scale) -> Vec<Row> {
-    let results = harness::compute(harness::by_name("table3").expect("registered"), scale);
-    rows(scale, &results)
 }
 
 fn mean(rows: &[&Row], idx: usize) -> f64 {

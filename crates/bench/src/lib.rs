@@ -12,7 +12,7 @@
 //! `perfbench/` (see `BENCHMARK.json` and `perfbench/README.md`).
 //!
 //! Absolute numbers differ from the paper (the substrate is a synthetic
-//! trace simulator, not SimpleScalar/Alpha on SPEC2000 — see DESIGN.md §1);
+//! trace simulator, not SimpleScalar/Alpha on SPEC2000 — see README.md);
 //! the *shape* — who wins, by what factor, where crossovers fall — is the
 //! reproduction target, recorded in EXPERIMENTS.md.
 

@@ -4,9 +4,9 @@
 //! coverage slice, a `table2`-style baseline slice, and one `stream`
 //! report — are committed under `tests/golden/` and asserted
 //! **byte-identical** on every run. The snapshots were captured before
-//! the hot-path optimizations (batched trace decode, mask/shift cache
-//! geometry), so any behavioural drift those changes introduce fails
-//! here: a speedup must be provably behaviour-preserving. The `table2`
+//! the hot-path optimizations (mask/shift cache geometry onwards), so
+//! any behavioural drift those changes introduce fails here: a speedup
+//! must be provably behaviour-preserving. The `table2`
 //! slice runs the baseline through the same two-hierarchy coverage loop
 //! as every predictor, so it also pins that loop's baseline bytes.
 //!
@@ -24,8 +24,7 @@
 //! ```
 //!
 //! and say so in the commit. A regeneration without a version bump (or
-//! vice versa) is a review red flag — see EXPERIMENTS.md "Benchmarking
-//! & perf trajectory".
+//! vice versa) is a review red flag — see EXPERIMENTS.md "Benchmarking".
 
 use std::path::PathBuf;
 

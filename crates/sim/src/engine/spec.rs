@@ -235,13 +235,16 @@ pub const MODEL_VERSION: u32 = 4;
 /// Everything about a run is determined by these fields (the simulator is
 /// deterministic), so the spec is simultaneously the dedup key, the
 /// artifact cache key, and — via [`RunSpec::execute`] — the run itself.
-/// Serialization is canonical (field order fixed, map order preserved)
-/// and injective over the fields: distinct specs always have distinct
+/// Serialization is canonical (a map in field declaration order) and
+/// injective over the fields: distinct specs always have distinct
 /// [`RunSpec::key`] strings, which `tests/engine.rs` asserts by property
 /// test.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct RunSpec {
     /// Simulation-model version ([`MODEL_VERSION`] at creation time).
+    /// Every field is required, so a pre-versioning artifact fails to
+    /// parse and degrades to a cache miss rather than aliasing the
+    /// current model.
     pub model_version: u32,
     /// Suite benchmark name (the focus program for multi-programmed runs).
     pub benchmark: String,
@@ -574,35 +577,6 @@ impl RunSpec {
     }
 }
 
-impl Serialize for RunSpec {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("model_version".to_string(), Value::U64(u64::from(self.model_version))),
-            ("benchmark".to_string(), self.benchmark.to_value()),
-            ("predictor".to_string(), self.predictor.to_value()),
-            ("mode".to_string(), self.mode.to_value()),
-            ("accesses".to_string(), Value::U64(self.accesses)),
-            ("seed".to_string(), Value::U64(self.seed)),
-        ])
-    }
-}
-
-impl<'de> Deserialize<'de> for RunSpec {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        Ok(RunSpec {
-            // A missing field (pre-versioning artifacts) is an error, so
-            // old cache files degrade to misses rather than aliasing the
-            // current model.
-            model_version: serde::field(value, "model_version", "RunSpec")?,
-            benchmark: serde::field(value, "benchmark", "RunSpec")?,
-            predictor: serde::field(value, "predictor", "RunSpec")?,
-            mode: serde::field(value, "mode", "RunSpec")?,
-            accesses: serde::field(value, "accesses", "RunSpec")?,
-            seed: serde::field(value, "seed", "RunSpec")?,
-        })
-    }
-}
-
 /// The label suffix for a non-default segment warm-up (empty for the
 /// default, keeping established labels stable).
 fn warm_suffix(warmup: u64) -> String {
@@ -656,6 +630,26 @@ mod tests {
             let parsed: RunSpec = serde_json::from_str(&spec.key()).expect("parses");
             assert_eq!(&parsed, spec, "round trip must be lossless: {}", spec.key());
         }
+    }
+
+    /// The serialized keys are the cache's identity: these two name
+    /// entries of `perfbench/reference/coverage.json` and
+    /// `stream-seg.json`, so a change to the field order, the names or
+    /// the number formatting fails here before it orphans every artifact.
+    #[test]
+    fn keys_are_pinned() {
+        let coverage = RunSpec::coverage("gcc", PredictorKind::LtCords, 2_000_000, 1);
+        assert_eq!(
+            coverage.key(),
+            r#"{"model_version":4,"benchmark":"gcc","predictor":"lt-cords","mode":"coverage","accesses":2000000,"seed":1}"#
+        );
+        assert_eq!(coverage.hash_hex(), "7a0b97b901249420");
+        let segment = RunSpec::stream_segment("mcf", 256 << 10, 8, 3, 4_000_000, 1);
+        assert_eq!(
+            segment.key(),
+            r#"{"model_version":4,"benchmark":"mcf","predictor":"baseline","mode":{"stream-segment":{"budget_bytes":262144,"segments":8,"segment":3,"warmup":150000}},"accesses":4000000,"seed":1}"#
+        );
+        assert_eq!(segment.hash_hex(), "974df12bbda0c7b4");
     }
 
     #[test]

@@ -122,28 +122,10 @@ pub enum SourceState {
         /// Sub-source states, in phase order.
         phases: Vec<SourceState>,
     },
-    /// [`crate::MultiProgram`] state (recursive over the programs).
-    MultiProgram {
-        /// Running program.
-        current: u64,
-        /// Instructions left in the current quantum.
-        remaining: u64,
-        /// Per-program exhaustion flags.
-        done: Vec<bool>,
-        /// Sub-source states, in program order.
-        programs: Vec<SourceState>,
-    },
     /// [`crate::Replay`] state.
     Replay {
         /// Position in the recorded vector.
         pos: u64,
-    },
-    /// [`crate::TakeSource`] state (recursive over the inner source).
-    Take {
-        /// Accesses the adapter will still pass through.
-        remaining: u64,
-        /// Inner source state.
-        inner: Box<SourceState>,
     },
 }
 
@@ -159,9 +141,7 @@ impl SourceState {
             SourceState::HashWindow { .. } => "hash-window",
             SourceState::Indirect { .. } => "indirect",
             SourceState::Phase { .. } => "phase",
-            SourceState::MultiProgram { .. } => "multi-program",
             SourceState::Replay { .. } => "replay",
-            SourceState::Take { .. } => "take",
         }
     }
 }
@@ -305,25 +285,9 @@ impl Serialize for SourceState {
                     ("phases".to_string(), phases.to_value()),
                 ]),
             ),
-            SourceState::MultiProgram { current, remaining, done, programs } => (
-                "multi-program",
-                Value::Map(vec![
-                    ("current".to_string(), current.to_value()),
-                    ("remaining".to_string(), remaining.to_value()),
-                    ("done".to_string(), done.to_value()),
-                    ("programs".to_string(), programs.to_value()),
-                ]),
-            ),
             SourceState::Replay { pos } => {
                 ("replay", Value::Map(vec![("pos".to_string(), pos.to_value())]))
             }
-            SourceState::Take { remaining, inner } => (
-                "take",
-                Value::Map(vec![
-                    ("remaining".to_string(), remaining.to_value()),
-                    ("inner".to_string(), inner.to_value()),
-                ]),
-            ),
         };
         Value::Map(vec![(tag.to_string(), body)])
     }
@@ -381,19 +345,9 @@ impl<'de> Deserialize<'de> for SourceState {
                 emitted: serde::field(body, "emitted", "SourceState::Phase")?,
                 phases: serde::field(body, "phases", "SourceState::Phase")?,
             }),
-            "multi-program" => Ok(SourceState::MultiProgram {
-                current: serde::field(body, "current", "SourceState::MultiProgram")?,
-                remaining: serde::field(body, "remaining", "SourceState::MultiProgram")?,
-                done: serde::field(body, "done", "SourceState::MultiProgram")?,
-                programs: serde::field(body, "programs", "SourceState::MultiProgram")?,
-            }),
             "replay" => {
                 Ok(SourceState::Replay { pos: serde::field(body, "pos", "SourceState::Replay")? })
             }
-            "take" => Ok(SourceState::Take {
-                remaining: serde::field(body, "remaining", "SourceState::Take")?,
-                inner: Box::new(serde::field(body, "inner", "SourceState::Take")?),
-            }),
             other => Err(DeError(format!("unknown SourceState variant `{other}`"))),
         }
     }

@@ -1,8 +1,7 @@
 //! Multi-programmed execution: context-switched interleaving of programs.
 
-use crate::checkpoint::{RestoreError, SourceState};
 use crate::record::MemoryAccess;
-use crate::source::{restore_all, BoxedSource, TraceSource};
+use crate::source::{BoxedSource, TraceSource};
 
 /// Interleaves several programs with context switches, as in the paper's
 /// multi-programmed study (Section 5.5).
@@ -12,6 +11,8 @@ use crate::source::{restore_all, BoxedSource, TraceSource};
 /// program are shifted by a per-program offset so the physical ranges do not
 /// overlap, exactly as the paper does. The identity of the running program is
 /// reported alongside each access so experiments can attribute misses.
+/// Multi-programmed runs always start at access 0, so the interleaving
+/// takes no checkpoints ([`TraceSource::checkpoint`] returns `None`).
 pub struct MultiProgram {
     programs: Vec<Program>,
     current: usize,
@@ -103,42 +104,6 @@ impl TraceSource for MultiProgram {
     fn next_access(&mut self) -> Option<MemoryAccess> {
         self.next_tagged().map(|(_, a)| a)
     }
-
-    fn checkpoint(&self) -> Option<SourceState> {
-        let mut programs = Vec::with_capacity(self.programs.len());
-        for p in &self.programs {
-            programs.push(p.source.checkpoint()?);
-        }
-        Some(SourceState::MultiProgram {
-            current: self.current as u64,
-            remaining: self.remaining,
-            done: self.programs.iter().map(|p| p.done).collect(),
-            programs,
-        })
-    }
-
-    fn restore(&mut self, state: &SourceState) -> Result<(), RestoreError> {
-        let SourceState::MultiProgram { current, remaining, done, programs } = state else {
-            return Err(RestoreError::mismatch("multi-program", state));
-        };
-        if programs.len() != self.programs.len() || done.len() != self.programs.len() {
-            return Err(RestoreError::invalid(format!(
-                "multi-program state has {} programs, interleaver has {}",
-                programs.len(),
-                self.programs.len()
-            )));
-        }
-        if *current >= self.programs.len() as u64 {
-            return Err(RestoreError::invalid(format!("program index {current} out of range")));
-        }
-        restore_all(self.programs.iter_mut().map(|p| &mut p.source).collect(), programs)?;
-        for (p, &flag) in self.programs.iter_mut().zip(done) {
-            p.done = flag;
-        }
-        self.current = *current as usize;
-        self.remaining = *remaining;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -200,25 +165,6 @@ mod tests {
             pcs.push(a.pc.0);
         }
         assert_eq!(pcs, vec![1, 2, 1]);
-    }
-
-    #[test]
-    fn failed_restore_leaves_the_interleaving_unchanged() {
-        let build = || MultiProgram::new(vec![(looping(1), 2, 0), (looping(2), 3, 0)]);
-        let mut multi = build();
-        let mut reference = build();
-        multi.collect_accesses(3);
-        reference.collect_accesses(3);
-        // The first program's state fits; the second's position does not.
-        let bad = SourceState::MultiProgram {
-            current: 0,
-            remaining: 1,
-            done: vec![false, false],
-            programs: vec![SourceState::Replay { pos: 0 }, SourceState::Replay { pos: 9 }],
-        };
-        assert!(multi.restore(&bad).is_err());
-        assert_eq!(multi.checkpoint(), reference.checkpoint());
-        assert_eq!(multi.collect_accesses(10), reference.collect_accesses(10));
     }
 
     #[test]

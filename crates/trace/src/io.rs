@@ -4,24 +4,19 @@
 //! generator runs (or externally gathered traces) can be replayed exactly.
 //! Each record is 21 bytes — PC (8), address (8), gap (4), and a flag
 //! byte packing the access kind and dependence bit — preceded by a
-//! 16-byte file header: magic (4), version (4), record count (8). The
-//! `on_disk_layout_matches_docs` unit test pins these numbers so the
-//! prose cannot drift from `RECORD_BYTES` and `HEADER_BYTES` again.
+//! 16-byte file header: magic (4), version (4), record count (8). Every
+//! integer is big-endian. The `on_disk_layout_matches_docs` unit test
+//! pins these numbers so the prose cannot drift from `RECORD_BYTES` and
+//! `HEADER_BYTES` again.
 //!
-//! Two decoders share the format. [`read_trace_per_record`] walks a
-//! cursor field by field — the original, obviously-correct reference.
-//! [`BatchReader`] streams the payload in fixed-size batches, each
-//! decoded block-wise by [`TraceBatch::decode`] into struct-of-arrays
-//! form (`chunks_exact` over whole records, `from_be_bytes` per field);
-//! it is asserted record-for-record identical to the reference by
-//! `tests/decode_parity.rs`.
+//! [`write_trace`] writes a file and [`TraceReader`] streams one back, one
+//! record per access; both go through one record encoder/decoder pair,
+//! so the layout is stated once.
 
-use std::io::{self, Read, Write};
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::io::{self, BufRead, Write};
 
 use crate::record::{AccessKind, Addr, MemoryAccess, Pc};
-use crate::source::{Replay, TraceSource};
+use crate::source::TraceSource;
 
 /// File magic: "LTCT" (LT-cords trace).
 const MAGIC: u32 = 0x4c54_4354;
@@ -31,26 +26,61 @@ const VERSION: u32 = 1;
 const RECORD_BYTES: usize = 21;
 /// File header bytes: magic (4) + version (4) + record count (8).
 const HEADER_BYTES: usize = 16;
+/// Flag bit 0: the access is a store.
+const FLAG_STORE: u8 = 1;
+/// Flag bit 1: the access depends on an earlier load.
+const FLAG_DEPENDENT: u8 = 2;
 
-/// Serializes accesses from `source` into `writer`, up to `limit` records.
-/// Returns the number of records written.
+fn encode(a: &MemoryAccess) -> [u8; RECORD_BYTES] {
+    let mut rec = [0u8; RECORD_BYTES];
+    rec[0..8].copy_from_slice(&a.pc.0.to_be_bytes());
+    rec[8..16].copy_from_slice(&a.addr.0.to_be_bytes());
+    rec[16..20].copy_from_slice(&a.gap.to_be_bytes());
+    if !a.kind.is_load() {
+        rec[20] |= FLAG_STORE;
+    }
+    if a.dependent {
+        rec[20] |= FLAG_DEPENDENT;
+    }
+    rec
+}
+
+fn decode(rec: &[u8; RECORD_BYTES]) -> MemoryAccess {
+    let flags = rec[20];
+    MemoryAccess {
+        pc: Pc(u64::from_be_bytes(rec[0..8].try_into().unwrap())),
+        addr: Addr(u64::from_be_bytes(rec[8..16].try_into().unwrap())),
+        kind: if flags & FLAG_STORE != 0 { AccessKind::Store } else { AccessKind::Load },
+        gap: u32::from_be_bytes(rec[16..20].try_into().unwrap()),
+        dependent: flags & FLAG_DEPENDENT != 0,
+    }
+}
+
+fn invalid(reason: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, reason.into())
+}
+
+/// Serializes accesses from `source` into `writer`, up to `limit` records,
+/// and flushes it. Returns the number of records written. Records go out
+/// one `write_all` each, so pass a buffered writer for a file.
 ///
 /// # Errors
 ///
-/// Returns any I/O error from `writer`.
+/// Returns any I/O error from `writer`, the final flush included.
 ///
 /// # Example
 ///
 /// ```
-/// use ltc_trace::io::{write_trace, BatchReader};
+/// use ltc_trace::io::{write_trace, TraceReader};
 /// use ltc_trace::{Replay, MemoryAccess, Pc, Addr, TraceSource};
 ///
 /// # fn main() -> std::io::Result<()> {
 /// let trace = vec![MemoryAccess::load(Pc(1), Addr(64))];
 /// let mut buf = Vec::new();
 /// write_trace(&mut Replay::once(trace.clone()), &mut buf, 100)?;
-/// let mut replay = BatchReader::new(buf.as_slice())?;
+/// let mut replay = TraceReader::new(buf.as_slice())?;
 /// assert_eq!(replay.next_access(), Some(trace[0]));
+/// assert_eq!(replay.next_access(), None);
 /// assert!(replay.error().is_none());
 /// # Ok(())
 /// # }
@@ -60,303 +90,104 @@ where
     S: TraceSource + ?Sized,
     W: Write,
 {
-    let mut header = BytesMut::with_capacity(HEADER_BYTES);
-    header.put_u32(MAGIC);
-    header.put_u32(VERSION);
-    header.put_u64(0); // record count, unknown for streaming writes
-    writer.write_all(&header)?;
-
+    writer.write_all(&MAGIC.to_be_bytes())?;
+    writer.write_all(&VERSION.to_be_bytes())?;
+    writer.write_all(&0u64.to_be_bytes())?; // record count, unknown for streaming writes
     let mut written = 0u64;
-    let mut buf = BytesMut::with_capacity(RECORD_BYTES * 1024);
-    for _ in 0..limit {
+    while written < limit {
         let Some(a) = source.next_access() else { break };
-        buf.put_u64(a.pc.0);
-        buf.put_u64(a.addr.0);
-        buf.put_u32(a.gap);
-        let mut flags = 0u8;
-        if !a.kind.is_load() {
-            flags |= 1;
-        }
-        if a.dependent {
-            flags |= 2;
-        }
-        buf.put_u8(flags);
+        writer.write_all(&encode(&a))?;
         written += 1;
-        if buf.len() >= RECORD_BYTES * 1024 {
-            writer.write_all(&buf)?;
-            buf.clear();
-        }
     }
-    writer.write_all(&buf)?;
+    writer.flush()?;
     Ok(written)
 }
 
-/// Validates a 16-byte header slice (magic + version; the count field is
-/// a placeholder for streaming writes and is ignored).
-fn check_header(header: &[u8]) -> io::Result<()> {
-    debug_assert_eq!(header.len(), HEADER_BYTES);
-    let magic = u32::from_be_bytes(header[0..4].try_into().unwrap());
-    let version = u32::from_be_bytes(header[4..8].try_into().unwrap());
-    if magic != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "not an LT-cords trace file"));
-    }
-    if version != VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unsupported trace version {version}"),
-        ));
-    }
-    Ok(())
-}
-
-/// A struct-of-arrays batch of decoded records.
-///
-/// The decode hot path fills four parallel flat vectors instead of a
-/// `Vec<MemoryAccess>`: each field decodes with one `from_be_bytes` from
-/// a fixed offset inside a 21-byte `chunks_exact` window, which the
-/// compiler turns into straight-line loads — no per-field cursor
-/// bookkeeping. Records reassemble on demand via [`TraceBatch::get`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TraceBatch {
-    /// Program counters, one per record.
-    pub pc: Vec<u64>,
-    /// Accessed addresses, parallel to `pc`.
-    pub addr: Vec<u64>,
-    /// Instruction gaps, parallel to `pc`.
-    pub gap: Vec<u32>,
-    /// Raw flag bytes (bit 0 store, bit 1 dependent), parallel to `pc`.
-    pub flags: Vec<u8>,
-}
-
-impl TraceBatch {
-    /// Decodes a record payload (no header; length must be a whole
-    /// number of records) block-wise into a batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` when `payload` ends mid-record.
-    pub fn decode(payload: &[u8]) -> io::Result<Self> {
-        if payload.len() % RECORD_BYTES != 0 {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "truncated trace record"));
-        }
-        let n = payload.len() / RECORD_BYTES;
-        let mut batch = TraceBatch {
-            pc: Vec::with_capacity(n),
-            addr: Vec::with_capacity(n),
-            gap: Vec::with_capacity(n),
-            flags: Vec::with_capacity(n),
-        };
-        for rec in payload.chunks_exact(RECORD_BYTES) {
-            batch.pc.push(u64::from_be_bytes(rec[0..8].try_into().unwrap()));
-            batch.addr.push(u64::from_be_bytes(rec[8..16].try_into().unwrap()));
-            batch.gap.push(u32::from_be_bytes(rec[16..20].try_into().unwrap()));
-            batch.flags.push(rec[20]);
-        }
-        Ok(batch)
-    }
-
-    /// Records in the batch.
-    pub fn len(&self) -> usize {
-        self.pc.len()
-    }
-
-    /// Whether the batch holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.pc.is_empty()
-    }
-
-    /// Reassembles record `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    #[inline]
-    pub fn get(&self, i: usize) -> MemoryAccess {
-        let flags = self.flags[i];
-        MemoryAccess {
-            pc: Pc(self.pc[i]),
-            addr: Addr(self.addr[i]),
-            kind: if flags & 1 != 0 { AccessKind::Store } else { AccessKind::Load },
-            gap: self.gap[i],
-            dependent: flags & 2 != 0,
-        }
-    }
-}
-
-/// The original per-record cursor decoder, kept as the oracle the
-/// batched path is property-tested against (`tests/decode_parity.rs`).
-/// Prefer [`BatchReader`] everywhere else.
-///
-/// # Errors
-///
-/// Returns `InvalidData` when the magic or version does not match or the
-/// payload is truncated mid-record, and any underlying I/O error.
-pub fn read_trace_per_record<R: Read>(mut reader: R) -> io::Result<Replay> {
-    let mut raw = Vec::new();
-    reader.read_to_end(&mut raw)?;
-    let mut bytes = Bytes::from(raw);
-    if bytes.remaining() < HEADER_BYTES {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "truncated trace header"));
-    }
-    let magic = bytes.get_u32();
-    let version = bytes.get_u32();
-    let _count = bytes.get_u64();
-    if magic != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "not an LT-cords trace file"));
-    }
-    if version != VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unsupported trace version {version}"),
-        ));
-    }
-    if bytes.remaining() % RECORD_BYTES != 0 {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "truncated trace record"));
-    }
-    let mut accesses = Vec::with_capacity(bytes.remaining() / RECORD_BYTES);
-    while bytes.remaining() >= RECORD_BYTES {
-        let pc = Pc(bytes.get_u64());
-        let addr = Addr(bytes.get_u64());
-        let gap = bytes.get_u32();
-        let flags = bytes.get_u8();
-        accesses.push(MemoryAccess {
-            pc,
-            addr,
-            kind: if flags & 1 != 0 { AccessKind::Store } else { AccessKind::Load },
-            gap,
-            dependent: flags & 2 != 0,
-        });
-    }
-    Ok(Replay::once(accesses))
-}
-
-/// Records decoded per [`BatchReader`] refill.
-const READER_CHUNK_RECORDS: usize = 4096;
-
 /// A streaming trace decoder: validates the header up front, then
-/// decodes fixed-size (4096-record) [`TraceBatch`]es on demand,
-/// so arbitrarily long trace files replay in bounded memory.
+/// decodes one record per [`TraceSource::next_access`] from the caller's
+/// buffered reader, so arbitrarily long trace files replay in bounded
+/// memory.
 ///
-/// Use [`BatchReader::next_batch`] for batch-at-a-time processing, or
-/// drive it as a [`TraceSource`] directly (e.g. `ltsim replay`). The
-/// `TraceSource` face cannot surface mid-stream I/O errors through
-/// `next_access`'s `Option`, so it ends the stream and parks the error
-/// in [`BatchReader::error`] — drivers should check it after a replay.
+/// `next_access` cannot surface a mid-stream I/O error through its
+/// `Option`, so the reader ends the stream and parks the error in
+/// [`TraceReader::error`]; callers should check it after a replay. A
+/// file that ends mid-record yields every whole record first, then parks
+/// an `InvalidData` error ("trace ends mid-record").
 #[derive(Debug)]
-pub struct BatchReader<R> {
+pub struct TraceReader<R> {
     reader: R,
-    current: TraceBatch,
-    pos: usize,
     error: Option<io::Error>,
-    done: bool,
-    /// A short refill ended mid-record: every *whole* record has been
-    /// returned already and the next [`BatchReader::next_batch`] call
-    /// must surface the truncation as an error.
-    truncated: bool,
 }
 
-impl<R: Read> BatchReader<R> {
+impl<R: BufRead> TraceReader<R> {
     /// Opens a trace stream, validating the header.
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` for a bad or truncated header, and any
-    /// underlying I/O error.
+    /// Returns `InvalidData` for a bad magic, a bad version or a short
+    /// header, and any underlying I/O error.
     pub fn new(mut reader: R) -> io::Result<Self> {
         let mut header = [0u8; HEADER_BYTES];
         reader.read_exact(&mut header).map_err(|e| {
             if e.kind() == io::ErrorKind::UnexpectedEof {
-                io::Error::new(io::ErrorKind::InvalidData, "truncated trace header")
+                invalid("truncated trace header")
             } else {
                 e
             }
         })?;
-        check_header(&header)?;
-        Ok(BatchReader {
-            reader,
-            current: TraceBatch::default(),
-            pos: 0,
-            error: None,
-            done: false,
-            truncated: false,
-        })
+        // The count field is a placeholder for streaming writes and is
+        // ignored.
+        let magic = u32::from_be_bytes(header[0..4].try_into().unwrap());
+        let version = u32::from_be_bytes(header[4..8].try_into().unwrap());
+        if magic != MAGIC {
+            return Err(invalid("not an LT-cords trace file"));
+        }
+        if version != VERSION {
+            return Err(invalid(format!("unsupported trace version {version}")));
+        }
+        Ok(TraceReader { reader, error: None })
     }
 
-    /// Decodes the next batch, or `None` at a clean end of stream.
-    ///
-    /// A stream that ends mid-record still yields every *whole* record
-    /// first; the truncation error surfaces on the following call, so
-    /// no valid prefix is lost to a corrupt tail.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` when the stream ends mid-record, and any
-    /// underlying I/O error.
-    pub fn next_batch(&mut self) -> io::Result<Option<TraceBatch>> {
-        if self.truncated {
-            self.truncated = false;
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "trace ends mid-record"));
-        }
-        if self.done {
-            return Ok(None);
-        }
-        let mut buf = vec![0u8; READER_CHUNK_RECORDS * RECORD_BYTES];
-        let mut filled = 0;
-        while filled < buf.len() {
-            match self.reader.read(&mut buf[filled..])? {
-                0 => break,
-                n => filled += n,
-            }
-        }
-        if filled < buf.len() {
-            self.done = true;
-        }
-        if filled == 0 {
-            return Ok(None);
-        }
-        // A short final refill may end mid-record: decode the
-        // whole-record prefix now, report the truncation next call.
-        let whole = filled - filled % RECORD_BYTES;
-        if whole == 0 {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "trace ends mid-record"));
-        }
-        if whole < filled {
-            self.truncated = true;
-        }
-        TraceBatch::decode(&buf[..whole]).map(Some)
-    }
-
-    /// The I/O error that ended `TraceSource` iteration early, if any.
+    /// The I/O error that ended the stream early, if any.
     pub fn error(&self) -> Option<&io::Error> {
         self.error.as_ref()
     }
+
+    /// The next whole record, `None` at a clean end of the file.
+    fn read_record(&mut self) -> io::Result<Option<MemoryAccess>> {
+        if self.reader.fill_buf()?.is_empty() {
+            return Ok(None);
+        }
+        let mut rec = [0u8; RECORD_BYTES];
+        self.reader.read_exact(&mut rec).map_err(|e| {
+            if e.kind() == io::ErrorKind::UnexpectedEof {
+                invalid("trace ends mid-record")
+            } else {
+                e
+            }
+        })?;
+        Ok(Some(decode(&rec)))
+    }
 }
 
-impl<R: Read> TraceSource for BatchReader<R> {
+impl<R: BufRead> TraceSource for TraceReader<R> {
     fn next_access(&mut self) -> Option<MemoryAccess> {
-        if self.pos >= self.current.len() {
-            match self.next_batch() {
-                Ok(Some(batch)) => {
-                    self.current = batch;
-                    self.pos = 0;
-                }
-                Ok(None) => return None,
-                Err(e) => {
-                    self.error = Some(e);
-                    self.done = true;
-                    return None;
-                }
-            }
+        if self.error.is_some() {
+            return None;
         }
-        let a = self.current.get(self.pos);
-        self.pos += 1;
-        Some(a)
+        self.read_record().unwrap_or_else(|e| {
+            self.error = Some(e);
+            None
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::io::BufReader;
+
     use super::*;
+    use crate::source::Replay;
     use crate::suite;
 
     #[test]
@@ -366,7 +197,7 @@ mod tests {
         let mut buf = Vec::new();
         let n = write_trace(&mut Replay::once(original.clone()), &mut buf, u64::MAX).unwrap();
         assert_eq!(n, 5_000);
-        let mut replay = BatchReader::new(buf.as_slice()).unwrap();
+        let mut replay = TraceReader::new(buf.as_slice()).unwrap();
         let restored = replay.collect_accesses(10_000);
         assert_eq!(restored, original);
         assert!(replay.error().is_none());
@@ -379,6 +210,27 @@ mod tests {
         let n = write_trace(&mut src, &mut buf, 100).unwrap();
         assert_eq!(n, 100);
         assert_eq!(buf.len(), HEADER_BYTES + 100 * RECORD_BYTES);
+    }
+
+    /// A writer that takes every byte but fails to flush, as a full
+    /// disk does when `BufWriter` finally writes its buffer out.
+    struct FailingFlush(Vec<u8>);
+
+    impl Write for FailingFlush {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.write(bytes)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Err(io::Error::other("flush failed"))
+        }
+    }
+
+    #[test]
+    fn flush_failure_is_an_error() {
+        let mut src = suite::by_name("gzip").unwrap().build(1);
+        let err = write_trace(&mut src, FailingFlush(Vec::new()), 10).unwrap_err();
+        assert_eq!(err.to_string(), "flush failed");
     }
 
     /// Pins the exact on-disk layout the module docs describe: a 16-byte
@@ -408,12 +260,28 @@ mod tests {
         assert_eq!(buf[36], 0b11);
     }
 
+    fn open_error(bytes: &[u8]) -> io::Error {
+        TraceReader::new(bytes).unwrap_err()
+    }
+
     #[test]
     fn rejects_bad_magic() {
-        let buf = vec![0u8; 32];
-        let err = read_trace_per_record(&mut buf.as_slice()).unwrap_err();
+        let err = open_error(&[0u8; 32]);
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(BatchReader::new(buf.as_slice()).is_err());
+        assert_eq!(err.to_string(), "not an LT-cords trace file");
+    }
+
+    #[test]
+    fn rejects_bad_version_and_short_header() {
+        let mut buf = Vec::new();
+        write_trace(&mut Replay::once(vec![]), &mut buf, 10).unwrap();
+        let err = open_error(&buf[..HEADER_BYTES - 1]);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "truncated trace header");
+        buf[7] = 2;
+        let err = open_error(&buf);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "unsupported trace version 2");
     }
 
     #[test]
@@ -422,29 +290,23 @@ mod tests {
         let mut buf = Vec::new();
         write_trace(&mut src, &mut buf, 10).unwrap();
         buf.pop(); // corrupt the tail
-        let err = read_trace_per_record(&mut buf.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let mut reader = BatchReader::new(buf.as_slice()).unwrap();
-        // The batch reader first yields the 9 whole records, then reports
-        // the truncation on the following call.
-        let batch = reader.next_batch().unwrap().expect("whole-record prefix decodes");
-        assert_eq!(batch.len(), 9);
-        let err = reader.next_batch().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        // The source face also yields the 9 whole records, then ends the
-        // stream and parks the same error.
-        let mut reader = BatchReader::new(buf.as_slice()).unwrap();
+                   // The reader yields the 9 whole records, then ends the stream and
+                   // parks the truncation.
+        let mut reader = TraceReader::new(buf.as_slice()).unwrap();
         assert_eq!(reader.collect_accesses(100).len(), 9);
-        assert_eq!(reader.error().map(io::Error::kind), Some(io::ErrorKind::InvalidData));
+        let err = reader.error().expect("the truncation is parked");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "trace ends mid-record");
+        assert!(reader.next_access().is_none(), "the stream stays ended");
     }
 
     #[test]
     fn empty_trace_round_trips() {
         let mut buf = Vec::new();
         write_trace(&mut Replay::once(vec![]), &mut buf, 10).unwrap();
-        let mut reader = BatchReader::new(buf.as_slice()).unwrap();
-        assert!(reader.next_batch().unwrap().is_none());
+        let mut reader = TraceReader::new(buf.as_slice()).unwrap();
         assert!(reader.next_access().is_none());
+        assert!(reader.error().is_none());
     }
 
     #[test]
@@ -455,23 +317,20 @@ mod tests {
         ];
         let mut buf = Vec::new();
         write_trace(&mut Replay::once(trace.clone()), &mut buf, 10).unwrap();
-        let mut replay = BatchReader::new(buf.as_slice()).unwrap();
+        let mut replay = TraceReader::new(buf.as_slice()).unwrap();
         assert_eq!(replay.collect_accesses(10), trace);
     }
 
     #[test]
     fn streaming_reader_spans_chunk_boundaries() {
-        // More records than one READER_CHUNK_RECORDS refill, so the
-        // source face must stitch batches seamlessly.
+        // A 64-byte buffer is refilled every three records or so, and 64
+        // is no multiple of 21, so records straddle refills.
         let mut src = suite::by_name("gcc").unwrap().build(7);
-        let n = READER_CHUNK_RECORDS + 123;
-        let original = src.collect_accesses(n);
+        let original = src.collect_accesses(1_000);
         let mut buf = Vec::new();
         write_trace(&mut Replay::once(original.clone()), &mut buf, u64::MAX).unwrap();
-        let mut reader = BatchReader::new(buf.as_slice()).unwrap();
-        let restored = reader.collect_accesses(2 * n);
-        assert_eq!(restored, original);
+        let mut reader = TraceReader::new(BufReader::with_capacity(64, buf.as_slice())).unwrap();
+        assert_eq!(reader.collect_accesses(2_000), original);
         assert!(reader.error().is_none(), "the end of a whole recording is clean");
-        assert!(reader.next_batch().unwrap().is_none());
     }
 }

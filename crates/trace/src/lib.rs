@@ -42,6 +42,6 @@ pub use checkpoint::{Checkpoint, CheckpointStore, RestoreError, SourceState};
 pub use interleave::MultiProgram;
 pub use record::{AccessKind, Addr, MemoryAccess, Pc};
 pub use segment::TraceSegment;
-pub use source::{BoxedSource, Replay, TakeSource, TraceSource};
+pub use source::{BoxedSource, Replay, TraceSource};
 pub use stats::TraceStats;
 pub use suite::{SuiteEntry, WorkloadClass};

@@ -9,28 +9,23 @@
 //! in order).
 //!
 //! Reaching a slice need not cost `O(start)` generator work per worker:
-//! every built-in source supports the [`checkpoint`] protocol
+//! every suite source supports the [`checkpoint`] protocol
 //! ([`TraceSource::checkpoint`] / [`TraceSource::restore`]), so a worker
 //! handed a snapshot recorded at its slice start restores it and
 //! generates nothing before the slice. The restored stream is
 //! element-identical to the skipped one, so reports do not depend on
-//! which path placed the worker. The plain skip loop from access 0
-//! remains the fallback whenever no usable snapshot is available — none
-//! recorded at the start, a state the source refuses, or a source that
-//! does not implement the protocol (external/recorded sources wrapped
-//! by adapters that cannot snapshot their inner state return `None`
-//! from `checkpoint`); it is generation-only (no simulation).
-//! [`TraceSegment::carve`] packages the skip-then-bound pattern for
-//! plain consumers; consumers that keep simulator state place the
-//! source themselves so they can replay a bounded warm-up window of the
-//! prefix through their machinery first (`ltc_analysis`'s stream
-//! analysis does exactly this) — see EXPERIMENTS.md "Segmented
-//! streaming" and "Seek & checkpointing" for the approximation and the
-//! seek protocol.
+//! which path placed the worker. Without a usable snapshot (none
+//! recorded at the start, or a state the source refuses) the worker
+//! replays the stream from access 0 instead; that skip is
+//! generation-only (no simulation). `ltc_analysis`'s stream analysis
+//! places the source itself, so it can replay a bounded warm-up window
+//! of the prefix through its simulator first — see EXPERIMENTS.md
+//! "Segmented streaming" and "Seek & checkpointing" for the
+//! approximation and the seek protocol.
 //!
 //! [`checkpoint`]: crate::checkpoint
-
-use crate::source::{TakeSource, TraceSource};
+//! [`TraceSource::checkpoint`]: crate::TraceSource::checkpoint
+//! [`TraceSource::restore`]: crate::TraceSource::restore
 
 /// One contiguous slice of a trace's access budget.
 ///
@@ -88,34 +83,11 @@ impl TraceSegment {
     pub fn end(&self) -> u64 {
         self.start + self.len
     }
-
-    /// Whether this is the whole trace (the single-segment partition).
-    pub fn is_whole(&self) -> bool {
-        self.index == 0 && self.segments == 1
-    }
-
-    /// Advances `source` past the first `start` accesses and bounds it to
-    /// the slice's `len`. A source that ends early simply yields fewer
-    /// accesses — exactly as a bounded single-pass run would.
-    pub fn carve<S: TraceSource>(&self, mut source: S) -> TakeSource<S> {
-        for _ in 0..self.start {
-            if source.next_access().is_none() {
-                break;
-            }
-        }
-        source.take_accesses(self.len)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{Addr, MemoryAccess, Pc};
-    use crate::source::Replay;
-
-    fn numbered(n: u64) -> Vec<MemoryAccess> {
-        (0..n).map(|i| MemoryAccess::load(Pc(i), Addr(i * 64))).collect()
-    }
 
     #[test]
     fn split_partitions_exactly() {
@@ -144,32 +116,10 @@ mod tests {
     }
 
     #[test]
-    fn carve_yields_the_exact_slice() {
-        let trace = numbered(20);
-        let mut seen = Vec::new();
-        for seg in TraceSegment::split(20, 3) {
-            let mut carved = seg.carve(Replay::once(trace.clone()));
-            let slice = carved.collect_accesses(100);
-            assert_eq!(slice.len() as u64, seg.len);
-            assert_eq!(slice.first().unwrap().pc.0, seg.start);
-            seen.extend(slice);
-        }
-        assert_eq!(seen, trace, "concatenated segments reproduce the stream");
-    }
-
-    #[test]
-    fn carve_tolerates_short_sources() {
-        let seg = TraceSegment::nth(100, 2, 1); // wants [50, 100)
-        let mut carved = seg.carve(Replay::once(numbered(30)));
-        assert!(carved.next_access().is_none(), "source exhausted during skip");
-    }
-
-    #[test]
     fn whole_trace_is_one_segment() {
         let seg = TraceSegment::nth(50, 1, 0);
-        assert!(seg.is_whole());
         assert_eq!(seg, TraceSegment { index: 0, segments: 1, start: 0, len: 50 });
-        assert!(!TraceSegment::nth(50, 2, 0).is_whole());
+        assert_eq!(TraceSegment::split(50, 1), vec![seg]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The [`TraceSource`] abstraction and generic adapters.
+//! The [`TraceSource`] abstraction and the recorded-trace [`Replay`].
 
 use crate::checkpoint::{RestoreError, SourceState};
 use crate::record::MemoryAccess;
@@ -11,18 +11,10 @@ use crate::record::MemoryAccess;
 ///
 /// Most sources in this crate are *unbounded*: they loop over their data set
 /// forever, the way the paper's benchmarks iterate an outer loop over a
-/// static data structure. Use [`TraceSource::take_accesses`] to bound a run.
+/// static data structure; callers bound a run by its access budget.
 pub trait TraceSource {
     /// Produces the next reference, or `None` when the source is exhausted.
     fn next_access(&mut self) -> Option<MemoryAccess>;
-
-    /// Bounds this source to at most `n` references.
-    fn take_accesses(self, n: u64) -> TakeSource<Self>
-    where
-        Self: Sized,
-    {
-        TakeSource { inner: self, remaining: n }
-    }
 
     /// Collects up to `n` references into a vector (for replay or analysis).
     fn collect_accesses(&mut self, n: usize) -> Vec<MemoryAccess> {
@@ -116,39 +108,6 @@ impl<T: TraceSource + ?Sized> TraceSource for &mut T {
     }
 }
 
-/// Adapter limiting a source to a fixed number of references.
-///
-/// Produced by [`TraceSource::take_accesses`].
-#[derive(Debug, Clone)]
-pub struct TakeSource<S> {
-    inner: S,
-    remaining: u64,
-}
-
-impl<S: TraceSource> TraceSource for TakeSource<S> {
-    fn next_access(&mut self) -> Option<MemoryAccess> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        self.inner.next_access()
-    }
-
-    fn checkpoint(&self) -> Option<SourceState> {
-        let inner = self.inner.checkpoint()?;
-        Some(SourceState::Take { remaining: self.remaining, inner: Box::new(inner) })
-    }
-
-    fn restore(&mut self, state: &SourceState) -> Result<(), RestoreError> {
-        let SourceState::Take { remaining, inner } = state else {
-            return Err(RestoreError::mismatch("take", state));
-        };
-        self.inner.restore(inner)?;
-        self.remaining = *remaining;
-        Ok(())
-    }
-}
-
 /// Replays a recorded vector of accesses, optionally in a loop.
 ///
 /// # Example
@@ -228,18 +187,6 @@ impl TraceSource for Replay {
     }
 }
 
-/// Wraps a `TraceSource` as a standard [`Iterator`].
-#[derive(Debug)]
-pub struct IntoIter<S>(pub S);
-
-impl<S: TraceSource> Iterator for IntoIter<S> {
-    type Item = MemoryAccess;
-
-    fn next(&mut self) -> Option<MemoryAccess> {
-        self.0.next_access()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,23 +219,9 @@ mod tests {
     }
 
     #[test]
-    fn take_bounds_unbounded_source() {
-        let r = Replay::cycle(vec![acc(1)]);
-        let mut t = r.take_accesses(3);
-        assert_eq!(t.collect_accesses(10).len(), 3);
-    }
-
-    #[test]
     fn collect_stops_at_end() {
         let mut r = Replay::once(vec![acc(1), acc(2)]);
         assert_eq!(r.collect_accesses(10).len(), 2);
-    }
-
-    #[test]
-    fn iterator_adapter_works() {
-        let r = Replay::once(vec![acc(1), acc(2), acc(3)]);
-        let v: Vec<_> = IntoIter(r).collect();
-        assert_eq!(v.len(), 3);
     }
 
     #[test]

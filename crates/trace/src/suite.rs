@@ -5,7 +5,9 @@
 //! to reproduce the benchmark's *structural* memory behaviour: footprint
 //! relative to the 64 KB L1D / 1 MB L2 hierarchy, recurrence of the miss
 //! sequence, dependence chains, layout regularity, and compute intensity.
-//! See `DESIGN.md` §5 for the full mapping rationale.
+//! Each entry's one-line `description` names the behaviour it models
+//! (`ltsim list` prints them); `build_workload` in this module sets each
+//! benchmark's generator parameters.
 
 use crate::gen::{
     ChaseConfig, ChaseGen, GapModel, HashWindowConfig, HashWindowGen, IndirectConfig, IndirectGen,

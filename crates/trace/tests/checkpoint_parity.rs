@@ -1,14 +1,14 @@
-//! Checkpoint/restore parity property tests (PR 7 satellite).
+//! Checkpoint/restore parity property tests.
 //!
 //! A checkpoint taken mid-stream and restored into a *fresh*
 //! identically-configured source must resume element-identically to the
 //! uninterrupted stream — that is the whole byte-identity guarantee the
 //! segmented-streaming fast path rests on. Proptest drives every
-//! generator family (including the phase and interleave compositions,
-//! the take adapter and recorded replays) to an arbitrary cut point with
-//! arbitrary seeds, snapshots, restores, and compares; the snapshot also
-//! round-trips through its JSON serialization first, so the on-disk
-//! checkpoint store is covered by the same parity bar.
+//! generator family (including the phase composition and recorded
+//! replays) to an arbitrary cut point with arbitrary seeds, snapshots,
+//! restores, and compares; the snapshot also round-trips through its
+//! JSON serialization first, so the on-disk checkpoint store is covered
+//! by the same parity bar.
 
 use proptest::prelude::*;
 
@@ -17,9 +17,7 @@ use ltc_trace::gen::{
     Layout, PhaseMix, RandomConfig, RandomGen, SweepConfig, SweepGen, Traversal, TreeConfig,
     TreeGen, TreeLayout,
 };
-use ltc_trace::{
-    suite, Addr, BoxedSource, MemoryAccess, MultiProgram, Pc, Replay, SourceState, TraceSource,
-};
+use ltc_trace::{suite, Addr, BoxedSource, MemoryAccess, Pc, Replay, SourceState, TraceSource};
 
 type Builder = fn(u64) -> BoxedSource;
 
@@ -121,38 +119,6 @@ fn builders() -> Vec<(&'static str, Builder)> {
                     70,
                 ),
             ]))
-        }),
-        ("multi-program", |seed| {
-            Box::new(MultiProgram::new(vec![
-                (
-                    Box::new(RandomGen::new(RandomConfig {
-                        footprint: 1 << 14,
-                        seed,
-                        ..RandomConfig::default()
-                    })),
-                    50,
-                    0,
-                ),
-                (
-                    Box::new(ChaseGen::new(ChaseConfig {
-                        nodes: 64,
-                        mutation_rate: 0.2,
-                        seed,
-                        ..ChaseConfig::default()
-                    })),
-                    80,
-                    0x1_0000_0000,
-                ),
-            ]))
-        }),
-        ("take", |seed| {
-            let inner = RandomGen::new(RandomConfig {
-                footprint: 1 << 14,
-                gap: GapModel::jittered(3, 3),
-                seed,
-                ..RandomConfig::default()
-            });
-            Box::new(inner.take_accesses(900))
         }),
         ("replay", |seed| {
             let v: Vec<MemoryAccess> =

@@ -1,17 +1,18 @@
-//! Decode-parity property tests.
+//! Trace-file round-trip property tests.
 //!
-//! The streaming batched decoder (`BatchReader`, decoding each batch
-//! with `TraceBatch::decode`) must agree record-for-record with the
-//! original per-record cursor decoder (`read_trace_per_record`) on every
-//! well-formed trace, and both must round-trip what `write_trace`
-//! produced. Proptest generates arbitrary record mixes — extreme
-//! PCs/addresses, all four flag combinations, full-range gaps — so any
-//! drift in field offsets, endianness, or flag unpacking between the two
-//! decoders fails here.
+//! `TraceReader` must return exactly the records `write_trace` wrote, on
+//! every well-formed trace, and a truncated file must still yield every
+//! whole record before the reader reports the truncation. Proptest
+//! generates arbitrary record mixes — extreme PCs/addresses, all four
+//! flag combinations, full-range gaps — so any drift in field offsets,
+//! endianness, or flag packing between the encoder and the decoder fails
+//! here.
+
+use std::io::BufReader;
 
 use proptest::prelude::*;
 
-use ltc_trace::io::{read_trace_per_record, write_trace, BatchReader};
+use ltc_trace::io::{write_trace, TraceReader};
 use ltc_trace::{AccessKind, Addr, MemoryAccess, Pc, Replay, TraceSource};
 
 /// Strategy for one arbitrary record covering the whole field space.
@@ -36,21 +37,18 @@ fn encode(trace: &[MemoryAccess]) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Batched decode == per-record decode == the original records, on
-    /// arbitrary traces.
+    /// Decoding returns the original records on arbitrary traces, read
+    /// through a buffer small enough that records straddle its refills.
     #[test]
-    fn batched_decode_matches_per_record_reference(
+    fn reader_returns_the_written_records(
         trace in prop::collection::vec(arb_access(), 0..512),
+        capacity in 1usize..64,
     ) {
         let buf = encode(&trace);
-
-        let mut per_record = read_trace_per_record(buf.as_slice()).unwrap();
-        let reference = per_record.collect_accesses(trace.len() + 1);
-        prop_assert_eq!(&reference, &trace);
-
-        let mut streaming = BatchReader::new(buf.as_slice()).unwrap();
-        prop_assert_eq!(streaming.collect_accesses(trace.len() + 1), trace);
-        prop_assert!(streaming.error().is_none());
+        let mut reader =
+            TraceReader::new(BufReader::with_capacity(capacity, buf.as_slice())).unwrap();
+        prop_assert_eq!(reader.collect_accesses(trace.len() + 1), trace);
+        prop_assert!(reader.error().is_none());
     }
 
     /// Decode → re-encode reproduces the byte stream exactly (the count
@@ -60,23 +58,23 @@ proptest! {
         trace in prop::collection::vec(arb_access(), 0..256),
     ) {
         let buf = encode(&trace);
-        let mut streaming = BatchReader::new(buf.as_slice()).unwrap();
-        let reencoded = encode(&streaming.collect_accesses(trace.len() + 1));
+        let mut reader = TraceReader::new(buf.as_slice()).unwrap();
+        let reencoded = encode(&reader.collect_accesses(trace.len() + 1));
         prop_assert_eq!(reencoded, buf);
     }
 
-    /// A trace truncated mid-record is rejected by both decoders alike:
-    /// the streaming one after yielding every whole record.
+    /// A trace truncated mid-record yields every whole record, then
+    /// ends the stream with the truncation parked.
     #[test]
-    fn truncation_rejected_by_both_decoders(
+    fn truncation_yields_whole_records_then_an_error(
         trace in prop::collection::vec(arb_access(), 1..64),
         cut in 1usize..21,
     ) {
         let mut buf = encode(&trace);
         buf.truncate(buf.len() - cut);
-        prop_assert!(read_trace_per_record(buf.as_slice()).is_err());
-        let mut streaming = BatchReader::new(buf.as_slice()).unwrap();
-        prop_assert_eq!(streaming.collect_accesses(trace.len()), &trace[..trace.len() - 1]);
-        prop_assert!(streaming.error().is_some());
+        let mut reader = TraceReader::new(buf.as_slice()).unwrap();
+        prop_assert_eq!(reader.collect_accesses(trace.len()), &trace[..trace.len() - 1]);
+        let err = reader.error().expect("the truncation is parked");
+        prop_assert_eq!(err.to_string(), "trace ends mid-record");
     }
 }
