@@ -240,7 +240,7 @@ pub fn merge_partials(parts: &[StreamPartial]) -> Result<StreamReport, MergeErro
 /// Builds the reported tables from the (merged or single-pass) summaries.
 fn finalize(
     mut report: StreamReport,
-    heavy: &SpaceSaving<u64>,
+    heavy: &SpaceSaving,
     pairs: &ChhSummary,
 ) -> Result<StreamReport, MergeError> {
     report.error_bound = heavy.max_error();
@@ -442,7 +442,7 @@ fn restore_start<S: TraceSource + ?Sized>(
 /// counters, and the eviction count accumulated since the last sample
 /// (as a counter delta). Occupancy scans are O(sketch size) — callers
 /// rate-limit to one sample every [`SKETCH_SAMPLE_EVERY`] misses.
-fn sample_sketches(heavy: &SpaceSaving<u64>, pairs: &ChhSummary, sampled_evictions: &mut u64) {
+fn sample_sketches(heavy: &SpaceSaving, pairs: &ChhSummary, sampled_evictions: &mut u64) {
     let field = |name: &str, v: u64| (name.to_string(), ltc_telemetry::FieldValue::U64(v));
     ltc_telemetry::gauge(
         "sketch.memory_bytes",

@@ -425,9 +425,13 @@ impl RunTelemetry {
         Ok(RunTelemetry { aggregator, writer, tokens, started: Instant::now() })
     }
 
-    /// Prints the one-line end-of-run summary of a successful run (and
-    /// the event-log location, if any).
-    fn finish(self) {
+    /// Ends a successful run: fails it, naming the event log, if the log
+    /// met a write error; else prints the one-line end-of-run summary
+    /// and the log's location, if any.
+    fn finish(self) -> Result<(), String> {
+        if let Some((writer, path)) = &self.writer {
+            writer.finish().map_err(|e| format!("writing event log {path}: {e}"))?;
+        }
         println!(
             "summary: {} specs run, {} deduped, {} served from artifact cache in {:.1}s",
             self.aggregator.counter("scheduler.simulated"),
@@ -442,6 +446,7 @@ impl RunTelemetry {
                 writer.bytes_written()
             );
         }
+        Ok(())
     }
 }
 
@@ -467,8 +472,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if let Some(dir) = &fa.opts.cache_dir {
         println!("artifacts: {} runs under {}", results.len(), dir.display());
     }
-    telemetry.finish();
-    Ok(())
+    telemetry.finish()
 }
 
 /// Results in deterministic (spec key) order for serialized output.
@@ -532,21 +536,12 @@ const DEFAULT_STREAM_BUDGET: u64 = 256 << 10;
 /// single set of keys and construction would panic mid-run.
 const MIN_STREAM_BUDGET: u64 = 4 << 10;
 
-/// Parses a byte count with an optional `k`/`m` suffix (`64k`, `1M`).
-fn parse_bytes(raw: &str) -> Result<u64, String> {
-    let lower = raw.to_ascii_lowercase();
-    let (digits, shift) = match lower.strip_suffix(['k', 'm']) {
-        Some(d) if lower.ends_with('k') => (d, 10),
-        Some(d) => (d, 20),
-        None => (lower.as_str(), 0),
-    };
-    digits
-        .parse::<u64>()
-        .ok()
-        .filter(|&n| n > 0)
-        .map(|n| n << shift)
-        .ok_or_else(|| format!("bad byte count: {raw}"))
-}
+/// Largest accepted `--budget`, 1 GiB: a bound on outside input, like
+/// [`MAX_STREAM_SEGMENTS`]. The summaries allocate their budget up
+/// front, so a much larger one aborts the run on a failed allocation.
+/// At 1 GiB, `ltsim stream mcf --accesses 1000` peaks at about 650 MiB
+/// resident and finishes in about a second on a 2-vCPU host.
+const MAX_STREAM_BUDGET: u64 = 1 << 30;
 
 /// Largest accepted `--segments` — a sanity cap on fan-out (the
 /// scheduler would happily queue thousands of slices), not an accuracy
@@ -555,6 +550,27 @@ fn parse_bytes(raw: &str) -> Result<u64, String> {
 /// noisy well below this cap (see EXPERIMENTS.md "Segmented
 /// streaming").
 const MAX_STREAM_SEGMENTS: u32 = 256;
+
+/// Parses `--budget`: a byte count with an optional `k`/`m` suffix
+/// (`64k`, `1M`) in `MIN_STREAM_BUDGET..=MAX_STREAM_BUDGET`.
+fn parse_budget(raw: &str) -> Result<u64, String> {
+    let lower = raw.to_ascii_lowercase();
+    let (digits, unit) = match lower.strip_suffix(['k', 'm']) {
+        Some(d) if lower.ends_with('k') => (d, 1 << 10),
+        Some(d) => (d, 1 << 20),
+        None => (lower.as_str(), 1),
+    };
+    let count: u64 = digits.parse().map_err(|_| format!("bad byte count: {raw}"))?;
+    count
+        .checked_mul(unit)
+        .filter(|b| (MIN_STREAM_BUDGET..=MAX_STREAM_BUDGET).contains(b))
+        .ok_or_else(|| {
+            format!(
+                "--budget must be between {MIN_STREAM_BUDGET} and {MAX_STREAM_BUDGET} bytes, \
+                 got {raw}"
+            )
+        })
+}
 
 /// `ltsim stream`: one-pass bounded-memory miss analysis through the
 /// engine. Each benchmark becomes one `RunSpec` (mode `stream`, budget in
@@ -582,7 +598,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             continue;
         }
         match a.as_str() {
-            "--budget" => budget = parse_bytes(it.next().ok_or("--budget needs a byte count")?)?,
+            "--budget" => budget = parse_budget(it.next().ok_or("--budget needs a byte count")?)?,
             "--segments" => {
                 segments = it
                     .next()
@@ -601,9 +617,6 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             }
             other => return Err(format!("unknown flag: {other}")),
         }
-    }
-    if budget < MIN_STREAM_BUDGET {
-        return Err(format!("--budget must be at least {MIN_STREAM_BUDGET} bytes (got {budget})"));
     }
 
     let specs: Vec<RunSpec> = benchmarks
@@ -659,8 +672,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         println!();
     }
     println!("engine: {} simulated, {} from cache", results.simulated(), results.cache_hits());
-    telemetry.finish();
-    Ok(())
+    telemetry.finish()
 }
 
 /// `ltsim events summarize <file>`: render a `--events` JSON-lines log

@@ -1,12 +1,15 @@
 //! The golden-report regression wall.
 //!
 //! Canonical-JSON snapshots of representative reports — a `fig08`-style
-//! coverage slice, a `table2`-style baseline slice, and one `stream`
-//! report — are committed under `tests/golden/` and asserted
-//! **byte-identical** on every run. The snapshots were captured before
-//! the hot-path optimizations (mask/shift cache geometry onwards), so
-//! any behavioural drift those changes introduce fails here: a speedup
-//! must be provably behaviour-preserving. The `table2`
+//! coverage slice, a `table2`-style baseline slice, one `stream` report
+//! and a `SketchDbcp` coverage slice — are committed under `tests/golden/`
+//! and asserted **byte-identical** on every run. The first three were
+//! captured before the hot-path optimizations (mask/shift cache geometry
+//! onwards), so any behavioural drift those changes introduce fails
+//! here: a speedup must be provably behaviour-preserving. The
+//! `SketchDbcp` slice, the only one running the sketch predictor, was
+//! captured before the sketches' count step and merge were each written
+//! once. The `table2`
 //! slice runs the baseline through the same two-hierarchy coverage loop
 //! as every predictor, so it also pins that loop's baseline bytes.
 //!
@@ -65,6 +68,15 @@ fn table2_specs() -> Vec<RunSpec> {
 /// One stream/sketch report (the bounded-memory analysis path).
 fn stream_specs() -> Vec<RunSpec> {
     vec![RunSpec::stream("mcf", 64 << 10, 60_000, 1)]
+}
+
+/// The sketch-predictor slice: `SketchDbcp` at the `ltsim` default
+/// 256 KiB budget on the fig08 slice's benchmarks, coverage.
+fn sketch_dbcp_specs() -> Vec<RunSpec> {
+    ["gcc", "mcf"]
+        .into_iter()
+        .map(|bench| RunSpec::coverage(bench, PredictorKind::SketchDbcp(256 << 10), 30_000, 1))
+        .collect()
 }
 
 fn execute(specs: &[RunSpec], backend: BackendKind) -> ResultSet {
@@ -134,13 +146,19 @@ fn stream_report_matches_golden() {
     assert_golden("stream.json", &stream_specs());
 }
 
+#[test]
+fn sketch_dbcp_coverage_matches_golden() {
+    assert_golden("sketch_dbcp_coverage.json", &sketch_dbcp_specs());
+}
+
 /// Every golden spec set serializes byte-identically whichever backend
 /// executed it — the thread pool or subprocess workers over the JSON
 /// protocol. Combined with the snapshot asserts above, this pins the
 /// whole matrix: optimized kernels × both backends × committed bytes.
 #[test]
 fn golden_reports_identical_across_all_backends() {
-    let sets: Vec<Vec<RunSpec>> = vec![fig08_specs(), table2_specs(), stream_specs()];
+    let sets: Vec<Vec<RunSpec>> =
+        vec![fig08_specs(), table2_specs(), stream_specs(), sketch_dbcp_specs()];
     for specs in &sets {
         let reference = canonical(specs, &execute(specs, BackendKind::Threads));
         let subprocess = canonical(

@@ -1,6 +1,8 @@
-//! `ltsim record` and `ltsim replay` against the real built binary: a
-//! recording into a directory that does not exist yet round-trips, and
-//! every failure exits 1 with an error that names the file.
+//! `ltsim record`, `ltsim replay` and `ltsim stream`'s outside inputs
+//! against the real built binary: a recording into a directory that does
+//! not exist yet round-trips, every file failure exits 1 with an error
+//! that names the file, and an out-of-range `--budget` exits 1 with an
+//! error that names the bound.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -89,4 +91,26 @@ fn record_errors_name_the_file() {
 fn record_into_a_full_device_fails() {
     let full = Path::new("/dev/full");
     assert_fails(&ltsim(&["record", "gzip", "/dev/full", "100"]), full, "No space left");
+}
+
+/// An event log that cannot be written fails the run, naming the log,
+/// and the run reports no events as written.
+#[cfg(target_os = "linux")]
+#[test]
+fn stream_events_into_a_full_device_fail() {
+    let out = ltsim(&["stream", "mcf", "--accesses", "20000", "--events", "/dev/full"]);
+    assert_fails(&out, Path::new("/dev/full"), "No space left");
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("events:"));
+}
+
+/// `--budget` stops at 1 GiB, and a suffix that overflows the byte count
+/// is refused against the same bound instead of wrapping.
+#[test]
+fn stream_budget_above_one_gib_fails() {
+    for budget in ["99999999999m", "17592186044417m", "1025m"] {
+        let out = ltsim(&["stream", "mcf", "--budget", budget, "--accesses", "1000"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--budget {budget}: {stderr}");
+        assert!(stderr.contains("1073741824"), "--budget {budget} names no bound: {stderr}");
+    }
 }

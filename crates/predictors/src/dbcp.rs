@@ -14,35 +14,29 @@ use ltc_trace::{Addr, MemoryAccess};
 use crate::prefetcher::Prefetcher;
 use crate::table::{CorrelationTable, TableConfig};
 
-/// Configuration for [`DbcpPrefetcher`].
+/// Configuration for [`DbcpPrefetcher`]: the correlation table's size.
+/// The history table always keeps trace-mode signatures over
+/// [`CacheConfig::l1d`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DbcpConfig {
     /// Correlation table sizing.
     pub table: TableConfig,
-    /// Signature scheme (32-bit trace mode by default).
-    pub scheme: SignatureScheme,
-    /// L1D geometry mirrored by the history table.
-    pub l1: CacheConfig,
 }
 
 impl DbcpConfig {
     /// The "oracle" DBCP with unlimited correlation storage (Figure 8).
     pub fn unlimited() -> Self {
-        DbcpConfig {
-            table: TableConfig::unlimited(),
-            scheme: SignatureScheme::trace_mode(),
-            l1: CacheConfig::l1d(),
-        }
+        DbcpConfig { table: TableConfig::unlimited() }
     }
 
     /// The realistic DBCP with a 2 MB on-chip table (Tables 1 and 3).
     pub fn paper_2mb() -> Self {
-        DbcpConfig { table: TableConfig::with_bytes(2 << 20), ..DbcpConfig::unlimited() }
+        DbcpConfig::with_table_bytes(2 << 20)
     }
 
     /// DBCP with an arbitrary table byte budget (the Figure 4 sweep).
     pub fn with_table_bytes(bytes: u64) -> Self {
-        DbcpConfig { table: TableConfig::with_bytes(bytes), ..DbcpConfig::unlimited() }
+        DbcpConfig { table: TableConfig::with_bytes(bytes) }
     }
 }
 
@@ -61,7 +55,7 @@ impl DbcpPrefetcher {
     /// Creates a DBCP instance.
     pub fn new(cfg: DbcpConfig) -> Self {
         DbcpPrefetcher {
-            history: HistoryTable::new(cfg.l1, cfg.scheme),
+            history: HistoryTable::new(CacheConfig::l1d(), SignatureScheme::trace_mode()),
             table: CorrelationTable::new(cfg.table),
             inflight: FoldMap::default(),
             predictions: 0,

@@ -39,6 +39,6 @@ pub use ltc_stream::hash::{FoldHasher, FoldMap};
 pub use null::NullPrefetcher;
 pub use prefetcher::{PredictorTraffic, Prefetcher};
 pub use queue::RequestQueue;
-pub use sketch::{SketchDbcp, SketchDbcpConfig};
+pub use sketch::SketchDbcp;
 pub use stride::{StrideConfig, StridePrefetcher};
 pub use table::{CorrelationTable, TableConfig};

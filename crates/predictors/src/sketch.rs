@@ -11,10 +11,16 @@
 //! memory.
 //!
 //! Prediction plays the role of the table's 2-bit confidence: a
-//! replacement is predicted once its pair estimate reaches
-//! [`SketchDbcpConfig::min_count`] *and* dominates the runner-up by
-//! [`SketchDbcpConfig::dominance`] — the sketch analogue of "confident
-//! and not flapping between targets".
+//! monitored signature predicts its top replacement once that pair's
+//! estimate reaches [`DOMINANCE`] times the runner-up's — the sketch
+//! analogue of "confident and not flapping between targets".
+//!
+//! There is no minimum count: every monitored pair's estimate is at
+//! least 1, and real signature working sets exceed any interesting
+//! budget, so a monitored signature has typically been re-adopted since
+//! its last eviction and demanding repeated confirmation would silence
+//! the predictor. The Space-Saving outer summary is what concentrates
+//! the budget on signatures worth predicting.
 
 use ltc_cache::{CacheConfig, HierarchyOutcome, PrefetchOutcome, PrefetchRequest};
 use ltc_lasttouch::{HistoryTable, SignatureScheme};
@@ -23,73 +29,32 @@ use ltc_trace::{Addr, MemoryAccess};
 
 use crate::prefetcher::Prefetcher;
 
-/// Configuration for [`SketchDbcp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SketchDbcpConfig {
-    /// Byte budget for the correlation summary (the axis the sketch
-    /// budget-sweep figure varies).
-    pub budget_bytes: u64,
-    /// Replacement candidates monitored per signature.
-    pub inner_capacity: usize,
-    /// Minimum pair estimate before a prediction fires.
-    pub min_count: u64,
-    /// The top candidate must reach `dominance ×` the runner-up's
-    /// estimate (1 disables the check).
-    pub dominance: u64,
-    /// Signature scheme (32-bit trace mode by default).
-    pub scheme: SignatureScheme,
-    /// L1D geometry mirrored by the history table.
-    pub l1: CacheConfig,
-}
-
-impl SketchDbcpConfig {
-    /// A sketch predictor fitting `budget_bytes` of summary.
-    ///
-    /// `min_count` defaults to 1: real signature working sets exceed any
-    /// interesting budget, so the summary churns and a monitored
-    /// signature has typically been re-adopted since its last eviction.
-    /// Demanding repeated confirmation would silence the predictor;
-    /// instead a monitored signature predicts its dominant observed
-    /// replacement immediately, and the Space-Saving outer summary is
-    /// what concentrates the budget on signatures worth predicting.
-    pub fn with_budget_bytes(budget_bytes: u64) -> Self {
-        SketchDbcpConfig {
-            budget_bytes,
-            inner_capacity: 2,
-            min_count: 1,
-            dominance: 2,
-            scheme: SignatureScheme::trace_mode(),
-            l1: CacheConfig::l1d(),
-        }
-    }
-}
+/// The top replacement is predicted only once its estimate reaches
+/// `DOMINANCE` times the runner-up's.
+pub const DOMINANCE: u64 = 2;
 
 /// DBCP over a correlated-heavy-hitter summary instead of an exact table.
 #[derive(Debug)]
 pub struct SketchDbcp {
-    cfg: SketchDbcpConfig,
+    budget_bytes: u64,
     history: HistoryTable,
     summary: ChhSummary,
     predictions: u64,
 }
 
 impl SketchDbcp {
-    /// Creates a sketch predictor.
+    /// Creates a sketch predictor whose correlation summary fits
+    /// `budget_bytes` (the axis the sketch budget-sweep figure varies).
     ///
     /// # Panics
     ///
     /// Panics if the budget cannot hold a single signature (see
     /// [`ChhSummary::new`]).
-    pub fn new(cfg: SketchDbcpConfig) -> Self {
+    pub fn new(budget_bytes: u64) -> Self {
         SketchDbcp {
-            cfg,
-            history: HistoryTable::new(cfg.l1, cfg.scheme),
-            summary: ChhSummary::new(ChhConfig {
-                budget_bytes: cfg.budget_bytes,
-                inner_capacity: cfg.inner_capacity,
-                ways: 8,
-                seed: 0x17c5_723a,
-            }),
+            budget_bytes,
+            history: HistoryTable::new(CacheConfig::l1d(), SignatureScheme::trace_mode()),
+            summary: ChhSummary::new(ChhConfig::with_budget(budget_bytes)),
             predictions: 0,
         }
     }
@@ -131,10 +96,8 @@ impl Prefetcher for SketchDbcp {
         let sig = self.history.record_access(access.addr, access.pc);
         if let Some((best, second)) = self.summary.best_two(u64::from(sig.0)) {
             let runner_up = second.map_or(0, |s| s.estimate);
-            let confident = best.estimate >= self.cfg.min_count
-                && best.estimate >= self.cfg.dominance * runner_up;
             let predicted = Addr(best.value);
-            if confident && predicted != line {
+            if best.estimate >= DOMINANCE * runner_up && predicted != line {
                 self.predictions += 1;
                 out.push(PrefetchRequest::into_l1(predicted, line));
             }
@@ -155,7 +118,7 @@ impl Prefetcher for SketchDbcp {
     fn storage_bytes(&self) -> u64 {
         // The modelled hardware budget: the configured summary bytes plus
         // the history table DBCP also needs.
-        self.cfg.budget_bytes + self.history.storage_bytes()
+        self.budget_bytes + self.history.storage_bytes()
     }
 
     fn memory_bytes(&self) -> u64 {
@@ -194,7 +157,7 @@ mod tests {
 
     #[test]
     fn learns_recurring_conflict_pattern() {
-        let mut p = SketchDbcp::new(SketchDbcpConfig::with_budget_bytes(64 << 10));
+        let mut p = SketchDbcp::new(64 << 10);
         let (accesses, misses) = drive_conflict_loop(&mut p, 50);
         assert!(p.predictions() > 0, "predictions must fire");
         assert!(
@@ -205,14 +168,14 @@ mod tests {
 
     #[test]
     fn trains_summary_on_evictions() {
-        let mut p = SketchDbcp::new(SketchDbcpConfig::with_budget_bytes(64 << 10));
+        let mut p = SketchDbcp::new(64 << 10);
         drive_conflict_loop(&mut p, 3);
         assert!(p.tracked_signatures() > 0, "evictions must register signatures");
     }
 
     #[test]
     fn no_prediction_without_training() {
-        let mut p = SketchDbcp::new(SketchDbcpConfig::with_budget_bytes(64 << 10));
+        let mut p = SketchDbcp::new(64 << 10);
         let mut h = Hierarchy::new(HierarchyConfig::paper());
         let mut out = Vec::new();
         for i in 0..100u64 {
@@ -227,7 +190,7 @@ mod tests {
     #[test]
     fn resident_memory_respects_the_budget() {
         let budget = 32 << 10;
-        let mut p = SketchDbcp::new(SketchDbcpConfig::with_budget_bytes(budget));
+        let mut p = SketchDbcp::new(budget);
         let history = p.history.storage_bytes();
         drive_conflict_loop(&mut p, 200);
         assert!(
@@ -240,8 +203,8 @@ mod tests {
 
     #[test]
     fn storage_is_independent_of_training() {
-        let cold = SketchDbcp::new(SketchDbcpConfig::with_budget_bytes(16 << 10));
-        let mut warm = SketchDbcp::new(SketchDbcpConfig::with_budget_bytes(16 << 10));
+        let cold = SketchDbcp::new(16 << 10);
+        let mut warm = SketchDbcp::new(16 << 10);
         drive_conflict_loop(&mut warm, 20);
         assert_eq!(cold.storage_bytes(), warm.storage_bytes());
     }

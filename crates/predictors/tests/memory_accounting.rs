@@ -13,7 +13,7 @@ use ltc_cache::{Hierarchy, HierarchyConfig};
 use ltc_predictors::table::TableConfig;
 use ltc_predictors::{
     CorrelationTable, DbcpConfig, DbcpPrefetcher, GhbConfig, GhbPrefetcher, NullPrefetcher,
-    Prefetcher, SketchDbcp, SketchDbcpConfig, StrideConfig, StridePrefetcher,
+    Prefetcher, SketchDbcp, StrideConfig, StridePrefetcher,
 };
 use ltc_trace::{Addr, MemoryAccess, Pc};
 
@@ -110,7 +110,7 @@ fn dbcp_memory_tracks_table_growth() {
 /// and never moves however long the stream runs.
 #[test]
 fn sketch_dbcp_memory_stays_within_budget() {
-    let mut p = SketchDbcp::new(SketchDbcpConfig::with_budget_bytes(64 << 10));
+    let mut p = SketchDbcp::new(64 << 10);
     let cold = p.memory_bytes();
     drive(&mut p, 3_000);
     assert_eq!(p.memory_bytes(), cold, "sketch allocation is up front");

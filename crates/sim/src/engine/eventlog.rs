@@ -132,9 +132,11 @@ pub fn is_event_line(line: &str) -> bool {
 }
 
 /// Writes each event as one JSON line. Tracks events and bytes written
-/// (`ltsim run --events` reports both when the run ends).
+/// (`ltsim run --events` reports both when the run ends), and keeps the
+/// first write or flush error, which [`JsonLinesWriter::finish`] returns.
 pub struct JsonLinesWriter {
     out: Mutex<Box<dyn Write + Send>>,
+    error: Mutex<Option<io::Error>>,
     events: AtomicU64,
     bytes: AtomicU64,
 }
@@ -158,9 +160,25 @@ impl JsonLinesWriter {
     pub fn new(out: Box<dyn Write + Send>) -> JsonLinesWriter {
         JsonLinesWriter {
             out: Mutex::new(out),
+            error: Mutex::new(None),
             events: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
         }
+    }
+
+    /// Flushes the log and returns the first write or flush error it met.
+    ///
+    /// # Errors
+    ///
+    /// That first error, if any.
+    pub fn finish(&self) -> io::Result<()> {
+        self.flush();
+        self.error.lock().expect("no holder of the error slot panics").take().map_or(Ok(()), Err)
+    }
+
+    /// Keeps `error` unless an earlier one is kept already.
+    fn keep(&self, error: io::Error) {
+        self.error.lock().expect("no holder of the error slot panics").get_or_insert(error);
     }
 
     /// Events written so far.
@@ -179,14 +197,19 @@ impl Subscriber for JsonLinesWriter {
         let mut line = encode(event);
         line.push('\n');
         let mut out = self.out.lock().unwrap();
-        if out.write_all(line.as_bytes()).is_ok() {
-            self.events.fetch_add(1, Ordering::Relaxed);
-            self.bytes.fetch_add(line.len() as u64, Ordering::Relaxed);
+        match out.write_all(line.as_bytes()) {
+            Ok(()) => {
+                self.events.fetch_add(1, Ordering::Relaxed);
+                self.bytes.fetch_add(line.len() as u64, Ordering::Relaxed);
+            }
+            Err(e) => self.keep(e),
         }
     }
 
     fn flush(&self) {
-        let _ = self.out.lock().unwrap().flush();
+        if let Err(e) = self.out.lock().unwrap().flush() {
+            self.keep(e);
+        }
     }
 }
 
@@ -371,6 +394,31 @@ mod tests {
         assert_eq!(writer.events_written(), 2);
         assert!(writer.bytes_written() > 40);
         writer.flush();
+    }
+
+    /// Takes every write and fails every flush, numbering the failures,
+    /// as a full disk behind a `BufWriter` does.
+    struct FailingFlush(u32);
+
+    impl Write for FailingFlush {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.0 += 1;
+            Err(io::Error::other(format!("flush {} failed", self.0)))
+        }
+    }
+
+    #[test]
+    fn json_writer_keeps_its_first_flush_error() {
+        let writer = Arc::new(JsonLinesWriter::new(Box::new(FailingFlush(0))));
+        with_subscriber(writer.clone(), || counter("a", 1));
+        writer.flush();
+        writer.flush();
+        let err = writer.finish().expect_err("every flush failed");
+        assert_eq!(err.to_string(), "flush 1 failed");
     }
 
     #[test]

@@ -4,7 +4,7 @@ use ltc_analysis::{run_coverage as run_coverage_inner, CoverageConfig, CoverageR
 use ltc_cache::Hierarchy;
 use ltc_predictors::{
     DbcpConfig, DbcpPrefetcher, GhbConfig, GhbPrefetcher, NullPrefetcher, PrefetchLevel,
-    Prefetcher, SketchDbcp, SketchDbcpConfig, StrideConfig, StridePrefetcher,
+    Prefetcher, SketchDbcp, StrideConfig, StridePrefetcher,
 };
 use ltc_timing::{TimingConfig, TimingReport, TimingSim};
 use ltc_trace::{suite, MultiProgram};
@@ -75,9 +75,7 @@ impl PredictorKind {
             PredictorKind::DbcpBytes(bytes) => {
                 Box::new(DbcpPrefetcher::new(DbcpConfig::with_table_bytes(*bytes)))
             }
-            PredictorKind::SketchDbcp(bytes) => {
-                Box::new(SketchDbcp::new(SketchDbcpConfig::with_budget_bytes(*bytes)))
-            }
+            PredictorKind::SketchDbcp(bytes) => Box::new(SketchDbcp::new(*bytes)),
             PredictorKind::Ghb => Box::new(GhbPrefetcher::new(GhbConfig::default())),
             PredictorKind::Stride => Box::new(StridePrefetcher::new(StrideConfig::default())),
         }

@@ -14,13 +14,17 @@
 //! Unlike the global [`crate::SpaceSaving`], whose key→slot hash index
 //! and min-tree cost 48 modelled bytes per key on top of the entry, the
 //! outer summary is *set-associative*: keys hash (seeded) into sets of
-//! [`ChhConfig::ways`] packed 16-byte entries, replacement is
-//! Space-Saving's min-count-inheritance restricted to the set, and the
-//! inner summaries are inline arrays in one flat allocation. That keeps
-//! the never-undercount property and the deterministic state while
+//! [`ChhConfig::ways`] packed 16-byte counters, and each key's inner
+//! summary is [`ChhConfig::inner_capacity`] more such counters inline in
+//! one flat allocation. Both levels take one count step, the
+//! Space-Saving one (bump the item's counter, or hand it the set's
+//! minimum counter and record what it inherited), once for the key over
+//! its set and once for the value over the key's slots. That keeps the
+//! never-undercount property and the deterministic state while
 //! monitoring 5–10x more keys per budget byte — the difference between a
 //! sketch predictor that can hold a signature working set and one that
-//! churns.
+//! churns. Merges run the crate's one combine (see [`crate::merge`]) per
+//! set, and again over the value lists of a key both sides monitor.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -28,7 +32,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::countmin::{CountMin, CountMinState};
 use crate::hash::{self, HASH_CODE};
-use crate::merge::{MergeError, SketchShape};
+use crate::merge::{combine, Entry, MergeError, SketchShape};
 use crate::spacesaving::Estimate;
 
 /// Mixes a `(key, value)` pair into the Count-Min key domain.
@@ -65,11 +69,10 @@ impl ChhConfig {
         self
     }
 
-    /// Modelled bytes per monitored key: one packed outer entry plus the
-    /// inline inner slots.
+    /// Modelled bytes per monitored key: its packed counter plus the
+    /// inline counters of its values.
     pub fn bytes_per_key(&self) -> u64 {
-        (std::mem::size_of::<OuterEntry>() + self.inner_capacity * std::mem::size_of::<InnerSlot>())
-            as u64
+        ((1 + self.inner_capacity) * std::mem::size_of::<Counter>()) as u64
     }
 }
 
@@ -85,20 +88,51 @@ pub struct ChhPair {
     pub overestimate: u64,
 }
 
-/// Packed outer entry: 16 bytes. `count == 0` marks an empty way.
+/// One packed Space-Saving counter, 16 bytes: a key in an outer way or
+/// a value in a key's inner slot. `count == 0` marks an empty one.
 #[derive(Debug, Clone, Copy, Default)]
-struct OuterEntry {
-    key: u64,
+struct Counter {
+    item: u64,
     count: u32,
     overestimate: u32,
 }
 
-/// Packed inner slot: 16 bytes. `count == 0` marks an empty slot.
-#[derive(Debug, Clone, Copy, Default)]
-struct InnerSlot {
-    value: u64,
-    count: u32,
-    overestimate: u32,
+impl Counter {
+    fn entry(&self) -> Entry<()> {
+        (self.item, u64::from(self.count), u64::from(self.overestimate), ())
+    }
+
+    fn estimate(&self) -> Estimate {
+        Estimate { count: u64::from(self.count), overestimate: u64::from(self.overestimate) }
+    }
+
+    /// A merged entry packed back into the 32-bit fields, saturating.
+    fn packed(item: u64, count: u64, overestimate: u64) -> Counter {
+        let clamp = |n: u64| u32::try_from(n).unwrap_or(u32::MAX);
+        Counter { item, count: clamp(count), overestimate: clamp(overestimate) }
+    }
+}
+
+/// The Space-Saving count step over one bounded group of counters:
+/// bump `item`'s counter, or hand `item` the minimum counter (an empty
+/// one counts 0; the lowest index wins ties) and record the count it
+/// inherited as its overestimate. Returns the counter's index and
+/// whether it changed hands.
+#[inline]
+fn count(counters: &mut [Counter], item: u64) -> (usize, bool) {
+    if let Some(i) = counters.iter().position(|c| c.count > 0 && c.item == item) {
+        counters[i].count += 1;
+        return (i, false);
+    }
+    let (i, min) = counters.iter().enumerate().min_by_key(|(_, c)| c.count).expect("non-empty");
+    let inherited = min.count;
+    counters[i] = Counter { item, count: inherited + 1, overestimate: inherited };
+    (i, true)
+}
+
+/// The occupied counters as merge entries.
+fn occupied(counters: &[Counter]) -> Vec<Entry<()>> {
+    counters.iter().filter(|c| c.count > 0).map(Counter::entry).collect()
 }
 
 /// Bounded-memory summary of correlated `(key → value)` heavy hitters.
@@ -121,10 +155,10 @@ struct InnerSlot {
 #[derive(Debug, Clone)]
 pub struct ChhSummary {
     cfg: ChhConfig,
-    /// `sets * ways` outer entries.
-    outer: Vec<OuterEntry>,
-    /// `sets * ways * inner_capacity` inner slots, parallel to `outer`.
-    inners: Vec<InnerSlot>,
+    /// `sets * ways` key counters.
+    outer: Vec<Counter>,
+    /// `sets * ways * inner_capacity` value counters, parallel to `outer`.
+    inners: Vec<Counter>,
     pairs: CountMin,
     sets: usize,
     hash_seed: u64,
@@ -181,18 +215,13 @@ impl ChhSummary {
         let hash_seed = rng.next_u64();
         Ok(ChhSummary {
             cfg,
-            outer: vec![OuterEntry::default(); entries],
-            inners: vec![InnerSlot::default(); entries * cfg.inner_capacity],
+            outer: vec![Counter::default(); entries],
+            inners: vec![Counter::default(); entries * cfg.inner_capacity],
             pairs,
             sets,
             hash_seed,
             total: 0,
         })
-    }
-
-    /// The configuration the summary was built with.
-    pub fn config(&self) -> &ChhConfig {
-        &self.cfg
     }
 
     /// Keys currently monitored.
@@ -228,8 +257,7 @@ impl ChhSummary {
     /// sketch. A constant for a given configuration — the allocation
     /// happens up front, so the bound holds for any stream length.
     pub fn memory_bytes(&self) -> u64 {
-        self.outer.len() as u64 * std::mem::size_of::<OuterEntry>() as u64
-            + self.inners.len() as u64 * std::mem::size_of::<InnerSlot>() as u64
+        (self.outer.len() + self.inners.len()) as u64 * std::mem::size_of::<Counter>() as u64
             + self.pairs.memory_bytes()
     }
 
@@ -251,75 +279,32 @@ impl ChhSummary {
     pub fn observe(&mut self, key: u64, value: u64) {
         self.total += 1;
         self.pairs.observe(pair_key(key, value));
-        let range = self.way_range(key);
-        // Hit, or adopt: an empty way first, else the set's min-count way
-        // (lowest index on ties), inheriting its count per Space-Saving.
-        let idx = match self.outer[range.clone()].iter().position(|e| e.count > 0 && e.key == key) {
-            Some(offset) => {
-                let idx = range.start + offset;
-                self.outer[idx].count += 1;
-                idx
-            }
-            None => {
-                let offset = (range.clone())
-                    .map(|i| self.outer[i])
-                    .enumerate()
-                    .min_by_key(|(i, e)| (e.count, *i))
-                    .map(|(i, _)| i)
-                    .expect("ways >= 1");
-                let idx = range.start + offset;
-                let inherited = self.outer[idx].count;
-                self.outer[idx] = OuterEntry { key, count: inherited + 1, overestimate: inherited };
-                // The way now tracks a different key; its value history
-                // must not leak into the new one.
-                let inner = self.inner_range(idx);
-                self.inners[inner].iter_mut().for_each(|s| *s = InnerSlot::default());
-                idx
-            }
-        };
-        // Inner summary: same Space-Saving discipline over the values.
-        let inner = self.inner_range(idx);
-        match self.inners[inner.clone()].iter().position(|s| s.count > 0 && s.value == value) {
-            Some(offset) => self.inners[inner.start + offset].count += 1,
-            None => {
-                let offset = (inner.clone())
-                    .map(|i| self.inners[i])
-                    .enumerate()
-                    .min_by_key(|(i, s)| (s.count, *i))
-                    .map(|(i, _)| i)
-                    .expect("inner_capacity >= 1");
-                let slot = &mut self.inners[inner.start + offset];
-                *slot = InnerSlot { value, count: slot.count + 1, overestimate: slot.count };
-            }
+        let ways = self.way_range(key);
+        let (way, adopted) = count(&mut self.outer[ways.clone()], key);
+        let inner = self.inner_range(ways.start + way);
+        let values = &mut self.inners[inner];
+        if adopted {
+            // The way now tracks a different key; its value history must
+            // not leak into the new one.
+            values.fill(Counter::default());
         }
+        count(values, value);
     }
 
     /// The key-frequency estimate, if `key` is monitored.
     pub fn key_estimate(&self, key: u64) -> Option<Estimate> {
-        let range = self.way_range(key);
-        self.outer[range].iter().find(|e| e.count > 0 && e.key == key).map(|e| Estimate {
-            count: u64::from(e.count),
-            overestimate: u64::from(e.overestimate),
-        })
+        Some(self.outer[self.index_of(key)?].estimate())
     }
 
     /// Iterates every monitored key with its frequency estimate.
     pub fn key_estimates(&self) -> impl Iterator<Item = (u64, Estimate)> + '_ {
-        self.outer.iter().filter(|e| e.count > 0).map(|e| {
-            (e.key, Estimate { count: u64::from(e.count), overestimate: u64::from(e.overestimate) })
-        })
+        self.outer.iter().filter(|e| e.count > 0).map(|e| (e.item, e.estimate()))
     }
 
     /// The monitored values correlated with `key`, most frequent first
     /// (value breaks ties), or `None` if the key is not monitored.
     pub fn correlated(&self, key: u64) -> Option<Vec<ChhPair>> {
-        let idx = self.index_of(key)?;
-        let inner = self.inner_range(idx);
-        let mut pairs: Vec<ChhPair> = self.inners[inner]
-            .iter()
-            .filter(|s| s.count > 0)
-            .map(|s| self.refine(key, s))
-            .collect();
+        let mut pairs: Vec<ChhPair> = self.pairs_of(key)?.collect();
         pairs.sort_by_key(|p| (std::cmp::Reverse(p.estimate), p.value));
         Some(pairs)
     }
@@ -330,12 +315,9 @@ impl ChhSummary {
         fn better(a: &ChhPair, b: &ChhPair) -> bool {
             (a.estimate, std::cmp::Reverse(a.value)) > (b.estimate, std::cmp::Reverse(b.value))
         }
-        let idx = self.index_of(key)?;
-        let inner = self.inner_range(idx);
         let mut best: Option<ChhPair> = None;
         let mut second: Option<ChhPair> = None;
-        for slot in self.inners[inner].iter().filter(|s| s.count > 0) {
-            let p = self.refine(key, slot);
+        for p in self.pairs_of(key)? {
             if best.as_ref().map_or(true, |b| better(&p, b)) {
                 second = best;
                 best = Some(p);
@@ -348,16 +330,19 @@ impl ChhSummary {
 
     fn index_of(&self, key: u64) -> Option<usize> {
         let range = self.way_range(key);
-        let offset = self.outer[range.clone()].iter().position(|e| e.count > 0 && e.key == key)?;
+        let offset = self.outer[range.clone()].iter().position(|e| e.count > 0 && e.item == key)?;
         Some(range.start + offset)
     }
 
-    fn refine(&self, key: u64, slot: &InnerSlot) -> ChhPair {
-        ChhPair {
-            value: slot.value,
-            estimate: u64::from(slot.count).min(self.pairs.estimate(pair_key(key, slot.value))),
-            overestimate: u64::from(slot.overestimate),
-        }
+    /// `key`'s monitored values, each estimate capped by the pair sketch,
+    /// or `None` if `key` is not monitored.
+    fn pairs_of(&self, key: u64) -> Option<impl Iterator<Item = ChhPair> + '_> {
+        let values = &self.inners[self.inner_range(self.index_of(key)?)];
+        Some(values.iter().filter(|s| s.count > 0).map(move |s| ChhPair {
+            value: s.item,
+            estimate: u64::from(s.count).min(self.pairs.estimate(pair_key(key, s.item))),
+            overestimate: u64::from(s.overestimate),
+        }))
     }
 
     /// This summary's construction shape (merge precondition): the full
@@ -379,13 +364,15 @@ impl ChhSummary {
     /// Folds `other` into `self`, set by set.
     ///
     /// Identical configurations hash every key to the same set, so each
-    /// set merges independently under the Space-Saving combine (matched
-    /// keys sum counts and overestimates; a key monitored on only one
-    /// side adds the other set's minimum count — it may have been
-    /// displaced there — when that set is full; top [`ChhConfig::ways`]
-    /// kept, ties broken by key). Matched keys additionally merge their
-    /// inner value summaries under the same discipline at
-    /// [`ChhConfig::inner_capacity`], and the pair sketch merges exactly
+    /// set merges independently under the crate's one combine, the
+    /// Space-Saving one (matched keys sum counts and overestimates; a
+    /// key monitored on only one side adds the other set's minimum count
+    /// — it may have been displaced there — when that set is full; top
+    /// [`ChhConfig::ways`] kept, ties broken by key). A matched key's
+    /// value lists merge under the same combine at
+    /// [`ChhConfig::inner_capacity`]; a one-sided key's values are lifted
+    /// by the same bound as the key, since any of them may have counted
+    /// that much on the other side. The pair sketch merges exactly
     /// (cell-wise, see [`CountMin::merge`]), which keeps the
     /// sketch-capped estimates of [`ChhSummary::correlated`] sound.
     ///
@@ -406,84 +393,41 @@ impl ChhSummary {
     pub fn merge(&mut self, other: &Self) -> Result<(), MergeError> {
         self.shape().ensure_matches(&other.shape())?;
         self.pairs.merge(&other.pairs)?;
+        let capacity = self.cfg.inner_capacity;
         for set in 0..self.sets {
-            self.merge_set(set, other);
+            let ways = set * self.cfg.ways..(set + 1) * self.cfg.ways;
+            // Each key's occupied value counters ride along with it.
+            let keys = |chh: &Self| -> Vec<Entry<Vec<Entry<()>>>> {
+                ways.clone()
+                    .filter(|&i| chh.outer[i].count > 0)
+                    .map(|i| {
+                        let (key, count, overestimate, ()) = chh.outer[i].entry();
+                        (key, count, overestimate, occupied(&chh.inners[chh.inner_range(i)]))
+                    })
+                    .collect()
+            };
+            let merged = combine(
+                keys(self),
+                keys(other),
+                self.cfg.ways,
+                |mine, theirs| combine(mine, theirs, capacity, |(), ()| (), |(), _| ()),
+                |values, bound| {
+                    values.into_iter().map(|(v, c, o, ())| (v, c + bound, o + bound, ())).collect()
+                },
+            );
+            let mut merged = merged.into_iter();
+            for idx in ways {
+                let (key, count, overestimate, values) = merged.next().unwrap_or_default();
+                self.outer[idx] = Counter::packed(key, count, overestimate);
+                let (inner, mut values) = (self.inner_range(idx), values.into_iter());
+                for slot in &mut self.inners[inner] {
+                    let (value, count, overestimate, ()) = values.next().unwrap_or_default();
+                    *slot = Counter::packed(value, count, overestimate);
+                }
+            }
         }
         self.total += other.total;
         Ok(())
-    }
-
-    /// Merges one set of `other` into the same set of `self`.
-    fn merge_set(&mut self, set: usize, other: &Self) {
-        let ways = self.cfg.ways;
-        let range = set * ways..(set + 1) * ways;
-        let mine: Vec<(OuterEntry, Vec<InnerSlot>)> = range
-            .clone()
-            .filter(|&i| self.outer[i].count > 0)
-            .map(|i| (self.outer[i], self.inners[self.inner_range(i)].to_vec()))
-            .collect();
-        let theirs: Vec<(OuterEntry, Vec<InnerSlot>)> = range
-            .clone()
-            .filter(|&i| other.outer[i].count > 0)
-            .map(|i| (other.outer[i], other.inners[other.inner_range(i)].to_vec()))
-            .collect();
-        let m_mine = absent_bound(mine.iter().map(|(e, _)| u64::from(e.count)), ways);
-        let m_theirs = absent_bound(theirs.iter().map(|(e, _)| u64::from(e.count)), ways);
-
-        // The Space-Saving combine over this set's keys, inner summaries
-        // riding along.
-        let mut combined: Vec<(u64, u64, u64, Vec<InnerSlot>)> = Vec::new();
-        for (entry, inner) in &mine {
-            match theirs.iter().find(|(e, _)| e.key == entry.key) {
-                Some((peer, peer_inner)) => combined.push((
-                    entry.key,
-                    u64::from(entry.count) + u64::from(peer.count),
-                    u64::from(entry.overestimate) + u64::from(peer.overestimate),
-                    merge_inner(inner, peer_inner, self.cfg.inner_capacity),
-                )),
-                None => combined.push((
-                    entry.key,
-                    u64::from(entry.count) + m_theirs,
-                    u64::from(entry.overestimate) + m_theirs,
-                    bump_inner(inner, m_theirs),
-                )),
-            }
-        }
-        for (entry, inner) in &theirs {
-            if !mine.iter().any(|(e, _)| e.key == entry.key) {
-                combined.push((
-                    entry.key,
-                    u64::from(entry.count) + m_mine,
-                    u64::from(entry.overestimate) + m_mine,
-                    bump_inner(inner, m_mine),
-                ));
-            }
-        }
-        combined.sort_by_key(|&(key, count, _, _)| (std::cmp::Reverse(count), key));
-        combined.truncate(ways);
-
-        for (offset, idx) in range.enumerate() {
-            let inner_range = self.inner_range(idx);
-            match combined.get(offset) {
-                Some((key, count, overestimate, inner)) => {
-                    self.outer[idx] = OuterEntry {
-                        key: *key,
-                        count: clamp32(*count),
-                        overestimate: clamp32(*overestimate),
-                    };
-                    for (slot, filled) in self.inners[inner_range]
-                        .iter_mut()
-                        .zip(inner.iter().copied().chain(std::iter::repeat(InnerSlot::default())))
-                    {
-                        *slot = filled;
-                    }
-                }
-                None => {
-                    self.outer[idx] = OuterEntry::default();
-                    self.inners[inner_range].iter_mut().for_each(|s| *s = InnerSlot::default());
-                }
-            }
-        }
     }
 
     /// The serializable snapshot of this summary: the configuration
@@ -500,18 +444,10 @@ impl ChhSummary {
             pairs: self.pairs.to_state(),
             ..ChhState::default()
         };
-        for (idx, e) in self.outer.iter().enumerate().filter(|(_, e)| e.count > 0) {
-            state.outer_index.push(idx as u64);
-            state.outer_keys.push(e.key);
-            state.outer_counts.push(u64::from(e.count));
-            state.outer_overestimates.push(u64::from(e.overestimate));
-        }
-        for (idx, s) in self.inners.iter().enumerate().filter(|(_, s)| s.count > 0) {
-            state.inner_index.push(idx as u64);
-            state.inner_values.push(s.value);
-            state.inner_counts.push(u64::from(s.count));
-            state.inner_overestimates.push(u64::from(s.overestimate));
-        }
+        [state.outer_index, state.outer_keys, state.outer_counts, state.outer_overestimates] =
+            sparse(&self.outer);
+        [state.inner_index, state.inner_values, state.inner_counts, state.inner_overestimates] =
+            sparse(&self.inners);
         state
     }
 
@@ -544,114 +480,51 @@ impl ChhSummary {
         chh.total = state.total;
         fill_sparse(
             &mut chh.outer,
-            &state.outer_index,
-            &state.outer_keys,
-            &state.outer_counts,
-            &state.outer_overestimates,
-            |key, count, overestimate| OuterEntry { key, count, overestimate },
+            [
+                &state.outer_index,
+                &state.outer_keys,
+                &state.outer_counts,
+                &state.outer_overestimates,
+            ],
             "outer",
         )?;
         fill_sparse(
             &mut chh.inners,
-            &state.inner_index,
-            &state.inner_values,
-            &state.inner_counts,
-            &state.inner_overestimates,
-            |value, count, overestimate| InnerSlot { value, count, overestimate },
+            [
+                &state.inner_index,
+                &state.inner_values,
+                &state.inner_counts,
+                &state.inner_overestimates,
+            ],
             "inner",
         )?;
         Ok(chh)
     }
 }
 
-/// The Space-Saving absent bound for a set: the minimum monitored count
-/// when every way is occupied, zero otherwise.
-fn absent_bound(counts: impl Iterator<Item = u64> + Clone, capacity: usize) -> u64 {
-    if counts.clone().count() == capacity {
-        counts.min().unwrap_or(0)
-    } else {
-        0
-    }
+/// The occupied counters as sparse `[index, item, count, overestimate]`
+/// arrays.
+fn sparse(counters: &[Counter]) -> [Vec<u64>; 4] {
+    let occupied = || counters.iter().enumerate().filter(|(_, c)| c.count > 0);
+    [
+        occupied().map(|(idx, _)| idx as u64).collect(),
+        occupied().map(|(_, c)| c.item).collect(),
+        occupied().map(|(_, c)| u64::from(c.count)).collect(),
+        occupied().map(|(_, c)| u64::from(c.overestimate)).collect(),
+    ]
 }
 
-/// Clamps a merged 64-bit count back into the packed 32-bit field.
-fn clamp32(count: u64) -> u32 {
-    count.min(u64::from(u32::MAX)) as u32
-}
-
-/// Merges two keys' inner value summaries under the Space-Saving combine
-/// at `capacity` slots.
-fn merge_inner(mine: &[InnerSlot], theirs: &[InnerSlot], capacity: usize) -> Vec<InnerSlot> {
-    let occupied_mine: Vec<&InnerSlot> = mine.iter().filter(|s| s.count > 0).collect();
-    let occupied_theirs: Vec<&InnerSlot> = theirs.iter().filter(|s| s.count > 0).collect();
-    let m_mine = absent_bound(occupied_mine.iter().map(|s| u64::from(s.count)), capacity);
-    let m_theirs = absent_bound(occupied_theirs.iter().map(|s| u64::from(s.count)), capacity);
-    let mut combined: Vec<InnerSlot> = Vec::new();
-    for slot in &occupied_mine {
-        let (count, overestimate) = match occupied_theirs.iter().find(|s| s.value == slot.value) {
-            Some(peer) => (
-                u64::from(slot.count) + u64::from(peer.count),
-                u64::from(slot.overestimate) + u64::from(peer.overestimate),
-            ),
-            None => (u64::from(slot.count) + m_theirs, u64::from(slot.overestimate) + m_theirs),
-        };
-        combined.push(InnerSlot {
-            value: slot.value,
-            count: clamp32(count),
-            overestimate: clamp32(overestimate),
-        });
-    }
-    for slot in &occupied_theirs {
-        if !occupied_mine.iter().any(|s| s.value == slot.value) {
-            combined.push(InnerSlot {
-                value: slot.value,
-                count: clamp32(u64::from(slot.count) + m_mine),
-                overestimate: clamp32(u64::from(slot.overestimate) + m_mine),
-            });
-        }
-    }
-    combined.sort_by_key(|s| (std::cmp::Reverse(s.count), s.value));
-    combined.truncate(capacity);
-    combined
-}
-
-/// A single-side key's inner slots carried into the merge: every slot
-/// absorbs the other set's absent bound (the key — and so any of its
-/// values — may have counted up to that much there), preserving the
-/// never-undercount property the pair-sketch cap relies on.
-fn bump_inner(slots: &[InnerSlot], bound: u64) -> Vec<InnerSlot> {
-    slots
-        .iter()
-        .filter(|s| s.count > 0)
-        .map(|s| InnerSlot {
-            value: s.value,
-            count: clamp32(u64::from(s.count) + bound),
-            overestimate: clamp32(u64::from(s.overestimate) + bound),
-        })
-        .collect()
-}
-
-/// Writes sparse `(index, payload, count, overestimate)` arrays into a
-/// zeroed slot array, validating shape as it goes.
-fn fill_sparse<T>(
-    slots: &mut [T],
-    index: &[u64],
-    payloads: &[u64],
-    counts: &[u64],
-    overestimates: &[u64],
-    build: impl Fn(u64, u32, u32) -> T,
-    what: &str,
-) -> Result<(), MergeError> {
+/// Writes sparse `[index, item, count, overestimate]` arrays into a
+/// zeroed counter array, validating shape as it goes.
+fn fill_sparse(slots: &mut [Counter], arrays: [&[u64]; 4], what: &str) -> Result<(), MergeError> {
     let invalid = |reason: String| MergeError::State { summary: "chh", reason };
-    if index.len() != payloads.len()
-        || index.len() != counts.len()
-        || index.len() != overestimates.len()
-    {
+    if arrays.iter().any(|a| a.len() != arrays[0].len()) {
         return Err(invalid(format!("ragged {what} arrays")));
     }
+    let [index, items, counts, overestimates] = arrays;
     let mut prev: Option<u64> = None;
-    for (((&idx, &payload), &count), &overestimate) in
-        index.iter().zip(payloads).zip(counts).zip(overestimates)
+    for (((&idx, &item), &count), &overestimate) in
+        index.iter().zip(items).zip(counts).zip(overestimates)
     {
         if prev.is_some_and(|p| idx <= p) {
             return Err(invalid(format!("{what} indices must be strictly increasing")));
@@ -663,7 +536,7 @@ fn fill_sparse<T>(
         if count == 0 || count > u64::from(u32::MAX) || overestimate > u64::from(u32::MAX) {
             return Err(invalid(format!("{what} count {count} out of range")));
         }
-        slots[idx as usize] = build(payload, count as u32, overestimate as u32);
+        slots[idx as usize] = Counter::packed(item, count, overestimate);
     }
     Ok(())
 }

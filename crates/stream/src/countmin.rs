@@ -120,12 +120,6 @@ impl CountMin {
         (0..self.depth).map(|row| self.counters[self.slot(row, key)]).min().unwrap_or(0)
     }
 
-    /// Zeroes every counter (geometry and seeds are retained).
-    pub fn clear(&mut self) {
-        self.counters.iter_mut().for_each(|c| *c = 0);
-        self.total = 0;
-    }
-
     /// This sketch's construction shape (merge precondition): width,
     /// depth and the seed the row hashes derive from.
     pub fn shape(&self) -> SketchShape {
@@ -242,8 +236,6 @@ mod tests {
         }
         let occ = cm.occupancy();
         assert!(occ > 0 && occ <= (cm.width() * cm.depth()) as u64);
-        cm.clear();
-        assert_eq!(cm.occupancy(), 0);
     }
 
     #[test]
@@ -298,15 +290,6 @@ mod tests {
                 "counter grid must fit {budget}"
             );
         }
-    }
-
-    #[test]
-    fn clear_zeroes_counts() {
-        let mut cm = CountMin::new(32, 2, 1);
-        cm.observe(5);
-        cm.clear();
-        assert_eq!(cm.estimate(5), 0);
-        assert_eq!(cm.total(), 0);
     }
 
     #[test]

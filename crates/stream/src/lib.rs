@@ -13,9 +13,15 @@
 //! * [`CountMin`] — a seeded counter sketch answering frequency queries
 //!   for *any* key, never undercounting (Cormode & Muthukrishnan).
 //! * [`ChhSummary`] — correlated heavy hitters over a two-dimensional
-//!   stream: an outer [`SpaceSaving`] over keys, nested inner summaries
-//!   of each key's correlated values, and a [`CountMin`] over whole pairs
-//!   capping the estimates (Lahiri et al.; Epicoco et al.).
+//!   stream: set-associative Space-Saving counters over keys, nested
+//!   inner counters over each key's correlated values, and a
+//!   [`CountMin`] over whole pairs capping the estimates (Lahiri et al.;
+//!   Epicoco et al.).
+//!
+//! Both Space-Saving summaries run one count step — bump the item's
+//! counter, or hand it the minimum counter and record what it inherited
+//! (per observation [`ChhSummary`] takes it for the key, then the value)
+//! — and one merge, the combine in [`merge`].
 //!
 //! Every summary reports its modelled resident footprint via
 //! `memory_bytes()` and can be sized from a byte budget (`with_budget`);

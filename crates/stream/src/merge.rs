@@ -1,4 +1,4 @@
-//! The same-shape precondition for summary merging.
+//! Summary merging: the same-shape precondition and the one combine.
 //!
 //! Two summaries can only be combined when they were built identically:
 //! a Space-Saving summary merges with one of the same capacity, a
@@ -9,8 +9,71 @@
 //! when they disagree, because mismatches cross process boundaries (a
 //! worker answering a segmented run) where a panic would be a protocol
 //! failure rather than a diagnosable error.
+//!
+//! Past that check, every counter merge in the crate is one function,
+//! `combine`: the parallel Space-Saving combine of Cafaro et al. It
+//! merges [`crate::SpaceSaving`]'s keys, each set of a
+//! [`crate::ChhSummary`]'s keys, and the value lists of a key monitored on
+//! both sides. (Count-Min grids add cell by cell instead, exactly.)
 
+use std::cmp::Reverse;
 use std::fmt;
+
+/// One counter as [`combine`] sees it: `(item, count, overestimate,
+/// rider)`, where the rider is whatever travels with the item (a CHH
+/// key's value list; `()` elsewhere).
+pub(crate) type Entry<R> = (u64, u64, u64, R);
+
+/// The parallel Space-Saving combine (Cafaro et al.) of two same-shape
+/// counter lists, each of at most `capacity` distinct items.
+///
+/// An item on both sides sums its counts and overestimates, and `join`
+/// merges its riders. An item on one side only may have been displaced
+/// from the other, so it adds the other side's absent bound — that
+/// side's minimum count when it holds `capacity` items, zero otherwise —
+/// to its count and overestimate, and `lift` raises its rider by the same
+/// bound. The `capacity` highest counts survive, highest first, ties
+/// broken by item, so the result does not depend on either list's order
+/// and the merge is commutative.
+pub(crate) fn combine<R>(
+    mut mine: Vec<Entry<R>>,
+    mut theirs: Vec<Entry<R>>,
+    capacity: usize,
+    mut join: impl FnMut(R, R) -> R,
+    mut lift: impl FnMut(R, u64) -> R,
+) -> Vec<Entry<R>> {
+    let absent = |side: &[Entry<R>]| {
+        side.iter().map(|e| e.1).min().filter(|_| side.len() == capacity).unwrap_or(0)
+    };
+    let (m_mine, m_theirs) = (absent(&mine), absent(&theirs));
+    mine.sort_unstable_by_key(|e| e.0);
+    theirs.sort_unstable_by_key(|e| e.0);
+    let mut merged = Vec::with_capacity(mine.len() + theirs.len());
+    let (mut mine, mut theirs) = (mine.into_iter().peekable(), theirs.into_iter().peekable());
+    loop {
+        // The lower item next, from both lists when both hold it.
+        let (a, b) = match (mine.peek().map(|e| e.0), theirs.peek().map(|e| e.0)) {
+            (Some(x), Some(y)) if x == y => (mine.next(), theirs.next()),
+            (Some(x), y) if y.map_or(true, |y| x < y) => (mine.next(), None),
+            _ => (None, theirs.next()),
+        };
+        merged.push(match (a, b) {
+            (Some((item, c, o, r)), Some((_, c2, o2, r2))) => (item, c + c2, o + o2, join(r, r2)),
+            (Some((item, c, o, r)), None) => (item, c + m_theirs, o + m_theirs, lift(r, m_theirs)),
+            (None, Some((item, c, o, r))) => (item, c + m_mine, o + m_mine, lift(r, m_mine)),
+            (None, None) => break,
+        });
+    }
+    // Highest count first, ties broken by item; only the `capacity`
+    // survivors are sorted.
+    let rank = |e: &Entry<R>| (Reverse(e.1), e.0);
+    if merged.len() > capacity {
+        merged.select_nth_unstable_by_key(capacity, rank);
+        merged.truncate(capacity);
+    }
+    merged.sort_unstable_by_key(rank);
+    merged
+}
 
 /// The construction parameters of a summary, as comparable `(name,
 /// value)` pairs. Two summaries merge iff their shapes are equal.
@@ -20,8 +83,8 @@ use std::fmt;
 /// ```
 /// use ltc_stream::SpaceSaving;
 ///
-/// let a = SpaceSaving::<u64>::new(8);
-/// let b = SpaceSaving::<u64>::new(9);
+/// let a = SpaceSaving::new(8);
+/// let b = SpaceSaving::new(9);
 /// assert_ne!(a.shape(), b.shape());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]

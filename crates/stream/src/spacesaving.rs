@@ -7,13 +7,14 @@
 //! every estimation error is at most `N / k` (the ε·N bound with
 //! ε = 1/k). The summary is deterministic: identical observation sequences
 //! produce identical states (min-replacement ties break by slot index).
-
-use std::hash::Hash;
+//! Its count step and its merge are the crate's one pair (see the crate
+//! docs); over thousands of counters, a hash index finds the key and a
+//! min-tree the minimum counter.
 
 use serde::{Deserialize, Serialize};
 
 use crate::hash::FoldMap;
-use crate::merge::{MergeError, SketchShape};
+use crate::merge::{combine, MergeError, SketchShape};
 
 /// A monitored key's estimate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,10 +27,16 @@ pub struct Estimate {
 }
 
 #[derive(Debug, Clone)]
-struct Entry<K> {
-    key: K,
+struct Entry {
+    key: u64,
     count: u64,
     overestimate: u64,
+}
+
+impl Entry {
+    fn estimate(&self) -> Estimate {
+        Estimate { count: self.count, overestimate: self.overestimate }
+    }
 }
 
 /// Modelled bookkeeping bytes per monitored key beyond the entry payload:
@@ -48,7 +55,7 @@ fn rank(count: u64, slot: u32) -> Rank {
     Rank::from(count) << 32 | Rank::from(slot)
 }
 
-/// Deterministic Space-Saving summary over `Copy` keys.
+/// Deterministic Space-Saving summary over `u64` keys.
 ///
 /// # Example
 ///
@@ -61,15 +68,15 @@ fn rank(count: u64, slot: u32) -> Rank {
 /// }
 /// let est = ss.estimate(&7).unwrap();
 /// assert!(est.count >= 3, "estimates never undercount");
-/// assert!(ss.memory_bytes() <= SpaceSaving::<u64>::entry_bytes() * 2);
+/// assert!(ss.memory_bytes() <= SpaceSaving::entry_bytes() * 2);
 /// ```
 #[derive(Debug, Clone)]
-pub struct SpaceSaving<K> {
+pub struct SpaceSaving {
     capacity: usize,
     /// Monitored keys, indexed by slot.
-    entries: Vec<Entry<K>>,
+    entries: Vec<Entry>,
     /// Key → slot.
-    index: FoldMap<K, u32>,
+    index: FoldMap<u64, u32>,
     /// Min-tree over the slots' ranks: node `i` holds the least rank of
     /// nodes `2i` and `2i + 1`, slot `s`'s leaf is node `capacity + s`,
     /// and node 1 is the minimum. Empty until the summary first fills,
@@ -82,7 +89,7 @@ pub struct SpaceSaving<K> {
     evictions: u64,
 }
 
-impl<K: Eq + Hash + Copy> SpaceSaving<K> {
+impl SpaceSaving {
     /// Creates a summary monitoring at most `capacity` keys.
     ///
     /// # Panics
@@ -104,7 +111,7 @@ impl<K: Eq + Hash + Copy> SpaceSaving<K> {
     /// index and min-tree bookkeeping) — the unit
     /// [`SpaceSaving::with_budget`] divides a byte budget by.
     pub fn entry_bytes() -> u64 {
-        std::mem::size_of::<Entry<K>>() as u64 + NODE_BYTES
+        std::mem::size_of::<Entry>() as u64 + NODE_BYTES
     }
 
     /// Creates a summary sized to fit `budget_bytes`
@@ -156,7 +163,7 @@ impl<K: Eq + Hash + Copy> SpaceSaving<K> {
     }
 
     /// Records `n` occurrences of `key`.
-    pub fn observe_n(&mut self, key: K, n: u64) {
+    pub fn observe_n(&mut self, key: u64, n: u64) {
         self.total += n;
         if let Some(&slot) = self.index.get(&key) {
             let e = &mut self.entries[slot as usize];
@@ -187,38 +194,27 @@ impl<K: Eq + Hash + Copy> SpaceSaving<K> {
     }
 
     /// Records one occurrence of `key`.
-    pub fn observe(&mut self, key: K) {
+    pub fn observe(&mut self, key: u64) {
         self.observe_n(key, 1);
     }
 
     /// The estimate for `key`, or `None` if it is not monitored (its true
     /// count is then at most [`SpaceSaving::max_error`]).
-    pub fn estimate(&self, key: &K) -> Option<Estimate> {
-        self.index.get(key).map(|&slot| {
-            let e = &self.entries[slot as usize];
-            Estimate { count: e.count, overestimate: e.overestimate }
-        })
+    pub fn estimate(&self, key: &u64) -> Option<Estimate> {
+        self.index.get(key).map(|&slot| self.entries[slot as usize].estimate())
     }
 
     /// Iterates monitored `(key, estimate)` pairs in slot order.
-    pub fn iter(&self) -> impl Iterator<Item = (K, Estimate)> + '_ {
-        self.entries
-            .iter()
-            .map(|e| (e.key, Estimate { count: e.count, overestimate: e.overestimate }))
+    pub fn iter(&self) -> impl Iterator<Item = (u64, Estimate)> + '_ {
+        self.entries.iter().map(|e| (e.key, e.estimate()))
     }
 
     /// Monitored keys sorted by descending estimated count (slot index
     /// breaks ties, so the order is deterministic).
-    pub fn top(&self) -> Vec<(K, Estimate)> {
-        let mut slots: Vec<u32> = (0..self.entries.len() as u32).collect();
-        slots.sort_by_key(|&s| (std::cmp::Reverse(self.entries[s as usize].count), s));
-        slots
-            .into_iter()
-            .map(|s| {
-                let e = &self.entries[s as usize];
-                (e.key, Estimate { count: e.count, overestimate: e.overestimate })
-            })
-            .collect()
+    pub fn top(&self) -> Vec<(u64, Estimate)> {
+        let mut top: Vec<(u64, Estimate)> = self.iter().collect();
+        top.sort_by_key(|(_, e)| std::cmp::Reverse(e.count)); // stable: slot order on ties
+        top
     }
 
     /// Forgets everything (capacity is retained).
@@ -228,13 +224,6 @@ impl<K: Eq + Hash + Copy> SpaceSaving<K> {
         self.tree.clear();
         self.total = 0;
         self.evictions = 0;
-    }
-
-    /// What an absent key may have truly counted in this summary: the
-    /// minimum counter when full (it could have been displaced), zero
-    /// otherwise (below capacity every observed key is monitored).
-    fn absent_bound(&self) -> u64 {
-        self.tree.get(1).map_or(0, |&min| (min >> 32) as u64)
     }
 
     /// Builds the min-tree once every slot is taken.
@@ -264,16 +253,15 @@ impl<K: Eq + Hash + Copy> SpaceSaving<K> {
             node /= 2;
         }
     }
-}
 
-impl<K: Eq + Hash + Copy + Ord> SpaceSaving<K> {
     /// This summary's construction shape (merge precondition).
     pub fn shape(&self) -> SketchShape {
         SketchShape::new("space-saving", vec![("capacity", self.capacity as u64)])
     }
 
-    /// Folds `other` into `self` (the parallel Space-Saving combine of
-    /// Cafaro et al.): matched keys sum their estimates and
+    /// Folds `other` into `self` through the crate's one combine (the
+    /// parallel Space-Saving combine of Cafaro et al., see
+    /// [`crate::merge`]): matched keys sum their estimates and
     /// overestimates; a key monitored on only one side adds the other
     /// side's absent bound — its minimum counter when full, zero below
     /// capacity — to both (the key may have been displaced there), and
@@ -298,36 +286,20 @@ impl<K: Eq + Hash + Copy + Ord> SpaceSaving<K> {
     /// Returns a [`MergeError`] when the capacities differ.
     pub fn merge(&mut self, other: &Self) -> Result<(), MergeError> {
         self.shape().ensure_matches(&other.shape())?;
-        let (m_self, m_other) = (self.absent_bound(), other.absent_bound());
-        let mut combined: Vec<(K, u64, u64)> = Vec::with_capacity(self.len() + other.len());
-        for (key, est) in self.iter() {
-            match other.estimate(&key) {
-                Some(o) => {
-                    combined.push((key, est.count + o.count, est.overestimate + o.overestimate));
-                }
-                None => combined.push((key, est.count + m_other, est.overestimate + m_other)),
-            }
-        }
-        for (key, est) in other.iter() {
-            if self.estimate(&key).is_none() {
-                combined.push((key, est.count + m_self, est.overestimate + m_self));
-            }
-        }
-        combined.sort_by_key(|&(key, count, _)| (std::cmp::Reverse(count), key));
-        combined.truncate(self.capacity);
+        let entries =
+            |ss: &Self| ss.entries.iter().map(|e| (e.key, e.count, e.overestimate, ())).collect();
+        let merged = combine(entries(self), entries(other), self.capacity, |(), ()| (), |(), _| ());
         let total = self.total + other.total;
         self.clear();
         self.total = total;
-        for (slot, (key, count, overestimate)) in combined.into_iter().enumerate() {
+        for (slot, (key, count, overestimate, ())) in merged.into_iter().enumerate() {
             self.entries.push(Entry { key, count, overestimate });
             self.index.insert(key, slot as u32);
         }
         self.build_tree_if_full();
         Ok(())
     }
-}
 
-impl SpaceSaving<u64> {
     /// The serializable snapshot of this summary (slot order preserved,
     /// so [`SpaceSaving::from_state`] reproduces the exact state —
     /// including [`SpaceSaving::top`]'s tie-breaking).
@@ -383,7 +355,7 @@ impl SpaceSaving<u64> {
     }
 }
 
-/// Serializable snapshot of a [`SpaceSaving<u64>`] summary: parallel
+/// Serializable snapshot of a [`SpaceSaving`] summary: parallel
 /// slot-ordered arrays (the wire form of a segmented worker's partial
 /// summary).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -477,14 +449,14 @@ mod tests {
             ss.observe(i);
         }
         assert_eq!(ss.len(), 16);
-        assert_eq!(ss.memory_bytes(), 16 * SpaceSaving::<u64>::entry_bytes());
+        assert_eq!(ss.memory_bytes(), 16 * SpaceSaving::entry_bytes());
     }
 
     #[test]
     fn with_budget_fits_the_budget() {
         let budget = 4096;
-        let ss = SpaceSaving::<u64>::with_budget(budget);
-        assert!(ss.capacity() as u64 * SpaceSaving::<u64>::entry_bytes() <= budget);
+        let ss = SpaceSaving::with_budget(budget);
+        assert!(ss.capacity() as u64 * SpaceSaving::entry_bytes() <= budget);
         assert!(ss.capacity() >= 1);
     }
 
@@ -513,7 +485,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity >= 1")]
     fn zero_capacity_rejected() {
-        let _ = SpaceSaving::<u64>::new(0);
+        let _ = SpaceSaving::new(0);
     }
 
     #[test]
@@ -572,7 +544,7 @@ mod tests {
     #[test]
     fn merge_rejects_capacity_mismatch() {
         let mut a = SpaceSaving::new(4);
-        let b = SpaceSaving::<u64>::new(8);
+        let b = SpaceSaving::new(8);
         let err = a.merge(&b).unwrap_err();
         assert_eq!(
             err,
@@ -606,7 +578,7 @@ mod tests {
 
     #[test]
     fn invalid_states_are_typed_errors() {
-        let mut state = SpaceSaving::<u64>::new(2).to_state();
+        let mut state = SpaceSaving::new(2).to_state();
         state.capacity = 0;
         assert!(matches!(
             SpaceSaving::from_state(&state),

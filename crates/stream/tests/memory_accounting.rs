@@ -67,16 +67,16 @@ fn chh_memory_matches_layout() {
 /// plus index/order bookkeeping), growing only until capacity.
 #[test]
 fn spacesaving_memory_matches_layout() {
-    let mut ss: SpaceSaving<u64> = SpaceSaving::new(100);
+    let mut ss = SpaceSaving::new(100);
     assert_eq!(ss.memory_bytes(), 0, "empty summary holds no entries");
     for key in 0..1_000u64 {
         ss.observe(key);
-        assert_eq!(ss.memory_bytes(), ss.len() as u64 * SpaceSaving::<u64>::entry_bytes());
+        assert_eq!(ss.memory_bytes(), ss.len() as u64 * SpaceSaving::entry_bytes());
     }
     assert_eq!(ss.len(), 100, "capacity caps the entry count");
-    let budgeted: SpaceSaving<u64> = SpaceSaving::with_budget(8 << 10);
+    let budgeted = SpaceSaving::with_budget(8 << 10);
     assert!(
-        budgeted.capacity() as u64 * SpaceSaving::<u64>::entry_bytes() <= 8 << 10,
+        budgeted.capacity() as u64 * SpaceSaving::entry_bytes() <= 8 << 10,
         "with_budget must fit the stated budget"
     );
 }

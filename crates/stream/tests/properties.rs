@@ -11,7 +11,9 @@ use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, BuildHasherDefault};
 
-use ltc_stream::{ChhConfig, ChhSummary, CountMin, FoldHasher, SpaceSaving, SpaceSavingState};
+use ltc_stream::{
+    ChhConfig, ChhState, ChhSummary, CountMin, FoldHasher, SpaceSaving, SpaceSavingState,
+};
 use ltc_trace::gen::{ChaseConfig, ChaseGen};
 use ltc_trace::TraceSource;
 use proptest::prelude::*;
@@ -169,7 +171,7 @@ proptest! {
             *truth.entry(key).or_insert(0) += reps;
         }
         let segments = cut(&stream, &cuts);
-        let mut merged: Option<SpaceSaving<u64>> = None;
+        let mut merged: Option<SpaceSaving> = None;
         for seg in &segments {
             let mut ss = SpaceSaving::new(capacity);
             for &(key, reps) in seg {
@@ -208,7 +210,7 @@ proptest! {
         cuts in prop::collection::vec(0usize..200, 2..3),
     ) {
         let segments = cut(&stream, &cuts);
-        let summaries: Vec<SpaceSaving<u64>> = segments
+        let summaries: Vec<SpaceSaving> = segments
             .iter()
             .map(|seg| {
                 let mut ss = SpaceSaving::new(capacity);
@@ -388,6 +390,126 @@ fn shape_mismatches_are_typed_errors_not_panics() {
     assert!(matches!(err, MergeError::Shape { summary: "chh", field: "budget_bytes", .. }));
     assert!(err.to_string().contains("budget_bytes"), "{err}");
     assert_eq!(chh.total(), 1, "failed merge must not disturb the receiver");
+}
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv1a(words: &[u64]) -> u64 {
+    words.iter().flat_map(|w| w.to_le_bytes()).fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+        (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every field of a Space-Saving state, each array behind its length.
+fn space_saving_words(s: &SpaceSavingState) -> Vec<u64> {
+    let mut words = vec![s.capacity, s.total];
+    for array in [&s.keys, &s.counts, &s.overestimates] {
+        words.push(array.len() as u64);
+        words.extend(array);
+    }
+    words
+}
+
+/// Every field of a CHH state, its pair sketch included.
+fn chh_words(s: &ChhState) -> Vec<u64> {
+    let mut words = vec![s.budget_bytes, s.inner_capacity, s.ways, s.seed, s.hash, s.total];
+    let p = &s.pairs;
+    words.extend([p.width, p.depth, p.seed, p.hash, p.total]);
+    for array in [
+        &s.outer_index,
+        &s.outer_keys,
+        &s.outer_counts,
+        &s.outer_overestimates,
+        &s.inner_index,
+        &s.inner_values,
+        &s.inner_counts,
+        &s.inner_overestimates,
+        &p.counters,
+    ] {
+        words.push(array.len() as u64);
+        words.extend(array);
+    }
+    words
+}
+
+/// What merging two CHH states exercises: keys monitored on one side
+/// only, keys a set must drop (its two sides hold more keys than it has
+/// ways), and matched keys whose two value lists overflow the inner
+/// capacity.
+fn chh_merge_cases(a: &ChhState, b: &ChhState) -> [usize; 3] {
+    // key -> (set, monitored values)
+    let keyed = |s: &ChhState| -> HashMap<u64, (u64, HashSet<u64>)> {
+        let mut values: HashMap<u64, HashSet<u64>> = HashMap::new();
+        for (&idx, &value) in s.inner_index.iter().zip(&s.inner_values) {
+            values.entry(idx / s.inner_capacity).or_default().insert(value);
+        }
+        s.outer_index
+            .iter()
+            .zip(&s.outer_keys)
+            .map(|(&idx, &key)| (key, (idx / s.ways, values.remove(&idx).unwrap_or_default())))
+            .collect()
+    };
+    let (ka, kb) = (keyed(a), keyed(b));
+    let one_sided = ka.keys().chain(kb.keys()).filter(|k| ka.contains_key(k) != kb.contains_key(k));
+    let mut sets: HashMap<u64, HashSet<u64>> = HashMap::new();
+    for (&key, &(set, _)) in ka.iter().chain(&kb) {
+        sets.entry(set).or_default().insert(key);
+    }
+    let displaced = sets.values().map(|keys| keys.len().saturating_sub(a.ways as usize)).sum();
+    let overflowing = ka
+        .iter()
+        .filter_map(|(key, (_, va))| kb.get(key).map(|(_, vb)| va.union(vb).count()))
+        .filter(|&values| values > a.inner_capacity as usize)
+        .count();
+    [one_sided.count(), displaced, overflowing]
+}
+
+/// Pins the merges byte for byte: four Space-Saving summaries and four
+/// CHH summaries (1- and 2-way sets, so one-sided keys, displaced keys
+/// and matched keys whose inner summaries overflow all occur) over the
+/// quarters of one chase stream, folded left to right, hash every field
+/// of every intermediate state to fixed FNV-1a digests.
+#[test]
+fn merged_states_match_pinned_digests() {
+    let pairs = chase_pairs(5, 24_000);
+    let quarters: Vec<&[(u64, u64)]> = pairs.chunks(pairs.len() / 4).collect();
+    assert_eq!(quarters.len(), 4);
+
+    let summarize = |quarter: &[(u64, u64)]| {
+        let mut ss = SpaceSaving::new(48);
+        for &(key, _) in quarter {
+            ss.observe(key);
+        }
+        ss
+    };
+    let mut merged = summarize(quarters[0]);
+    let mut words = space_saving_words(&merged.to_state());
+    for quarter in &quarters[1..] {
+        merged.merge(&summarize(quarter)).expect("same capacity");
+        words.extend(space_saving_words(&merged.to_state()));
+    }
+    assert_eq!(fnv1a(&words), 0xa0e0_3082_e1f5_7fc0, "space-saving digest");
+
+    for (ways, digest) in [(1, 0xa646_4572_e51e_6ad2), (2, 0x6c60_dc71_de6f_6f3d)] {
+        let cfg = ChhConfig { budget_bytes: 8 << 10, inner_capacity: 2, ways, seed: 3 };
+        let summarize = |quarter: &[(u64, u64)]| {
+            let mut chh = ChhSummary::new(cfg);
+            for &(key, value) in quarter {
+                chh.observe(key, value);
+            }
+            chh
+        };
+        let mut merged = summarize(quarters[0]);
+        let (mut words, mut cases) = (chh_words(&merged.to_state()), [0; 3]);
+        for quarter in &quarters[1..] {
+            let next = summarize(quarter);
+            let seen = chh_merge_cases(&merged.to_state(), &next.to_state());
+            cases.iter_mut().zip(seen).for_each(|(total, n)| *total += n);
+            merged.merge(&next).expect("same shape");
+            words.extend(chh_words(&merged.to_state()));
+        }
+        assert!(cases.iter().all(|&n| n > 0), "{ways}-way merges exercised only {cases:?}");
+        assert_eq!(fnv1a(&words), digest, "{ways}-way CHH digest");
+    }
 }
 
 /// Resident memory is a function of the budget, not the stream: a 25x
