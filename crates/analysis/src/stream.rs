@@ -1,15 +1,21 @@
 //! One-pass bounded-memory miss analysis (`ltsim stream`).
 //!
-//! Replays a trace through the baseline hierarchy exactly once and mines
-//! the L1D miss stream with the `ltc_stream` summaries instead of exact
-//! tables: a [`SpaceSaving`] summary of heavy-hitter miss lines and a
+//! Replays a trace through the baseline L1D exactly once and mines its
+//! miss stream with the `ltc_stream` summaries instead of exact tables:
+//! a [`SpaceSaving`] summary of heavy-hitter miss lines and a
 //! [`ChhSummary`] of correlated `(last miss → next miss)` pairs — the
 //! streamed form of the last-touch correlation data the exact analyses
 //! materialize in full. Resident summary memory is bounded by the
 //! configured byte budget regardless of trace length, which is the
 //! property that lets this analysis serve traces the exact tables cannot.
+//!
+//! Only the L1D is simulated: the stream reads nothing but L1D hits, and
+//! in the paper's non-inclusive hierarchy the L1D's state never depends
+//! on the L2 (an L1D miss allocates in the L1D whether the L2 hits or
+//! not, and L2 evictions leave the L1D alone), so the L1D alone misses
+//! exactly where the whole [`ltc_cache::Hierarchy`] would.
 
-use ltc_cache::{Hierarchy, HierarchyConfig, HierarchyImage};
+use ltc_cache::{Cache, CacheConfig, HierarchyConfig, HierarchyImage};
 use ltc_stream::{ChhConfig, ChhState, ChhSummary, MergeError, SpaceSaving, SpaceSavingState};
 use ltc_trace::{Checkpoint, TraceSegment, TraceSource};
 use serde::{Deserialize, Serialize};
@@ -22,7 +28,7 @@ pub struct StreamConfig {
     /// Hash seed for the pair sketch (engine runs pass the trace seed so
     /// the `RunSpec` fully determines the report).
     pub seed: u64,
-    /// Uncounted accesses a segment worker replays through its hierarchy
+    /// Uncounted accesses a segment worker replays through its L1D
     /// before its slice begins (defaults to [`SEGMENT_WARMUP`]). Changing
     /// it changes segmented results, so engine runs key their artifact
     /// cache on it.
@@ -34,14 +40,15 @@ pub struct StreamConfig {
 pub const REPORT_TOP: usize = 8;
 
 /// Default for [`StreamConfig::warmup`]: uncounted accesses a segment
-/// worker replays through its hierarchy before its slice begins, so the
-/// cache state at the boundary approximates the single-pass state (the
-/// classic warm-up of sampled simulation). Sized to refill the paper
-/// hierarchy's ~32 K L2 lines a few times over for any access pattern
-/// the suite generates; slices starting within this window warm on
-/// their whole prefix and match the single pass exactly. The engine
-/// keys segmented artifacts on the configured warm-up, so a run with a
-/// non-default value caches separately instead of colliding.
+/// worker replays through its L1D before its slice begins, so the cache
+/// state at the boundary approximates the single-pass state (the classic
+/// warm-up of sampled simulation). Sized when workers warmed the whole
+/// paper hierarchy, to refill its 16 K L2 lines several times over for
+/// any access pattern the suite generates; the L1D's 1 K lines refill
+/// far sooner. Slices starting within this window warm on their whole
+/// prefix and match the single pass exactly. The value stays because it
+/// keys every segmented artifact: the engine caches a run with a
+/// non-default warm-up separately instead of colliding.
 pub const SEGMENT_WARMUP: u64 = 150_000;
 
 /// Misses between the sketch-occupancy gauge samples the stream loop
@@ -72,21 +79,24 @@ impl StreamConfig {
 }
 
 /// A warm hierarchy image pinned to a trace position: the serialized
-/// cache state a single-pass replay reaches right before access `pos`.
+/// cache state a replay of the warm-up window reaches right before
+/// access `pos`.
 ///
 /// Recorded once per (benchmark, seed, warm-up) by the engine's
 /// checkpoint pre-pass and handed to segment workers, it replaces the
 /// [`StreamConfig::warmup`]-access warm-up replay in
-/// [`StreamAnalysis::run_segment_with`]: restoring the image yields the
-/// byte-identical hierarchy the replay would have built, for O(1) work
-/// instead of O(warm-up) simulated accesses.
+/// [`StreamAnalysis::run_segment_with`]: restoring its L1D half yields
+/// the byte-identical L1D the replay would have built, for O(1) work
+/// instead of O(warm-up) simulated accesses. The image keeps both
+/// levels, and the pre-pass records the L2 half too, because the
+/// benchmark harness restores whole hierarchies from these images.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WarmImage {
     /// The trace position the image is warm *for*: the worker's slice
     /// must start exactly here for the image to apply.
     pub pos: u64,
-    /// The hierarchy state after replaying the warm-up window ending at
-    /// `pos`.
+    /// The paper hierarchy's state after replaying the warm-up window
+    /// ending at `pos`; workers restore its `l1` half.
     pub image: HierarchyImage,
 }
 
@@ -291,7 +301,7 @@ impl StreamAnalysis {
     ///
     /// The worker generates (but does not simulate) the prefix before
     /// its slice, then replays the last [`StreamConfig::warmup`] of
-    /// those prefix accesses through its hierarchy — uncounted — so the
+    /// those prefix accesses through its L1D — uncounted — so the
     /// cache state at the slice boundary approximates the single-pass
     /// state. A slice whose `start` is within the warm-up window
     /// replays the *whole* prefix and its miss counts match a single
@@ -313,17 +323,18 @@ impl StreamAnalysis {
     /// the hierarchy, both taken at exactly `segment.start`.
     ///
     /// When both are offered at that position and both restore, the
-    /// worker resumes the source at its slice and the hierarchy in the
-    /// state the warm-up replay would have built, so its setup costs one
+    /// worker resumes the source at its slice and its L1D in the state
+    /// the warm-up replay would have built, so its setup costs one
     /// restore instead of O(start) generated and O(warm-up) simulated
-    /// accesses. The image was snapshotted from a hierarchy that
-    /// replayed the same window, so the partial — and every report built
-    /// from it — is byte-identical to the replay path.
+    /// accesses. The image's L1D half was snapshotted from a hierarchy
+    /// that replayed the same window, so the partial — and every report
+    /// built from it — is byte-identical to the replay path.
     ///
     /// Anything else replays from access 0 on the untouched source: a
-    /// missing half, a position other than `segment.start`, an image for
-    /// a mismatched hierarchy shape, or a state the source refuses
-    /// ([`TraceSource::restore`] leaves the source unchanged on error).
+    /// missing half, a position other than `segment.start`, an image
+    /// captured under any hierarchy but [`HierarchyConfig::paper`], or a
+    /// state the source refuses ([`TraceSource::restore`] leaves the
+    /// source unchanged on error).
     pub fn run_segment_with<S: TraceSource + ?Sized>(
         source: &mut S,
         segment: TraceSegment,
@@ -334,7 +345,7 @@ impl StreamAnalysis {
         let (restored, outcome, reason) = match (checkpoint, warm_image) {
             _ if segment.start == 0 => (None, "cold_start", None),
             (Some(c), Some(w)) => match restore_start(source, segment.start, c, w) {
-                Some(hierarchy) => (Some(hierarchy), "warm_image", None),
+                Some(l1) => (Some(l1), "warm_image", None),
                 None => (None, "replay", Some("restore_failed")),
             },
             _ => (None, "replay", Some("missing")),
@@ -366,10 +377,10 @@ impl StreamAnalysis {
                 break;
             }
         }
-        let mut hierarchy = restored.unwrap_or_else(|| Hierarchy::new(HierarchyConfig::paper()));
+        let mut l1 = restored.unwrap_or_else(|| Cache::new(CacheConfig::l1d()));
         for _ in 0..warm {
             let Some(a) = source.next_access() else { break };
-            hierarchy.access(a.addr, a.kind);
+            l1.access(a.addr, a.kind);
         }
         let mut heavy = SpaceSaving::with_budget(cfg.budget_bytes / 2);
         let mut pairs =
@@ -388,8 +399,7 @@ impl StreamAnalysis {
         for _ in 0..segment.len {
             let Some(a) = source.next_access() else { break };
             partial.accesses += 1;
-            let out = hierarchy.access(a.addr, a.kind);
-            if out.l1.hit {
+            if l1.access(a.addr, a.kind).hit {
                 continue;
             }
             partial.misses += 1;
@@ -419,22 +429,25 @@ impl StreamAnalysis {
     }
 }
 
-/// Restores `source` and a hierarchy from a checkpoint and warm image
-/// recorded at exactly `start`, or returns `None` with `source` left
-/// untouched. The image is rebuilt first, so a rejected image never
-/// reaches the source.
+/// Restores `source` and the L1D from a checkpoint and a paper-hierarchy
+/// warm image recorded at exactly `start`, or returns `None` with
+/// `source` left untouched. The L1D is rebuilt first, so a rejected
+/// image never reaches the source.
 fn restore_start<S: TraceSource + ?Sized>(
     source: &mut S,
     start: u64,
     checkpoint: &Checkpoint,
     warm_image: &WarmImage,
-) -> Option<Hierarchy> {
-    if checkpoint.pos != start || warm_image.pos != start {
+) -> Option<Cache> {
+    if checkpoint.pos != start
+        || warm_image.pos != start
+        || warm_image.image.config() != HierarchyConfig::paper()
+    {
         return None;
     }
-    let hierarchy = Hierarchy::from_image(HierarchyConfig::paper(), &warm_image.image).ok()?;
+    let l1 = Cache::from_image(&warm_image.image.l1).ok()?;
     source.restore(&checkpoint.state).ok()?;
-    Some(hierarchy)
+    Some(l1)
 }
 
 /// Emits one sketch-occupancy telemetry sample: resident bytes, the
@@ -475,6 +488,7 @@ fn sample_sketches(heavy: &SpaceSaving, pairs: &ChhSummary, sampled_evictions: &
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ltc_cache::Hierarchy;
     use ltc_trace::{Addr, MemoryAccess, Pc, Replay, SourceState};
 
     /// A recurring conflict loop whose misses alternate over a fixed line

@@ -13,43 +13,58 @@
 //! source resumes its stream element-identically, and the image was
 //! snapshotted from a hierarchy that replayed the same window.
 //!
-//! The pairs live in two tiers:
-//!
-//! 1. a process-global registry keyed `(benchmark, seed, warm-up)`,
-//!    which the in-process `threads` backend hits directly, and
-//! 2. an optional on-disk hand-off under the directory named by the
-//!    `LTC_CHECKPOINT_DIR` environment variable, which `subprocess`
-//!    workers (separate processes that inherit the variable) read: one
-//!    checkpoint store per `(benchmark, seed)` ([`store_path`]) and one
-//!    [`WarmStore`] per `(benchmark, seed, warm-up)`
-//!    ([`warm_store_path`]).
-//!
-//! The scheduler's pre-pass fills both tiers before any segment worker
-//! starts, one trace per job on
+//! The scheduler's pre-pass records a run's stores before any segment
+//! worker starts, one trace per job on
 //! [`EngineOptions::threads`](crate::engine::EngineOptions::threads)
-//! scoped threads. Concurrent jobs are safe: each writes only its own
-//! trace's store files (atomically), the registry is mutex-guarded, and
-//! so is the staging-file sweep, so the stores are byte-identical at any
-//! thread count. A corrupt or truncated on-disk store is ignored with a
+//! scoped threads, and persists them under the directory named by the
+//! `LTC_CHECKPOINT_DIR` environment variable, or else under
+//! `checkpoints/` in the artifact cache: one checkpoint store per
+//! `(benchmark, seed)` ([`store_path`]) and one [`WarmStore`] per
+//! `(benchmark, seed, warm-up)` ([`warm_store_path`]).
+//! Concurrent jobs are safe: each writes only its own trace's store
+//! files (atomically), the registry is mutex-guarded, and so is the
+//! staging-file sweep, so the stores are byte-identical at any thread
+//! count. A corrupt or truncated on-disk store is ignored with a
 //! warning; its workers replay instead of failing the run.
+//!
+//! A process holds a trace's stores in memory only while a segment it
+//! will run still reads them:
+//!
+//! * with `subprocess` workers the parent holds nothing: its pre-pass
+//!   persists the stores, exports their directory in the variable, and
+//!   drops them, and each `ltsim worker` child (which inherits the
+//!   variable) reads them back through [`lookup`]'s disk fallback, which
+//!   caches only the trace it loaded last, so a child holds one trace's
+//!   stores at a time;
+//! * with the in-process `threads` pool the pre-pass [`register`]s every
+//!   trace's stores, recorded or found on disk, before any segment
+//!   starts, so store memory still peaks with every trace held; the
+//!   scheduler drops a trace's stores when the last of its planned
+//!   restoring segments completes — completes, so a requeued attempt
+//!   still finds them;
+//! * a directly executed segmented parent holds its trace's stores
+//!   ([`prepare_segments`]) until its children have run.
 
 use std::collections::{HashMap, VecDeque};
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use ltc_analysis::WarmImage;
 use ltc_cache::{Hierarchy, HierarchyConfig};
 use ltc_trace::{suite, Checkpoint, CheckpointStore, TraceSource};
 use serde::{Deserialize, Serialize, Value};
 
+use crate::engine::backend::lock_recover;
 use crate::engine::spec::{fnv1a64, MODEL_VERSION};
 
 /// Environment variable naming the on-disk checkpoint directory.
 ///
-/// When set, [`ensure`] persists recorded stores there and [`lookup`]
-/// falls back to it, so `ltsim worker` subprocesses (which inherit the
-/// variable) reuse the parent's recording pass.
+/// When set, the scheduler's pre-pass and [`prepare_segments`] persist
+/// recorded stores there and [`lookup`] falls back to it. A scheduler
+/// running subprocess workers exports it (defaulting to `checkpoints/`
+/// in the artifact cache), so `ltsim worker` subprocesses, which inherit
+/// the variable, reuse the parent's recording pass.
 pub const CHECKPOINT_DIR_ENV: &str = "LTC_CHECKPOINT_DIR";
 
 /// Walks `source` from the beginning and snapshots it at each of
@@ -232,25 +247,31 @@ impl SegmentStores {
     }
 }
 
-/// Makes a checkpoint and a warm image at every slice start in `starts`
-/// available to [`lookup`] for `(benchmark, seed, warmup)`, recording
-/// them if needed.
+/// The stores holding a checkpoint and a warm image at every slice
+/// start in `starts` for `(benchmark, seed, warmup)`, recording them if
+/// needed.
 ///
-/// Starts the registry or the on-disk stores already cover are not
-/// re-recorded; partially covering stores are extended by one recording
-/// walk ([`record_stores`]) over the union of their positions and the
-/// missing starts. The result lands in the process registry and — when
-/// [`CHECKPOINT_DIR_ENV`] is set — on disk for subprocess workers.
+/// Starts the held stores or, failing those, the stores on disk under
+/// `dir` already cover are not re-recorded; partially covering stores
+/// are extended by one recording walk ([`record_stores`]) over the union
+/// of their positions and the missing starts, and a recording is
+/// persisted under `dir` for subprocess workers. Nothing is registered:
+/// callers whose own workers will read the stores [`register`] them and
+/// keep the returned `Arc` while those workers run.
 /// Returns `None` for an unknown benchmark; start zero is skipped (a
-/// fresh source and a cold hierarchy already *are* position zero).
+/// fresh source and a cold L1D already *are* position zero).
 pub fn ensure(
+    dir: Option<&Path>,
     benchmark: &str,
     seed: u64,
     warmup: u64,
     starts: &[u64],
 ) -> Option<Arc<SegmentStores>> {
     let mut wanted: Vec<u64> = starts.iter().copied().filter(|&s| s > 0).collect();
-    let existing = lookup(benchmark, seed, warmup);
+    let held = lock_recover(registry()).registered(&key(benchmark, seed, warmup));
+    let existing = held.or_else(|| {
+        dir.and_then(|dir| load_disk_stores(dir, benchmark, seed, warmup)).map(Arc::new)
+    });
     if let Some(stores) = &existing {
         if wanted.iter().all(|&s| stores.at(s).is_some()) {
             return existing;
@@ -259,17 +280,26 @@ pub fn ensure(
     }
     let entry = suite::by_name(benchmark)?;
     let stores = Arc::new(record_stores(&mut entry.build(seed), warmup, &wanted));
-    registry()
-        .lock()
-        .expect("segment-store registry lock")
-        .insert(key(benchmark, seed, warmup), stores.clone());
-    if let Some(dir) = dir_from_env() {
+    if let Some(dir) = dir {
         // Best-effort persistence: a worker that cannot read the stores
         // replays, so disk errors are not fatal.
-        let _ = persist(&dir, &store_path(&dir, benchmark, seed), &stores.checkpoints);
-        let _ = persist(&dir, &warm_store_path(&dir, benchmark, seed, warmup), &stores.images);
+        let _ = persist(dir, &store_path(dir, benchmark, seed), &stores.checkpoints);
+        let _ = persist(dir, &warm_store_path(dir, benchmark, seed, warmup), &stores.images);
     }
     Some(stores)
+}
+
+/// Registers `stores` for `(benchmark, seed, warmup)`: [`lookup`] serves
+/// them from memory until the last `Arc` on them drops. The registry
+/// keeps only a weak reference, so the holders decide how long the
+/// stores live. Registering replaces the stores registered there before
+/// ([`ensure`] extends registered stores, so the new ones cover the old
+/// starts too); a concurrent run still keeping the old ones reads the
+/// disk or replays once the new ones drop.
+pub fn register(benchmark: &str, seed: u64, warmup: u64, stores: &Arc<SegmentStores>) {
+    let mut registry = lock_recover(registry());
+    registry.held.retain(|_, held| held.strong_count() > 0);
+    registry.held.insert(key(benchmark, seed, warmup), Arc::downgrade(stores));
 }
 
 /// The pre-warm-up positions of a segmented streaming run: for each of
@@ -298,30 +328,73 @@ pub fn segment_starts(accesses: u64, segments: u32) -> Vec<u64> {
 }
 
 /// One-stop preparation for a segmented run over `(benchmark, seed)`:
-/// records the checkpoints and warm images at each slice start. Used by
-/// the sequential [`crate::engine::Mode::StreamSegmented`] execution
-/// path; the scheduler performs the same preparation batched across
-/// specs, with traces in parallel.
-pub fn prepare_segments(benchmark: &str, seed: u64, accesses: u64, segments: u32, warmup: u64) {
-    ensure(benchmark, seed, warmup, &segment_starts(accesses, segments));
+/// makes the checkpoints and warm images at each slice start available
+/// ([`ensure`], persisting under [`CHECKPOINT_DIR_ENV`] when set) and
+/// registers them until the returned stores drop. Used by the sequential
+/// [`crate::engine::Mode::StreamSegmented`] execution path; the
+/// scheduler performs the same preparation batched across specs, with
+/// traces in parallel. `None` for an unknown benchmark.
+pub fn prepare_segments(
+    benchmark: &str,
+    seed: u64,
+    accesses: u64,
+    segments: u32,
+    warmup: u64,
+) -> Option<Arc<SegmentStores>> {
+    let dir = checkpoint_dir(None);
+    let stores =
+        ensure(dir.as_deref(), benchmark, seed, warmup, &segment_starts(accesses, segments))?;
+    register(benchmark, seed, warmup, &stores);
+    Some(stores)
 }
 
 /// The stores for `(benchmark, seed, warmup)`, if both have been
-/// recorded: the process registry first, then the on-disk stores under
-/// [`CHECKPOINT_DIR_ENV`] (cached into the registry on hit). `None` when
-/// either store is absent or corrupt.
+/// recorded: the registered stores first, then the on-disk stores under
+/// [`CHECKPOINT_DIR_ENV`]. `None` when either store is absent or
+/// corrupt.
+///
+/// The disk fallback keeps only the trace it loaded last, and never
+/// evicts registered stores, so an `ltsim worker` child holds one
+/// trace's stores at a time. That costs no extra reads only while a
+/// worker's claims arrive grouped by trace, as the equal-cost segments
+/// of one segment count do. A run that mixes segment counts queues its
+/// segments longest first, tier by tier, so a worker reads a trace's
+/// stores again for each tier it claims from; EXPERIMENTS.md ("Grouped
+/// claims") measures that cost on the `merge` figure.
 pub fn lookup(benchmark: &str, seed: u64, warmup: u64) -> Option<Arc<SegmentStores>> {
     let key = key(benchmark, seed, warmup);
-    if let Some(stores) = registry().lock().expect("segment-store registry lock").get(&key) {
-        return Some(stores.clone());
+    if let Some(stores) = lock_recover(registry()).registered(&key) {
+        return Some(stores);
     }
-    let dir = dir_from_env()?;
-    let stores = Arc::new(SegmentStores {
-        checkpoints: load_disk_store(&store_path(&dir, benchmark, seed), "checkpoint")?,
-        images: load_disk_store(&warm_store_path(&dir, benchmark, seed, warmup), "warm-image")?,
-    });
-    registry().lock().expect("segment-store registry lock").insert(key, stores.clone());
+    load_one(&checkpoint_dir(None)?, key)
+}
+
+/// [`lookup`]'s disk fallback: the stores for `key` under `dir`, from
+/// the one-trace cache when it holds them, else read from disk into it.
+/// The cached trace is dropped before another is read, so the cache and
+/// the read never hold two traces at once.
+fn load_one(dir: &Path, key: Key) -> Option<Arc<SegmentStores>> {
+    let stale = {
+        let mut registry = lock_recover(registry());
+        match &registry.loaded {
+            Some((loaded, stores)) if *loaded == key => return Some(stores.clone()),
+            _ => registry.loaded.take(),
+        }
+    };
+    drop(stale);
+    let (benchmark, seed, warmup) = &key;
+    let stores = Arc::new(load_disk_stores(dir, benchmark, *seed, *warmup)?);
+    lock_recover(registry()).loaded = Some((key, stores.clone()));
     Some(stores)
+}
+
+/// Reads both stores for `(benchmark, seed, warmup)` under `dir`, or
+/// `None` when either is absent or corrupt.
+fn load_disk_stores(dir: &Path, benchmark: &str, seed: u64, warmup: u64) -> Option<SegmentStores> {
+    Some(SegmentStores {
+        checkpoints: load_disk_store(&store_path(dir, benchmark, seed), "checkpoint")?,
+        images: load_disk_store(&warm_store_path(dir, benchmark, seed, warmup), "warm-image")?,
+    })
 }
 
 /// The encoding of the stores' bulk vectors, tagged into their file
@@ -392,27 +465,56 @@ fn persist<T: Serialize>(dir: &Path, path: &Path, store: &T) -> std::io::Result<
     crate::engine::fsutil::write_atomic(path, serde_json::to_string(store).as_bytes())
 }
 
-fn key(benchmark: &str, seed: u64, warmup: u64) -> (String, u64, u64) {
+/// A trace's identity in the registry: `(benchmark, seed, warm-up)`.
+pub(crate) type Key = (String, u64, u64);
+
+pub(crate) fn key(benchmark: &str, seed: u64, warmup: u64) -> Key {
     (benchmark.to_string(), seed, warmup)
 }
 
-fn dir_from_env() -> Option<PathBuf> {
-    let dir = std::env::var_os(CHECKPOINT_DIR_ENV)?;
-    if dir.is_empty() {
-        return None;
-    }
-    let dir = PathBuf::from(dir);
+/// The checkpoint directory: the one named by [`CHECKPOINT_DIR_ENV`]
+/// when it is set and non-empty, else `default`.
+pub(crate) fn checkpoint_dir(default: Option<PathBuf>) -> Option<PathBuf> {
+    let named = std::env::var_os(CHECKPOINT_DIR_ENV).filter(|dir| !dir.is_empty());
+    let dir = named.map(PathBuf::from).or(default)?;
     // First touch of the checkpoint dir in this process: reclaim any
     // staging files a crashed predecessor leaked (cheap after once).
     crate::engine::fsutil::sweep_once(&dir);
     Some(dir)
 }
 
-type Registry = Mutex<HashMap<(String, u64, u64), Arc<SegmentStores>>>;
+/// The stores this process holds in memory.
+#[derive(Default)]
+struct Registry {
+    /// Stores [`register`]ed by the holders that keep them alive.
+    held: HashMap<Key, Weak<SegmentStores>>,
+    /// The one trace [`lookup`]'s disk fallback loaded last.
+    loaded: Option<(Key, Arc<SegmentStores>)>,
+}
 
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
+impl Registry {
+    /// The stores registered for `key`, if a holder still keeps them.
+    fn registered(&self, key: &Key) -> Option<Arc<SegmentStores>> {
+        self.held.get(key).and_then(Weak::upgrade)
+    }
+}
+
+fn registry() -> &'static Mutex<Registry> {
+    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
     REGISTRY.get_or_init(Mutex::default)
+}
+
+/// Where this process holds `(benchmark, seed, warmup)`'s stores:
+/// `"held"`, `"loaded"` (the disk fallback's one trace), or `None`.
+#[cfg(test)]
+pub(crate) fn resident(benchmark: &str, seed: u64, warmup: u64) -> Option<&'static str> {
+    let key = key(benchmark, seed, warmup);
+    let registry = lock_recover(registry());
+    if registry.registered(&key).is_some() {
+        Some("held")
+    } else {
+        registry.loaded.as_ref().filter(|(loaded, _)| *loaded == key).map(|_| "loaded")
+    }
 }
 
 #[cfg(test)]
@@ -456,16 +558,21 @@ mod tests {
         let seed = 0xc0fe;
         let warmup = 500;
         assert!(lookup("mcf", seed, warmup).is_none());
-        let stores = ensure("mcf", seed, warmup, &[0, 2_000]).expect("known benchmark");
+        let stores = ensure(None, "mcf", seed, warmup, &[0, 2_000]).expect("known benchmark");
         assert!(stores.at(2_000).is_some(), "both halves recorded at a non-zero start");
         assert!(stores.checkpoints.at(0).is_none(), "zero starts are skipped");
         assert!(stores.images.at(0).is_none(), "zero starts are skipped");
+        assert!(lookup("mcf", seed, warmup).is_none(), "ensure alone registers nothing");
+        // Registered stores are served until their holder drops them.
+        register("mcf", seed, warmup, &stores);
         let again = lookup("mcf", seed, warmup).expect("registry hit");
         assert!(Arc::ptr_eq(&stores, &again));
         // Covered starts do not trigger a new recording pass.
-        let served = ensure("mcf", seed, warmup, &[2_000]).unwrap();
+        let served = ensure(None, "mcf", seed, warmup, &[2_000]).unwrap();
         assert!(Arc::ptr_eq(&stores, &served));
-        assert!(ensure("no-such-benchmark", seed, warmup, &[1]).is_none());
+        assert!(ensure(None, "no-such-benchmark", seed, warmup, &[1]).is_none());
+        drop((stores, again, served));
+        assert!(lookup("mcf", seed, warmup).is_none(), "the last holder forgets the stores");
     }
 
     #[test]
@@ -473,17 +580,67 @@ mod tests {
         let seed = 0xbeef;
         let warmup = SEGMENT_WARMUP;
         assert!(lookup("swim", seed, warmup).is_none());
-        let stores = ensure("swim", seed, warmup, &[1_000]).expect("known benchmark");
+        let stores = ensure(None, "swim", seed, warmup, &[1_000]).expect("known benchmark");
         assert!(stores.images.at(1_000).is_some());
-        let served = ensure("swim", seed, warmup, &[1_000]).unwrap();
+        register("swim", seed, warmup, &stores);
+        let served = ensure(None, "swim", seed, warmup, &[1_000]).unwrap();
         assert!(Arc::ptr_eq(&stores, &served), "covered starts are not re-recorded");
         // A new start extends both stores by one pass over the union.
-        let extended = ensure("swim", seed, warmup, &[2_500]).unwrap();
+        let extended = ensure(None, "swim", seed, warmup, &[2_500]).unwrap();
         assert!(extended.at(1_000).is_some());
         assert!(extended.at(2_500).is_some());
         assert_eq!(extended.images.len(), 2);
         // A different warm-up length is a different entry.
         assert!(lookup("swim", seed, warmup + 1).is_none());
+    }
+
+    #[test]
+    fn registered_stores_live_as_long_as_their_last_holder() {
+        let (seed, warmup) = (0xd00d, 500);
+        let first = ensure(None, "gzip", seed, warmup, &[1_000]).unwrap();
+        register("gzip", seed, warmup, &first);
+        let second = first.clone();
+        drop(first);
+        assert_eq!(resident("gzip", seed, warmup), Some("held"), "one holder still lives");
+        drop(second);
+        assert_eq!(resident("gzip", seed, warmup), None);
+        // A directly executed parent holds its trace only while its
+        // children run.
+        let held = prepare_segments("gzip", seed, 8_000, 4, warmup).expect("known benchmark");
+        assert_eq!(resident("gzip", seed, warmup), Some("held"));
+        drop(held);
+        assert_eq!(resident("gzip", seed, warmup), None);
+        assert!(prepare_segments("no-such-benchmark", seed, 8_000, 4, warmup).is_none());
+    }
+
+    #[test]
+    fn the_disk_fallback_holds_exactly_one_trace_and_never_a_held_one() {
+        let dir = std::env::temp_dir().join(format!("ltc-ckpt-one-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let (seed, warmup) = (0xf00d, 500);
+        for benchmark in ["gzip", "mcf", "art"] {
+            ensure(Some(&dir), benchmark, seed, warmup, &[1_000]).expect("known benchmark");
+        }
+        for path in [store_path(&dir, "gzip", seed), warm_store_path(&dir, "gzip", seed, warmup)] {
+            assert!(path.is_file(), "{} persisted", path.display());
+        }
+        assert_eq!(resident("gzip", seed, warmup), None, "persisting registers nothing");
+
+        let gzip = load_one(&dir, key("gzip", seed, warmup)).expect("on disk");
+        assert_eq!(resident("gzip", seed, warmup), Some("loaded"));
+        let again = load_one(&dir, key("gzip", seed, warmup)).unwrap();
+        assert!(Arc::ptr_eq(&gzip, &again), "the loaded trace is served from memory");
+        load_one(&dir, key("mcf", seed, warmup)).expect("on disk");
+        assert_eq!(resident("mcf", seed, warmup), Some("loaded"));
+        assert_eq!(resident("gzip", seed, warmup), None, "loading a second evicts the first");
+
+        // A held trace stays through disk loads of others.
+        let art = ensure(None, "art", seed, warmup, &[1_000]).unwrap();
+        register("art", seed, warmup, &art);
+        load_one(&dir, key("gzip", seed, warmup)).expect("on disk");
+        assert_eq!(resident("art", seed, warmup), Some("held"));
+        assert_eq!(resident("mcf", seed, warmup), None);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -7,14 +7,14 @@
 //! rendered from the telemetry stream every worker emits, so both behave
 //! identically across backends.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::engine::artifact;
-use crate::engine::backend::{BackendKind, FaultPolicy, RunObserver};
+use crate::engine::backend::{lock_recover, BackendKind, FaultPolicy, RunObserver};
 use crate::engine::checkpoints;
 use crate::engine::fsutil;
 use crate::engine::progress::{ProgressMode, ProgressSubscriber};
@@ -225,34 +225,45 @@ impl Scheduler {
         // Record a generator checkpoint and a warm hierarchy image at
         // every slice start once per trace before the backend fans
         // segment workers out: one recording pass replaces every worker's
-        // O(start) skip loop and O(warm-up) cache rebuild. The in-process
-        // backend finds the stores in the process registry; subprocess
-        // workers read them from `LTC_CHECKPOINT_DIR` when set. Traces
+        // O(start) skip loop and O(warm-up) cache rebuild. Subprocess
+        // workers read the stores from `LTC_CHECKPOINT_DIR`, so for them
+        // the pre-pass only persists; the in-process pool reads them
+        // from memory, so the pre-pass holds each trace's stores until
+        // its last restoring segment completes (`HeldStores`). Traces
         // record in parallel, one per job on `opts.threads` workers, in
         // `(benchmark, seed)` order; a job covers each warm-up length its
         // segments use.
         let mut prepass: BTreeMap<(&str, u64), TracePrepass> = BTreeMap::new();
         for spec in &to_run {
-            if let Mode::StreamSegment { segments, segment, warmup, .. } = spec.mode {
-                let start = ltc_trace::TraceSegment::nth(spec.accesses, segments, segment).start;
-                if start > 0 {
-                    let job = prepass.entry((&spec.benchmark, spec.seed)).or_default();
-                    job.entry(warmup).or_default().push(start);
-                }
+            if let Some((warmup, start)) = restoring_segment(spec) {
+                let job = prepass.entry((&spec.benchmark, spec.seed)).or_default();
+                job.entry(warmup).or_default().push(start);
             }
         }
         let seek_span = ltc_telemetry::span("scheduler.checkpoints", Vec::new());
-        let traces = prepass.len() as u64;
+        let mut traces = 0;
+        let mut held = HeldStores::default();
         if !prepass.is_empty() {
-            // Default the on-disk hand-off next to the artifact cache so
-            // subprocess workers inherit populated stores without the
-            // caller exporting LTC_CHECKPOINT_DIR themselves.
-            if std::env::var_os(checkpoints::CHECKPOINT_DIR_ENV).is_none() {
-                if let Some(dir) = &opts.cache_dir {
-                    std::env::set_var(checkpoints::CHECKPOINT_DIR_ENV, dir.join("checkpoints"));
+            // The stores go next to the artifact cache unless the caller
+            // named another directory.
+            let default = opts.cache_dir.as_ref().map(|dir| dir.join("checkpoints"));
+            let dir = checkpoints::checkpoint_dir(default);
+            let in_process = opts.backend == BackendKind::Threads;
+            // Subprocess workers find the directory in the environment
+            // they inherit, so it is exported for them; in-process runs
+            // leave the environment alone.
+            if !in_process && std::env::var_os(checkpoints::CHECKPOINT_DIR_ENV).is_none() {
+                if let Some(dir) = &dir {
+                    std::env::set_var(checkpoints::CHECKPOINT_DIR_ENV, dir);
                 }
             }
-            run_prepass(prepass.into_iter().collect(), opts.threads);
+            // Without a directory, stores recorded for subprocess workers
+            // would reach none of them.
+            if in_process || dir.is_some() {
+                traces = prepass.len() as u64;
+                let jobs = prepass.into_iter().collect();
+                held = run_prepass(jobs, opts.threads, dir.as_deref(), in_process);
+            }
         }
         seek_span.end_with(vec![("traces".to_string(), traces.into())]);
 
@@ -277,8 +288,11 @@ impl Scheduler {
         );
         let execute_span = ltc_telemetry::span("scheduler.execute", Vec::new());
         let store_error: Mutex<Option<io::Error>> = Mutex::new(None);
-        let observer =
-            PersistingObserver { cache_dir: opts.cache_dir.as_deref(), store_error: &store_error };
+        let observer = PersistingObserver {
+            cache_dir: opts.cache_dir.as_deref(),
+            store_error: &store_error,
+            held: &held,
+        };
         let outcomes = opts.backend.execute(opts.threads, &opts.fault, &to_run, &observer);
         execute_span.end_with(vec![("specs".to_string(), (to_run.len() as u64).into())]);
         let outcomes = outcomes.map_err(io::Error::from)?;
@@ -339,16 +353,33 @@ impl Scheduler {
 }
 
 /// The pre-pass work for one `(benchmark, seed)` trace: the slice starts
-/// of its segments, per warm-up length.
+/// of its restoring segments, per warm-up length.
 type TracePrepass = BTreeMap<u64, Vec<u64>>;
+
+/// The warm-up and slice start of a segment spec that restores a
+/// recorded segment start (one whose slice starts past access 0).
+fn restoring_segment(spec: &RunSpec) -> Option<(u64, u64)> {
+    let Mode::StreamSegment { segments, segment, warmup, .. } = spec.mode else {
+        return None;
+    };
+    let start = ltc_trace::TraceSegment::nth(spec.accesses, segments, segment).start;
+    (start > 0).then_some((warmup, start))
+}
 
 /// Records each trace's segment starts ([`checkpoints::ensure`]), one
 /// trace per job, on up to `threads` scoped workers pulling from `jobs`
-/// in order. Jobs share only the mutex-guarded registry and the
+/// in order, persisting them under `dir` and, for an `in_process` pool,
+/// registering them and returning them held. Jobs share only the mutex-guarded registry and the
 /// checkpoint directory, and each writes only its own trace's store
 /// files (atomically), so the stores are byte-identical at any thread
 /// count.
-fn run_prepass(jobs: Vec<((&str, u64), TracePrepass)>, threads: usize) {
+fn run_prepass(
+    jobs: Vec<((&str, u64), TracePrepass)>,
+    threads: usize,
+    dir: Option<&Path>,
+    in_process: bool,
+) -> HeldStores {
+    let held = HeldStores::default();
     // Relaxed suffices: the counter only hands out indices into `jobs`,
     // which no thread mutates.
     let next = AtomicUsize::new(0);
@@ -359,12 +390,43 @@ fn run_prepass(jobs: Vec<((&str, u64), TracePrepass)>, threads: usize) {
                     jobs.get(next.fetch_add(1, Ordering::Relaxed))
                 {
                     for (warmup, starts) in job {
-                        checkpoints::ensure(benchmark, *seed, *warmup, starts);
+                        let stores = checkpoints::ensure(dir, benchmark, *seed, *warmup, starts);
+                        if let Some(stores) = stores.filter(|_| in_process) {
+                            checkpoints::register(benchmark, *seed, *warmup, &stores);
+                            let key = checkpoints::key(benchmark, *seed, *warmup);
+                            lock_recover(&held.0).insert(key, (starts.len(), stores));
+                        }
                     }
                 }
             });
         }
     });
+    held
+}
+
+/// The segment-start stores one `execute_into` call holds for its
+/// in-process workers: per `(benchmark, seed, warm-up)`, the number of
+/// its planned restoring segments still to complete and the registered
+/// stores. A trace's stores drop when its last restoring segment
+/// completes — a failed attempt is no completion, so its retry still
+/// finds them — and any left drop with the call.
+#[derive(Default)]
+struct HeldStores(Mutex<HashMap<checkpoints::Key, (usize, Arc<checkpoints::SegmentStores>)>>);
+
+impl HeldStores {
+    /// Notes that `spec` completed, forgetting its trace's stores if it
+    /// was the trace's last restoring segment.
+    fn completed(&self, spec: &RunSpec) {
+        let Some((warmup, _)) = restoring_segment(spec) else { return };
+        let key = checkpoints::key(&spec.benchmark, spec.seed, warmup);
+        let mut held = lock_recover(&self.0);
+        if let Some((left, _)) = held.get_mut(&key) {
+            *left -= 1;
+            if *left == 0 {
+                held.remove(&key);
+            }
+        }
+    }
 }
 
 /// Emits one `cache_probe` telemetry point per planned spec, recording
@@ -403,10 +465,12 @@ impl Drop for ProgressScope {
 }
 
 /// The scheduler's [`RunObserver`]: persists each finished run to the
-/// artifact cache from the worker that produced it.
+/// artifact cache from the worker that produced it, and lets go of the
+/// segment-start stores no planned segment will read again.
 struct PersistingObserver<'a> {
     cache_dir: Option<&'a Path>,
     store_error: &'a Mutex<Option<io::Error>>,
+    held: &'a HeldStores,
 }
 
 impl RunObserver for PersistingObserver<'_> {
@@ -416,12 +480,14 @@ impl RunObserver for PersistingObserver<'_> {
                 self.store_error.lock().expect("store-error lock").get_or_insert(e);
             }
         }
+        self.held.completed(spec);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::backend::FaultInject;
     use crate::experiment::PredictorKind;
 
     fn tiny(bench: &str, seed: u64) -> RunSpec {
@@ -580,5 +646,195 @@ mod tests {
             .filter(|e| e.kind == EventKind::SpanEnd && e.name == "scheduler.plan")
             .count();
         assert!(plan_ends >= 1, "planning span closed");
+    }
+
+    /// Segmented parents over `benchmarks`, four segments each, at a
+    /// warm-up shorter than the slices and a seed no other test uses.
+    fn segmented_parents(benchmarks: &[&str], seed: u64) -> Vec<RunSpec> {
+        benchmarks
+            .iter()
+            .map(|b| {
+                RunSpec::stream_segmented(b, 32 << 10, 4, 40_000, seed).with_stream_warmup(2_000)
+            })
+            .collect()
+    }
+
+    /// One spec attempt a [`Watch`] saw.
+    #[derive(Debug, Clone)]
+    struct Attempt {
+        label: String,
+        /// Where each watched trace's stores were as the attempt began.
+        resident: Vec<Option<&'static str>>,
+        /// The restore outcome the attempt reported, if it ran a segment.
+        outcome: Option<String>,
+    }
+
+    /// Watches the spec attempts of one test (labels ending in `/s{seed}`)
+    /// on the pool's threads. Global subscribers see every thread's
+    /// events, so an event is tied to its attempt by thread: a pool worker
+    /// runs one attempt at a time, inside that attempt's `spec` span.
+    struct Watch {
+        seed: u64,
+        traces: Vec<&'static str>,
+        attempts: Mutex<Vec<Attempt>>,
+    }
+
+    std::thread_local! {
+        /// The label of the spec attempt this thread last began.
+        static RUNNING: std::cell::RefCell<Option<String>> = const { std::cell::RefCell::new(None) };
+    }
+
+    impl Watch {
+        /// Runs `sched` under a watch on `traces` at `seed` and returns
+        /// the attempts it saw.
+        fn run(
+            sched: &Scheduler,
+            opts: &EngineOptions,
+            traces: &[&'static str],
+            seed: u64,
+        ) -> Vec<Attempt> {
+            let watch =
+                Arc::new(Watch { seed, traces: traces.to_vec(), attempts: Mutex::default() });
+            let token = ltc_telemetry::install(watch.clone());
+            let results = sched.execute(opts);
+            ltc_telemetry::uninstall(token);
+            results.unwrap();
+            let attempts = watch.attempts.lock().unwrap().clone();
+            attempts
+        }
+    }
+
+    impl ltc_telemetry::Subscriber for Watch {
+        fn event(&self, event: &ltc_telemetry::Event) {
+            use ltc_telemetry::EventKind;
+            let text = |name: &str| event.field(name).and_then(|f| f.as_str()).map(str::to_string);
+            match (event.kind, event.name.as_str()) {
+                (EventKind::SpanBegin, "spec") => {
+                    let label = text("label");
+                    RUNNING.with(|running| running.replace(label.clone()));
+                    if let Some(label) = label.filter(|l| l.ends_with(&format!("/s{}", self.seed)))
+                    {
+                        let resident = self
+                            .traces
+                            .iter()
+                            .map(|b| checkpoints::resident(b, self.seed, 2_000))
+                            .collect();
+                        self.attempts.lock().unwrap().push(Attempt {
+                            label,
+                            resident,
+                            outcome: None,
+                        });
+                    }
+                }
+                (EventKind::Point, "segment_restore") => {
+                    let Some(label) = RUNNING.with(|running| running.borrow().clone()) else {
+                        return;
+                    };
+                    let mut attempts = self.attempts.lock().unwrap();
+                    if let Some(attempt) = attempts.iter_mut().rev().find(|a| a.label == label) {
+                        attempt.outcome = text("outcome");
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn the_subprocess_prepass_persists_both_stores_and_holds_nothing() {
+        let dir = std::env::temp_dir().join(format!("ltc-prepass-disk-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (seed, warmup) = (0x5eed_0001, 2_000);
+        let job: TracePrepass = BTreeMap::from([(warmup, vec![10_000, 20_000, 30_000])]);
+        let held = run_prepass(vec![(("gzip", seed), job)], 2, Some(&dir), false);
+        assert!(lock_recover(&held.0).is_empty(), "nothing held for subprocess workers");
+        assert_eq!(checkpoints::resident("gzip", seed, warmup), None);
+        for path in [
+            checkpoints::store_path(&dir, "gzip", seed),
+            checkpoints::warm_store_path(&dir, "gzip", seed, warmup),
+        ] {
+            assert!(path.is_file(), "{} written", path.display());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_threads_run_persists_beside_its_cache_and_exports_nothing() {
+        let dir = std::env::temp_dir().join(format!("ltc-prepass-threads-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let seed = 0x5eed_0005;
+        let mut s = Scheduler::new();
+        s.request_all(segmented_parents(&["gzip"], seed));
+        s.execute(&EngineOptions::cached(2, &dir)).unwrap();
+        // The stores go where the run resolves its directory: beside the
+        // cache, unless `LTC_CHECKPOINT_DIR` names another.
+        let checkpoints = checkpoints::checkpoint_dir(Some(dir.join("checkpoints"))).unwrap();
+        assert!(checkpoints::warm_store_path(&checkpoints, "gzip", seed, 2_000).is_file());
+        // Tests of one binary share the environment: a run exporting its
+        // own directory would hand it to every other test's run.
+        let exported = std::env::var_os(checkpoints::CHECKPOINT_DIR_ENV).map(PathBuf::from);
+        assert_ne!(exported, Some(dir.join("checkpoints")), "in-process runs leave it alone");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_thread_forgets_each_trace_after_its_last_restoring_segment() {
+        let seed = 0x5eed_0002;
+        let mut s = Scheduler::new();
+        s.request_all(segmented_parents(&["gzip", "mcf"], seed));
+        let attempts = Watch::run(&s, &EngineOptions::in_memory(1), &["gzip", "mcf"], seed);
+        // Equal-cost segments run in request order: gzip's four, then
+        // mcf's. Both traces are held until gzip's last segment is done;
+        // then only mcf's.
+        assert_eq!(attempts.len(), 8, "{attempts:?}");
+        for (i, Attempt { label, resident, outcome }) in attempts.iter().enumerate() {
+            let gzip = if i < 4 { Some("held") } else { None };
+            assert!(label.contains(if i < 4 { "/gzip/" } else { "/mcf/" }), "{label}");
+            assert_eq!(resident, &[gzip, Some("held")], "as {label} began");
+            let expected = if i % 4 == 0 { "cold_start" } else { "warm_image" };
+            assert_eq!(outcome.as_deref(), Some(expected), "{label}");
+        }
+        assert_eq!(checkpoints::resident("gzip", seed, 2_000), None);
+        assert_eq!(checkpoints::resident("mcf", seed, 2_000), None);
+    }
+
+    #[test]
+    fn no_store_stays_resident_after_a_threads_run() {
+        let seed = 0x5eed_0003;
+        let benchmarks = ["gzip", "mcf", "swim"];
+        let mut s = Scheduler::new();
+        s.request_all(segmented_parents(&benchmarks, seed));
+        let attempts = Watch::run(&s, &EngineOptions::in_memory(2), &benchmarks, seed);
+        let restored = attempts.iter().filter(|a| a.outcome.as_deref() == Some("warm_image"));
+        assert_eq!(restored.count(), 3 * 3, "every non-zero segment restored");
+        for benchmark in benchmarks {
+            assert_eq!(checkpoints::resident(benchmark, seed, 2_000), None, "{benchmark}");
+        }
+    }
+
+    #[test]
+    fn a_retried_restoring_segment_still_finds_its_stores() {
+        let seed = 0x5eed_0004;
+        let parents = segmented_parents(&["gzip", "mcf"], seed);
+        let victim = segmented::children(&parents[0]).unwrap().pop().unwrap().label();
+        let mut s = Scheduler::new();
+        s.request_all(parents);
+        let opts = EngineOptions {
+            fault: FaultPolicy {
+                inject: FaultInject::parse(&format!("panic-once:{victim}")),
+                retries: 1,
+                ..FaultPolicy::default()
+            },
+            ..EngineOptions::in_memory(1)
+        };
+        let attempts = Watch::run(&s, &opts, &["gzip", "mcf"], seed);
+        // The panicking attempt fails before it executes, and its retry
+        // runs last, after mcf's segments have let mcf's stores go.
+        let tries: Vec<&Attempt> = attempts.iter().filter(|a| a.label == victim).collect();
+        assert_eq!(tries.len(), 2, "{tries:?}");
+        assert_eq!(tries[0].outcome, None, "the failed attempt never ran the segment");
+        assert_eq!(tries[1].resident, [Some("held"), None], "gzip still held for the retry");
+        assert_eq!(tries[1].outcome.as_deref(), Some("warm_image"));
+        assert_eq!(checkpoints::resident("gzip", seed, 2_000), None);
     }
 }

@@ -522,9 +522,10 @@ impl RunSpec {
                 let mut src = self.build_source();
                 let slice = ltc_trace::TraceSegment::nth(self.accesses, *segments, *segment);
                 // The checkpoint and warm image recorded at the slice
-                // start (the scheduler's pre-pass, or the parent spec in
-                // this process) replace the prefix and the warm-up
-                // replay; without that pair the worker replays from 0.
+                // start (held by the scheduler's pre-pass or the parent
+                // spec in this process, or read from disk) replace the
+                // prefix and the warm-up replay; without that pair the
+                // worker replays from 0.
                 let stores = match slice.start {
                     0 => None,
                     _ => crate::engine::checkpoints::lookup(&self.benchmark, self.seed, *warmup),
@@ -545,8 +546,9 @@ impl RunSpec {
                 // sequentially; the scheduler path fans them out instead
                 // (`crate::engine::segmented`). One recording pass up
                 // front replaces the children's per-segment skip loops
-                // and warm-up replays.
-                crate::engine::checkpoints::prepare_segments(
+                // and warm-up replays; its stores are held until the
+                // children have run.
+                let _stores = crate::engine::checkpoints::prepare_segments(
                     &self.benchmark,
                     self.seed,
                     self.accesses,

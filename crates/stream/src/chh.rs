@@ -458,8 +458,11 @@ impl ChhSummary {
     /// Returns a [`MergeError::State`] when the snapshot is inconsistent:
     /// a configuration too small to construct, a hash family code other
     /// than 2, ragged or out-of-range slot arrays, counts beyond
-    /// `u32`, or a pair sketch whose shape disagrees with the
-    /// configuration.
+    /// `u32`, a pair sketch whose shape disagrees with the
+    /// configuration, or slots no [`observe`](Self::observe) or
+    /// [`merge`](Self::merge) fills: a key outside the set its hash
+    /// selects, a key twice in its set, or a value twice among one key's
+    /// slots.
     pub fn from_state(state: &ChhState) -> Result<Self, MergeError> {
         let cfg = ChhConfig {
             budget_bytes: state.budget_bytes,
@@ -498,7 +501,45 @@ impl ChhSummary {
             ],
             "inner",
         )?;
+        chh.check_slots()?;
         Ok(chh)
+    }
+
+    /// Refuses the occupied slots no count step or merge produces, each
+    /// of which [`ChhSummary::from_state`] would otherwise load as a
+    /// silently wrong summary: a key in a set its hash does not select
+    /// (a ghost no lookup finds), a key monitored twice in its set
+    /// (counted twice in [`ChhSummary::keys`]), and a value monitored
+    /// twice among one key's slots (listed twice by
+    /// [`ChhSummary::correlated`]).
+    fn check_slots(&self) -> Result<(), MergeError> {
+        let invalid = |reason: String| MergeError::State { summary: "chh", reason };
+        let repeated = |counters: &[Counter], at: usize| {
+            counters[..at].iter().any(|c| c.count > 0 && c.item == counters[at].item)
+        };
+        for (idx, key) in self.outer.iter().enumerate().filter(|(_, c)| c.count > 0) {
+            let ways = self.way_range(key.item);
+            let set = ways.start / self.cfg.ways;
+            if !ways.contains(&idx) {
+                return Err(invalid(format!(
+                    "key {:#x} at outer index {idx} lies outside its set {set}",
+                    key.item
+                )));
+            }
+            if repeated(&self.outer[ways.start..], idx - ways.start) {
+                return Err(invalid(format!("duplicate key {:#x} in set {set}", key.item)));
+            }
+            let values = &self.inners[self.inner_range(idx)];
+            if let Some(slot) =
+                (0..values.len()).find(|&s| values[s].count > 0 && repeated(values, s))
+            {
+                return Err(invalid(format!(
+                    "duplicate value {:#x} among key {:#x}'s slots",
+                    values[slot].item, key.item
+                )));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -835,5 +876,79 @@ mod tests {
         let mut alien_pairs = chh.to_state();
         alien_pairs.pairs.seed ^= 1;
         assert!(ChhSummary::from_state(&alien_pairs).is_err(), "pair sketch shape must match");
+    }
+
+    /// 2-way sets of three value slots, monitoring only key 7, which has
+    /// seen values 100, 101 and 102; with its outer index.
+    fn key_seven() -> (ChhState, u64) {
+        let cfg = ChhConfig { budget_bytes: 8 << 10, inner_capacity: 3, ways: 2, seed: 3 };
+        let mut chh = ChhSummary::new(cfg);
+        for value in [100, 101, 102] {
+            chh.observe(7, value);
+        }
+        let state = chh.to_state();
+        assert_eq!((state.outer_keys.as_slice(), state.inner_values.len()), (&[7][..], 3));
+        let idx = state.outer_index[0];
+        (state, idx)
+    }
+
+    /// The refusal `from_state` gives `state`: a state error naming
+    /// `case`.
+    fn refusal(state: &ChhState, case: &str) {
+        match ChhSummary::from_state(state) {
+            Err(crate::MergeError::State { summary: "chh", reason }) => {
+                assert!(reason.contains(case), "{reason}");
+            }
+            other => panic!("{case}: expected a state error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_key_copied_into_another_way_of_its_set_is_refused() {
+        let (mut state, idx) = key_seven();
+        // The other way of the same 2-way set, in index order.
+        let twin = idx ^ 1;
+        let at = usize::from(twin > idx);
+        state.outer_index.insert(at, twin);
+        state.outer_keys.insert(at, 7);
+        state.outer_counts.insert(at, state.outer_counts[0]);
+        state.outer_overestimates.insert(at, 0);
+        refusal(&state, "duplicate key 0x7");
+    }
+
+    #[test]
+    fn a_key_moved_to_a_set_its_hash_does_not_select_is_refused() {
+        let (mut state, idx) = key_seven();
+        // Two sets on, values and all.
+        let moved = (idx + 4) % ChhSummary::from_state(&state).unwrap().key_capacity() as u64;
+        state.outer_index[0] = moved;
+        state.inner_index = (0..3).map(|slot| moved * 3 + slot).collect();
+        refusal(&state, "lies outside its set");
+    }
+
+    #[test]
+    fn a_value_repeated_among_a_keys_slots_is_refused() {
+        let (mut state, _) = key_seven();
+        state.inner_values[1] = 100;
+        refusal(&state, "duplicate value 0x64 among key 0x7's slots");
+    }
+
+    #[test]
+    fn fresh_and_merged_states_pass_the_slot_checks() {
+        for ways in [1, 2, 8] {
+            let cfg = ChhConfig { budget_bytes: 8 << 10, inner_capacity: 2, ways, seed: 5 };
+            let summarize = |offset: u64| {
+                let mut chh = ChhSummary::new(cfg);
+                for i in 0..20_000u64 {
+                    chh.observe((i * 7 + offset) % 701, (i * 13) % 37);
+                }
+                chh
+            };
+            let mut merged = summarize(0);
+            ChhSummary::from_state(&merged.to_state()).expect("a fresh state loads");
+            merged.merge(&summarize(3)).unwrap();
+            let revived = ChhSummary::from_state(&merged.to_state()).expect("a merged state loads");
+            assert_eq!(revived.to_state(), merged.to_state(), "{ways} ways");
+        }
     }
 }

@@ -467,7 +467,8 @@ fn chh_merge_cases(a: &ChhState, b: &ChhState) -> [usize; 3] {
 /// CHH summaries (1- and 2-way sets, so one-sided keys, displaced keys
 /// and matched keys whose inner summaries overflow all occur) over the
 /// quarters of one chase stream, folded left to right, hash every field
-/// of every intermediate state to fixed FNV-1a digests.
+/// of every intermediate state to fixed FNV-1a digests. Every fresh and
+/// merged state also loads back through `from_state`.
 #[test]
 fn merged_states_match_pinned_digests() {
     let pairs = chase_pairs(5, 24_000);
@@ -498,13 +499,19 @@ fn merged_states_match_pinned_digests() {
             }
             chh
         };
+        let loads = |chh: &ChhSummary| {
+            ChhSummary::from_state(&chh.to_state()).expect("a fresh or merged state loads");
+        };
         let mut merged = summarize(quarters[0]);
+        loads(&merged);
         let (mut words, mut cases) = (chh_words(&merged.to_state()), [0; 3]);
         for quarter in &quarters[1..] {
             let next = summarize(quarter);
+            loads(&next);
             let seen = chh_merge_cases(&merged.to_state(), &next.to_state());
             cases.iter_mut().zip(seen).for_each(|(total, n)| *total += n);
             merged.merge(&next).expect("same shape");
+            loads(&merged);
             words.extend(chh_words(&merged.to_state()));
         }
         assert!(cases.iter().all(|&n| n > 0), "{ways}-way merges exercised only {cases:?}");
